@@ -7,7 +7,7 @@ another; ``build_preset(name)`` returns a fresh :class:`~.matrix.Matrix`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .matrix import Matrix, Scenario
 
@@ -405,14 +405,10 @@ def _runtime_faults_sweep() -> Matrix:
     return Matrix("runtime_faults_sweep", tuple(scenarios))
 
 
-def _throughput(
-    scales: Sequence[int] = (1, 2, 4), backend: Optional[str] = None
-) -> Matrix:
+def _throughput(scales: Sequence[int] = (1, 2, 4)) -> Matrix:
     """Kernel-throughput trajectory: tasks/s per family vs graph scale
     (the ROADMAP's --scale axis; host timing lives in the records'
-    ``timing`` block).  ``backend`` pins the dependence-tracker backend
-    (``python``/``numpy``) for A/B rows; ``None`` keeps the runtime
-    default."""
+    ``timing`` block)."""
     return Matrix.product(
         "throughput",
         families=DAG_FAMILIES,
@@ -420,7 +416,6 @@ def _throughput(
         core_counts=(16,),
         scales=tuple(scales),
         seeds=(1,),
-        params={"dep_backend": backend} if backend is not None else None,
     )
 
 

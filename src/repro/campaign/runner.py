@@ -399,7 +399,6 @@ def _build_runtime(scenario: Scenario, machine: Machine) -> Runtime:
         criticality=criticality,
         rsu=rsu,
         record_trace=False,
-        dep_backend=scenario.param("dep_backend"),
         faults=faults,
         recovery=recovery,
     )

@@ -15,9 +15,7 @@ Three pivots cover the questions the figure benchmarks keep re-deriving:
 * :func:`critical_path_occupancy` — what fraction of the makespan had a
   critical task actually running (is boosting even reachable?).
 
-Everything is numpy-optional: with numpy installed the sweeps vectorise;
-without it, plain-Python fallbacks produce identical results (pinned by
-the test suite).  :func:`timestamp_table` hands the raw columns out for
+:func:`timestamp_table` hands the raw columns out as numpy arrays for
 ad-hoc pivots.
 """
 
@@ -26,12 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .task import TaskState
+import numpy as np
 
-try:  # pragma: no cover - exercised via both branches in the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .task import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import TaskGraph
@@ -45,43 +40,31 @@ __all__ = [
 ]
 
 
-def timestamp_table(
-    graph: "TaskGraph", as_numpy: Optional[bool] = None
-) -> Dict[str, Any]:
-    """The lifecycle columns of every *finished* task, as parallel arrays.
+def timestamp_table(graph: "TaskGraph") -> Dict[str, Any]:
+    """The lifecycle columns of every *finished* task, as numpy arrays.
 
     Returns a dict with ``gid``, ``depth``, ``critical``, ``submit``,
-    ``ready``, ``start``, ``end`` — numpy arrays when numpy is available
-    (or ``as_numpy=True`` is forced), plain lists otherwise.  Unfinished
-    tasks are excluded so every column is dense and float-valued.
+    ``ready``, ``start``, ``end``.  Unfinished tasks are excluded so every
+    column is dense and float-valued.
     """
-    if as_numpy is None:
-        as_numpy = _np is not None
-    if as_numpy and _np is None:
-        raise RuntimeError("numpy requested but not installed")
     state = graph.state
     finished = TaskState.FINISHED
     rows = [g for g in range(len(state)) if state[g] is finished]
-    cols: Dict[str, list] = {
-        "gid": rows,
-        "depth": [graph.depth[g] for g in rows],
-        "critical": [bool(graph.critical[g]) for g in rows],
-        "submit": [graph.submit_time[g] for g in rows],
-        "ready": [graph.ready_time[g] for g in rows],
-        "start": [graph.start_time[g] for g in rows],
-        "end": [graph.end_time[g] for g in rows],
+
+    def floats(col: List[Optional[float]]) -> Any:
+        return np.asarray([col[g] for g in rows], dtype=float)
+
+    return {
+        "gid": np.asarray(rows, dtype=np.int64),
+        "depth": np.asarray([graph.depth[g] for g in rows], dtype=np.int64),
+        "critical": np.asarray(
+            [bool(graph.critical[g]) for g in rows], dtype=bool
+        ),
+        "submit": floats(graph.submit_time),
+        "ready": floats(graph.ready_time),
+        "start": floats(graph.start_time),
+        "end": floats(graph.end_time),
     }
-    if not as_numpy:
-        return cols
-    out = {}
-    for name, values in cols.items():
-        if name in ("gid", "depth"):
-            out[name] = _np.asarray(values, dtype=_np.int64)
-        elif name == "critical":
-            out[name] = _np.asarray(values, dtype=bool)
-        else:
-            out[name] = _np.asarray(values, dtype=float)
-    return out
 
 
 def per_depth_latency(graph: "TaskGraph") -> List[Dict[str, float]]:
@@ -144,20 +127,6 @@ class ResidencySummary:
         }
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank-interpolated percentile on a pre-sorted list (matches
-    numpy's default 'linear' interpolation)."""
-    n = len(sorted_values)
-    if n == 1:
-        return sorted_values[0]
-    pos = q * (n - 1)
-    lo = int(pos)
-    frac = pos - lo
-    if lo + 1 >= n:
-        return sorted_values[-1]
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[lo + 1] * frac
-
-
 def ready_queue_residency(graph: "TaskGraph") -> Optional[ResidencySummary]:
     """How long ready tasks sat in the queue before a core picked them up.
 
@@ -177,22 +146,13 @@ def ready_queue_residency(graph: "TaskGraph") -> Optional[ResidencySummary]:
         waits.append(start_arr[g] - (ready if ready is not None else start_arr[g]))
     if not waits:
         return None
-    if _np is not None:
-        arr = _np.asarray(waits)
-        return ResidencySummary(
-            n=len(waits),
-            mean=float(arr.mean()),
-            p50=float(_np.percentile(arr, 50)),
-            p95=float(_np.percentile(arr, 95)),
-            max=float(arr.max()),
-        )
-    waits.sort()
+    arr = np.asarray(waits)
     return ResidencySummary(
         n=len(waits),
-        mean=sum(waits) / len(waits),
-        p50=_percentile(waits, 0.50),
-        p95=_percentile(waits, 0.95),
-        max=waits[-1],
+        mean=float(arr.mean()),
+        p50=float(np.percentile(arr, 50)),
+        p95=float(np.percentile(arr, 95)),
+        max=float(arr.max()),
     )
 
 

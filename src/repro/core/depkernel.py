@@ -57,22 +57,21 @@ more: on the fast tier the name indexes themselves are built lazily —
 first-touch order (recounting ``scan_probes`` and rebuilding overlap
 lists, append tails and identity caches bit-identically) before writing
 the member dicts back.  Every scalar-path reader of the name indexes
-(``register_preds`` / ``register_stream`` / ``prune_finished`` /
-``live_members`` / observability collection) flushes first, so the
-deferral is invisible outside the timed ``tdg_build`` window.
+(``register_preds`` / ``prune_finished`` / ``live_members`` /
+observability collection) flushes first, so the deferral is invisible
+outside the timed ``tdg_build`` window.
 
-Fallback rules
---------------
-:meth:`DependenceTracker.register_batch` only attempts the kernel on a
-*fresh* tracker (no histories, no graph binding, no prune, no pending
-flush, numpy importable, ``backend="numpy"``); anything else —
+Kernel selection
+----------------
+The input alone picks the path: :meth:`DependenceTracker.register_batch`
+only attempts the kernel on a *fresh* tracker (no histories, no graph
+binding, no prune, no pending flush) and an empty graph; anything else —
 including the second window of a streaming run — takes the scalar path
-unchanged.  Every fallback increments the tracker's
-``kernel_fallbacks`` counter.  Within a batch the kernel falls back
-(undoing its only side effect, the graph id map) when it meets a
-``CONCURRENT`` access or a duplicate task id; the general tier handles
-every other shape, including duplicate-extent region objects and
-arbitrarily overlapping shorts.
+unchanged.  Every fallback increments the tracker's ``kernel_fallbacks``
+counter.  Within a batch the kernel falls back (undoing its only side
+effect, the graph id map) when it meets a ``CONCURRENT`` access or a
+duplicate task id; the general tier handles every other shape, including
+duplicate-extent region objects and arbitrarily overlapping shorts.
 """
 
 from __future__ import annotations
@@ -82,10 +81,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-try:  # pragma: no cover - the image bakes numpy in; the guard is for
-    import numpy as np  # minimal environments (forces backend="python")
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .deps import DependenceTracker, _RegionHistory
@@ -141,9 +137,9 @@ def register_batch(
 
     Preconditions (checked by the caller,
     :meth:`DependenceTracker.register_batch`): fresh tracker, empty
-    graph, numpy backend.  Returns ``None`` — with the graph id map
-    restored — when the batch contains a ``CONCURRENT`` access or a
-    duplicate task id; nothing else is touched before those checks.
+    graph.  Returns ``None`` — with the graph id map restored — when the
+    batch contains a ``CONCURRENT`` access or a duplicate task id;
+    nothing else is touched before those checks.
     """
     # The registry columns are append-only and never rebound, so
     # from-imports stay live across registrations.

@@ -86,11 +86,8 @@ everything edge insertion needs), so retired tasks are collectible.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .depkernel import BatchResult
@@ -200,29 +197,11 @@ class DependenceTracker:
     __slots__ = (
         "_by_name", "_next_detached", "_graph", "_pruned", "edges_added",
         "scan_probes", "scan_matches", "cache_hits", "last_matches",
-        "last_depth_floor", "refs_released", "backend", "_pending",
+        "last_depth_floor", "refs_released", "_pending",
         "kernel_batches", "kernel_rows", "kernel_fallbacks",
     )
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = os.environ.get("REPRO_DEP_BACKEND", "numpy")
-        if backend not in ("python", "numpy"):
-            raise ValueError(
-                f"unknown dependence backend {backend!r}; "
-                "expected 'python' or 'numpy'"
-            )
-        if backend == "numpy":
-            from . import depkernel
-
-            if depkernel.np is None:  # pragma: no cover - numpy baked in
-                backend = "python"
-        #: Selected batch backend: "numpy" attempts the vectorised
-        #: kernel on fresh-tracker bulk submissions, "python" always
-        #: takes the scalar path.  Resolution order: explicit argument,
-        #: then the REPRO_DEP_BACKEND environment variable, then
-        #: "numpy" (falling back to "python" when numpy is missing).
-        self.backend = backend
+    def __init__(self) -> None:
         self._by_name: Dict[str, _NameIndex] = {}
         # Tracker-local dense ids for tasks registered outside any graph
         # (counting down from -2; graph-attached tasks use their gid >= 0,
@@ -360,8 +339,7 @@ class DependenceTracker:
         path; a ``None`` return has no side effects.
         """
         if (
-            self.backend == "numpy"
-            and self._graph is None
+            self._graph is None
             and not self._by_name
             and not self._pruned
             and self._pending is None
@@ -622,200 +600,6 @@ class DependenceTracker:
         return preds
 
     # ------------------------------------------------------------------
-    def register_stream(
-        self, source: Iterable[Task], graph: Optional["TaskGraph"]
-    ) -> Iterator[List[int]]:
-        """Generator: ``register_preds`` for a stream of graph-attached
-        tasks, with the per-call overhead hoisted out of the loop.
-
-        The bulk-submission companion of :meth:`register_preds` — the
-        runtime's ``submit_all`` drives it in lockstep (the caller
-        attaches each task to ``graph`` and assigns its gid *before*
-        advancing the generator).  Semantics are identical to calling
-        :meth:`register_preds` per task — pinned by the tracker- and
-        graph-equivalence suites plus the submit-vs-submit_all test —
-        but the name-index/locals are bound once, the instrumentation
-        counters accumulate in frame locals (flushed on close/exhaustion,
-        including mid-batch failures), and the detached-id branch is
-        dropped (every task has a dense gid by construction).
-        ``last_depth_floor`` is still published per task when pruning has
-        run, since the caller consumes it between steps.
-        """
-        if graph is not None:
-            if graph is not self._graph:
-                if self._graph is not None:
-                    raise ValueError(
-                        "tracker already bound to a different TaskGraph; "
-                        "one DependenceTracker serves one graph"
-                    )
-                self._graph = graph
-        if self._pending is not None:
-            # Scalar streaming after a vectorised batch (e.g. the second
-            # window of a rolling submission): land the deferred member
-            # writeback before any member dict is read.
-            self._flush_members()
-        by_name = self._by_name
-        by_name_get = by_name.get
-        setattr_ = object.__setattr__
-        pruned = self._pruned
-        matches_total = 0
-        hits_total = 0
-        edges_total = 0
-        last_matches = self.last_matches  # unchanged if no task streams
-        try:
-            floor = 0
-            for task in source:
-                tid = task.gid
-                preds: Dict[int, Optional[Task]] = {}
-                matches = 0
-                if pruned:
-                    floor = 0
-                for dep in task.deps:
-                    region = dep.region
-                    kind = dep.kind
-                    if region._hist_owner is self:
-                        h = region._hist
-                        hits_total += 1
-                    else:
-                        qstart = region.start
-                        qstop = region.stop
-                        entry = by_name_get(region.name)
-                        if entry is None:
-                            entry = by_name[region.name] = _NameIndex()
-                        key = (qstart, qstop)
-                        h = entry.exact.get(key)
-                        if h is None:
-                            h = self._insert_history(entry, qstart, qstop, key)
-                            setattr_(region, "_hist_owner", self)
-                            setattr_(region, "_hist", h)
-                            if len(h.overlaps) == 1:
-                                matches += 1
-                                if kind is _IN:
-                                    h.readers = {tid: task}
-                                elif kind is _CONCURRENT:
-                                    h.concurrents = {tid: task}
-                                else:
-                                    h.writers = {tid: task}
-                                continue
-                        else:
-                            setattr_(region, "_hist_owner", self)
-                            setattr_(region, "_hist", h)
-                    overlapping = h.overlaps
-                    n_over = len(overlapping)
-                    matches += n_over
-                    if kind is _IN:
-                        if n_over == 1:
-                            w = h.writers
-                            if w:
-                                preds.update(w)
-                            c = h.concurrents
-                            if c:
-                                preds.update(c)
-                            if pruned:
-                                g = h.ghost_w if h.ghost_w >= h.ghost_c else h.ghost_c
-                                if g > floor:
-                                    floor = g
-                        else:
-                            for o in overlapping:
-                                w = o.writers
-                                if w:
-                                    preds.update(w)
-                                c = o.concurrents
-                                if c:
-                                    preds.update(c)
-                                if pruned:
-                                    g = o.ghost_w if o.ghost_w >= o.ghost_c else o.ghost_c
-                                    if g > floor:
-                                        floor = g
-                        r = h.readers
-                        if r is None:
-                            h.readers = {tid: task}
-                        else:
-                            r[tid] = task
-                    elif kind is _CONCURRENT:
-                        for o in overlapping:
-                            w = o.writers
-                            if w:
-                                preds.update(w)
-                            r = o.readers
-                            if r:
-                                preds.update(r)
-                            if pruned:
-                                g = o.ghost_w if o.ghost_w >= o.ghost_r else o.ghost_r
-                                if g > floor:
-                                    floor = g
-                        c = h.concurrents
-                        if c is None:
-                            h.concurrents = {tid: task}
-                        else:
-                            c[tid] = task
-                    else:
-                        if n_over == 1:
-                            w = h.writers
-                            if w:
-                                preds.update(w)
-                            r = h.readers
-                            if r:
-                                preds.update(r)
-                                h.readers = None
-                            c = h.concurrents
-                            if c:
-                                preds.update(c)
-                                h.concurrents = None
-                        else:
-                            for o in overlapping:
-                                w = o.writers
-                                if w:
-                                    preds.update(w)
-                                    w[tid] = task
-                                else:
-                                    o.writers = {tid: task}
-                                r = o.readers
-                                if r:
-                                    preds.update(r)
-                                c = o.concurrents
-                                if c:
-                                    preds.update(c)
-                                if pruned:
-                                    g = o.ghost_w
-                                    if o.ghost_r > g:
-                                        g = o.ghost_r
-                                    if o.ghost_c > g:
-                                        g = o.ghost_c
-                                    if g > floor:
-                                        floor = g
-                            if h.readers is not None:
-                                h.readers = None
-                            if h.concurrents is not None:
-                                h.concurrents = None
-                        if pruned:
-                            if n_over == 1:
-                                g = h.ghost_w
-                                if h.ghost_r > g:
-                                    g = h.ghost_r
-                                if h.ghost_c > g:
-                                    g = h.ghost_c
-                                if g > floor:
-                                    floor = g
-                            h.ghost_w = h.ghost_r = h.ghost_c = 0
-                        h.writers = {tid: task}
-                preds.pop(tid, None)
-                matches_total += matches
-                last_matches = matches
-                edges_total += len(preds)
-                if pruned:
-                    self.last_depth_floor = floor
-                yield preds
-        finally:
-            # Flush batched instrumentation even when the caller aborts
-            # mid-batch (duplicate task) — counter state must match what
-            # an equivalent register_preds loop would have left.
-            self.scan_matches += matches_total
-            self.cache_hits += hits_total
-            self.last_matches = last_matches
-            self.edges_added += edges_total
-
-    # ------------------------------------------------------------------
     def prune_finished(self) -> int:
         """Drop finished tasks that can no longer source live edges.
 
@@ -940,7 +724,7 @@ class DependenceTracker:
 
         Drains the kernel's deferred member stash first: a fresh batch's
         histories only materialise at flush time, and telemetry must not
-        depend on which backend built the TDG.
+        depend on which path (kernel or scalar) built the TDG.
         """
         if self._pending is not None:
             self._flush_members()

@@ -163,13 +163,6 @@ class Runtime:
         Optional :class:`~repro.core.prefetch.RuntimePrefetcher`: the
         runtime prefetches a ready task's input regions ahead of dispatch,
         hiding part of its memory time (runtime-guided prefetching).
-    batch_dispatch:
-        If True (default) dispatcher wake-ups are batched through
-        :meth:`~repro.sim.events.Simulator.defer`: all task completions at
-        one timestamp share a single ``_dispatch`` invocation that costs no
-        event-queue traffic.  If False, each wake-up schedules the legacy
-        zero-delay trampoline event instead — kept as the reference path
-        for the makespan-equivalence tests.
     prune_every:
         Watermark for streaming mode: every N task completions, prune the
         dependence tracker's finished members and release the graph's
@@ -186,15 +179,6 @@ class Runtime:
         the no-op shim unless observability was enabled — captured at
         construction.  Instrumentation is purely observational:
         simulated results are bit-identical with any sink installed.
-    dep_backend:
-        Dependence-tracker batch backend, forwarded to
-        :class:`~repro.core.deps.DependenceTracker`: ``"numpy"`` runs
-        fresh bulk submissions through the vectorised kernel
-        (:mod:`repro.core.depkernel`), ``"python"`` always takes the
-        scalar path.  ``None`` (default) resolves the
-        ``REPRO_DEP_BACKEND`` environment variable, then ``"numpy"``.
-        Backends are bit-identical (pinned by the backend-equivalence
-        suite); the choice only moves host time.
     faults:
         Optional :class:`~repro.resilience.runtime_faults.
         RuntimeFaultPlan`: seeded runtime faults (task-kill /
@@ -222,10 +206,8 @@ class Runtime:
         execute_functions: bool = True,
         submission: Optional["SubmissionModel"] = None,
         prefetcher: Optional["RuntimePrefetcher"] = None,
-        batch_dispatch: bool = True,
         prune_every: int = 0,
         obs: Optional[Metrics] = None,
-        dep_backend: Optional[str] = None,
         faults: Optional["RuntimeFaultPlan"] = None,
         recovery: Union[str, "RuntimeRecoveryPolicy", None] = None,
     ) -> None:
@@ -243,7 +225,7 @@ class Runtime:
         self.criticality = criticality
         self.rsu = rsu
         self.lower_on_idle = lower_on_idle
-        self.tracker = DependenceTracker(backend=dep_backend)
+        self.tracker = DependenceTracker()
         self.graph = TaskGraph()
         self.scheduler.bind(self.graph)
         self.trace = TraceRecorder() if record_trace else None
@@ -263,7 +245,6 @@ class Runtime:
         self._prepared = False
         self.submission = submission
         self.prefetcher = prefetcher
-        self.batch_dispatch = batch_dispatch
         self._master_free_at = 0.0
         if prune_every < 0:
             raise ValueError("prune_every must be non-negative")
@@ -373,10 +354,10 @@ class Runtime:
         tracker = self.tracker
         if tasks and not self._any_finished and not graph.tasks:
             # Fresh-build fast path: hand the whole batch to the
-            # vectorised dependence kernel.  A None result (scalar
-            # backend, concurrent accesses, overlapping regions, an
-            # in-batch duplicate, ...) falls through to the scalar loop
-            # with no tracker/graph state to undo.
+            # vectorised dependence kernel.  A None result (a concurrent
+            # access, an in-batch duplicate, malformed deps) falls
+            # through to the scalar loop with no tracker/graph state to
+            # undo.
             result = tracker.register_batch(tasks, graph)
             if result is not None:
                 graph.add_task_batch(tasks, result, self.machine.sim.now)
@@ -436,13 +417,9 @@ class Runtime:
         # runtime is the only writer of that state), so the per-edge
         # state probe collapses to ``unfinished = len(preds)``.
         check_states = self._any_finished
+        register_preds = tracker.register_preds
         n_done = 0
         n_edges = 0
-        # Lockstep bulk registration: the stream registers a task only
-        # when advanced, i.e. after the duplicate probe and gid
-        # assignment below — a mid-batch failure leaves the tracker
-        # exactly where a submit() loop would have.
-        stream = tracker.register_stream(tasks, graph)
         try:
             for i, task in enumerate(tasks):
                 tid = tids[i]
@@ -453,7 +430,10 @@ class Runtime:
                     raise ValueError(f"task #{tid} already in graph")
                 task.graph = graph
                 task.gid = gid
-                preds = next(stream)
+                # Registered only after the duplicate probe and gid
+                # assignment, so a mid-batch failure leaves the tracker
+                # and its counters exactly where a submit() loop would.
+                preds = register_preds(task)
                 if preds:
                     # Fresh successor: every tracker pred is a new edge.
                     depth = 0
@@ -497,9 +477,7 @@ class Runtime:
             # everything registered so far is in the graph and possibly
             # ready, exactly as a submit() loop would have left it — and
             # the pre-extended array tail for never-submitted tasks is
-            # trimmed back off.  Closing the stream flushes its batched
-            # tracker counters immediately.
-            stream.close()
+            # trimmed back off.
             if n_done != n_new:
                 cut = start + n_done
                 for arr in (
@@ -581,12 +559,9 @@ class Runtime:
     def _schedule_dispatch(self) -> None:
         if not self._dispatch_scheduled:
             self._dispatch_scheduled = True
-            if self.batch_dispatch:
-                # Batched path: every wake-up at this timestamp folds into
-                # one deferred dispatch — no zero-delay trampoline event.
-                self.machine.sim.defer(self._dispatch)
-            else:
-                self.machine.sim.schedule(0.0, self._dispatch)
+            # Every wake-up at this timestamp folds into one deferred
+            # dispatch that costs no event-queue traffic.
+            self.machine.sim.defer(self._dispatch)
 
     def _dispatch(self) -> None:
         # Observability wrapper: the disabled path is one class-attribute

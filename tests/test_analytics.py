@@ -2,9 +2,9 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
-import repro.core.analytics as analytics_mod
 from repro.core import (
     FifoScheduler,
     Region,
@@ -89,6 +89,7 @@ class TestAnalytics:
         n = len(rt.graph)
         for col in ("gid", "depth", "critical", "submit", "ready",
                     "start", "end"):
+            assert isinstance(table[col], np.ndarray)
             assert len(table[col]) == n
         # makespan is the max end time
         assert max(table["end"]) == pytest.approx(res.makespan)
@@ -125,21 +126,6 @@ class TestAnalytics:
     def test_occupancy_zero_without_critical_marks(self):
         rt, _ = _run()
         assert critical_path_occupancy(rt.graph) == 0.0
-
-    def test_pure_python_fallback_matches_numpy(self, monkeypatch):
-        rt, _ = _run(n_cores=2, scale=2)
-        with_np = ready_queue_residency(rt.graph)
-        table_np = timestamp_table(rt.graph)
-        monkeypatch.setattr(analytics_mod, "_np", None)
-        without_np = ready_queue_residency(rt.graph)
-        table_py = timestamp_table(rt.graph)
-        assert without_np.n == with_np.n
-        assert without_np.mean == pytest.approx(with_np.mean)
-        assert without_np.p50 == pytest.approx(with_np.p50)
-        assert without_np.p95 == pytest.approx(with_np.p95)
-        assert without_np.max == with_np.max
-        for col in table_py:
-            assert list(table_np[col]) == pytest.approx(table_py[col])
 
     def test_running_tasks_excluded_mid_run(self):
         """end_time is stamped at dispatch; analytics must gate on the

@@ -391,6 +391,50 @@ class TestSubmitAllFailureConsistency:
         res = rt.run()  # the two good tasks still execute to completion
         assert res.n_tasks == 2 and rt._unfinished == 0
 
+    @staticmethod
+    def _warm_runtime():
+        """A runtime whose tracker and graph are warm after one window,
+        so the next submit_all takes the scalar loop."""
+        rt = Runtime(Machine(2, initial_level=2), record_trace=False)
+        rt.submit_all([
+            Task.make("w0", cpu_cycles=1e6, out=[("x", 0, 8)]),
+            Task.make("w1", cpu_cycles=1e6, in_=[("x", 4, 12)], out=["y"]),
+        ])
+        rt.taskwait()
+        return rt
+
+    @staticmethod
+    def _tracker_counters(rt):
+        tr = rt.tracker
+        return (
+            tr.scan_matches, tr.cache_hits, tr.edges_added,
+            tr.last_matches, tr.scan_probes, rt.graph.n_edges,
+        )
+
+    def test_duplicate_on_warm_tracker_keeps_counters(self):
+        """The counters a failed warm submit_all leaves behind equal
+        those of a submit() loop over the tasks before the duplicate."""
+
+        def pair():
+            return (
+                Task.make("a", cpu_cycles=1e6, inout=[("x", 0, 8)]),
+                Task.make("b", cpu_cycles=1e6, in_=[("x", 2, 6), "y"]),
+            )
+
+        rt = self._warm_runtime()
+        a, b = pair()
+        with pytest.raises(ValueError, match="already in graph"):
+            rt.submit_all([a, b, a])
+        failed = self._tracker_counters(rt)
+        rt.tracker.invalidate_region_caches()
+
+        ref = self._warm_runtime()
+        for t in pair():
+            ref.submit(t)
+        assert failed == self._tracker_counters(ref)
+        assert failed[-1] > 0  # the pair really did add edges
+        ref.tracker.invalidate_region_caches()
+
     def test_mid_registration_failure_detaches_failing_task(self):
         """If dependence registration itself raises, the pre-extended
         array tail is trimmed AND the failing task's handle/index state

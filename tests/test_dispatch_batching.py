@@ -1,13 +1,16 @@
 """Batched-dispatch equivalence: deferred wake-ups vs zero-delay events.
 
-The runtime's batched dispatch path (``batch_dispatch=True``, the default)
-coalesces every same-timestamp completion into one deferred ``_dispatch``
-call through :meth:`~repro.sim.events.Simulator.defer`, instead of paying a
-zero-delay trampoline event per wake-up.  These tests pin that the two
-paths produce bit-for-bit identical simulations — makespans, energy, stats
-— across all seven schedulers, the RSU modes, and the zero-duration-task
-corner where dispatch re-arms within a single timestamp.
+The runtime coalesces every same-timestamp completion into one deferred
+``_dispatch`` call through :meth:`~repro.sim.events.Simulator.defer`,
+instead of paying a zero-delay trampoline event per wake-up.  The
+trampoline lives on here only as the reference, a :class:`Runtime`
+subclass.  These tests pin that the two paths produce bit-for-bit
+identical simulations — makespans, energy, stats — across all seven
+schedulers, the RSU modes, and the zero-duration-task corner where
+dispatch re-arms within a single timestamp.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -22,14 +25,29 @@ ALL_SCHEDULERS = sorted(crunner.SCHEDULERS)
 ALL_RSU_MODES = sorted(crunner.RSU_MODES)
 
 
+class TrampolineRuntime(Runtime):
+    """Reference dispatch: one zero-delay event per wake-up."""
+
+    def _schedule_dispatch(self):
+        if not self._dispatch_scheduled:
+            self._dispatch_scheduled = True
+            self.machine.sim.schedule(0.0, self._dispatch)
+
+
+def _build_runtime(scenario, machine, batch):
+    """The campaign runner's runtime, as a trampoline one if not batched."""
+    cls = Runtime if batch else TrampolineRuntime
+    with mock.patch.object(crunner, "Runtime", cls):
+        return crunner._build_runtime(scenario, machine)
+
+
 def run_scenario_both_ways(scenario):
     """Execute one campaign scenario under each dispatch path."""
     out = []
     for batch in (True, False):
         tasks = crunner._build_workload(scenario)
         machine = crunner._build_machine(scenario)
-        rt = crunner._build_runtime(scenario, machine)
-        rt.batch_dispatch = batch
+        rt = _build_runtime(scenario, machine, batch)
         rt.submit_all(tasks)
         if scenario.scheduler == "bottom_level" and rt.criticality is None:
             rt.graph.compute_bottom_levels()
@@ -62,8 +80,7 @@ class TestSchedulerEquivalence:
         for batch in (True, False):
             tasks = crunner._build_workload(scenario)
             machine = crunner._build_machine(scenario)
-            rt = crunner._build_runtime(scenario, machine)
-            rt.batch_dispatch = batch
+            rt = _build_runtime(scenario, machine, batch)
             queue = machine.sim.queue
             original_push = queue.push
             count = 0
@@ -97,7 +114,8 @@ class TestZeroDurationCorner:
 
     def _run(self, batch):
         machine = Machine(2, initial_level=2)
-        rt = Runtime(machine, record_trace=False, batch_dispatch=batch)
+        runtime_cls = Runtime if batch else TrampolineRuntime
+        rt = runtime_cls(machine, record_trace=False)
         prev = None
         for i in range(6):
             deps = {"in_": [f"x{i - 1}"]} if i else {}

@@ -1,33 +1,34 @@
-"""Vectorised dependence kernel vs scalar path — backend equivalence.
+"""Vectorised dependence kernel vs scalar path — path equivalence.
 
 The numpy batch kernel (:mod:`repro.core.depkernel`) is a pure *speed*
-change: for any submission batch the ``numpy`` backend must produce the
-graph the ``python`` backend produces — same edges in the same adjacency
-order, same depths and ready counts, same tracker member state and
-counters, bit for bit — otherwise TDGs, and with them every simulated
-makespan, silently shift.  These suites drive both backends over
+change: for any submission batch ``submit_all`` through the kernel must
+produce the graph a plain ``submit()`` loop produces — same edges in the
+same adjacency order, same depths and ready counts, same tracker member
+state and counters, bit for bit — otherwise TDGs, and with them every
+simulated makespan, silently shift.  ``submit()`` registers one task at
+a time through the scalar tracker and never takes the kernel, so it is
+the reference side.  These suites drive both sides over
 hypothesis-fuzzed WAR/WAW/RAW programs (overlapping intervals push the
 kernel into its general tier), workload families, mid-build completion
 windows, watermark pruning and the campaign engine, and assert identical
 state.  They also pin *engagement*: the shipped families must actually
-take the kernel (``kernel_batches``/``kernel_fallbacks`` say so), and a
-numpy-less interpreter must degrade to the scalar backend silently.
+take the kernel (``kernel_batches``/``kernel_fallbacks`` say so).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.dag_workloads import WORKLOADS, make_workload
-from repro.core import depkernel
 from repro.core.deps import DependenceTracker
 from repro.core.runtime import Runtime
 from repro.core.schedulers import FifoScheduler
 from repro.core.task import Task
 from repro.sim.machine import Machine
 
-BACKENDS = ("python", "numpy")
+#: "reference" submits task by task (scalar tracker only); "kernel"
+#: submits whole batches through ``submit_all``.
+SIDES = ("reference", "kernel")
 
 # Write-heavy kind mix: every pair of kinds below exercises one of the
 # RAW (out->in), WAR (in->out) and WAW (out->out) hazard classes.
@@ -36,21 +37,28 @@ BACKENDS = ("python", "numpy")
 _KINDS = ("in_", "out", "inout", "commutative")
 
 
-def _make_runtime(backend, prune_every=0):
+def _make_runtime(prune_every=0):
     machine = Machine(8, initial_level=2)
     return Runtime(
         machine,
         scheduler=FifoScheduler(),
         record_trace=False,
-        dep_backend=backend,
         prune_every=prune_every,
     )
+
+
+def _submit(rt, tasks, side):
+    if side == "kernel":
+        rt.submit_all(tasks)
+    else:
+        for t in tasks:
+            rt.submit(t)
 
 
 def _build_tasks(specs):
     """Fresh Task objects from ``[(label, [(kind, spec), ...]), ...]``.
 
-    Each backend needs its own handles (registration mutates them), so
+    Each side needs its own handles (registration mutates them), so
     the spec list — not the task list — is the shared input.
     """
     tasks = []
@@ -95,36 +103,35 @@ def _graph_snapshot(rt):
 
 
 def _run_both(specs, prune_every=0, windows=1):
-    """Submit the same program through both backends; return snapshots.
+    """Submit the same program through both sides; return snapshots.
 
-    ``windows > 1`` splits the program into that many ``submit_all``
-    batches with a full drain (``taskwait``) between them — only the
-    first window is kernel-eligible, the rest take the scalar path on
-    both backends.
+    ``windows > 1`` splits the program into that many batches with a
+    full drain (``taskwait``) between them — only the first window is
+    kernel-eligible, later ``submit_all`` windows take the scalar loop.
     """
     snaps = {}
-    for backend in BACKENDS:
-        rt = _make_runtime(backend, prune_every=prune_every)
+    for side in SIDES:
+        rt = _make_runtime(prune_every=prune_every)
         tasks = _build_tasks(specs)
         if windows == 1:
-            rt.submit_all(tasks)
+            _submit(rt, tasks, side)
         else:
             step = max(1, len(tasks) // windows)
             for i in range(0, len(tasks), step):
-                rt.submit_all(tasks[i:i + step])
+                _submit(rt, tasks[i:i + step], side)
                 rt.taskwait()
         snap = _graph_snapshot(rt)
         rt.run()
         snap["makespan"] = rt.machine.sim.now
         snap["stats"] = rt.stats.as_dict()
-        snaps[backend] = snap
+        snaps[side] = snap
     return snaps
 
 
-def _assert_backends_agree(snaps):
-    py, np_ = snaps["python"], snaps["numpy"]
-    for key in py:
-        assert np_[key] == py[key], f"backends diverge on {key!r}"
+def _assert_sides_agree(snaps):
+    ref, kern = snaps["reference"], snaps["kernel"]
+    for key in ref:
+        assert kern[key] == ref[key], f"paths diverge on {key!r}"
 
 
 # ----------------------------------------------------------------------
@@ -156,22 +163,22 @@ class TestFuzzedEquivalence:
     @given(_program)
     def test_war_waw_raw_programs(self, program):
         specs = [(f"t{i}", acc) for i, acc in enumerate(program)]
-        _assert_backends_agree(_run_both(specs))
+        _assert_sides_agree(_run_both(specs))
 
     @settings(max_examples=20, deadline=None)
     @given(_program)
     def test_two_submission_windows(self, program):
         """Mid-build completions: a second ``submit_all`` window lands on
-        a drained-but-warm tracker; the kernel must decline it and both
-        backends must still agree."""
+        a drained-but-warm tracker; the kernel must decline it and the
+        scalar loop must still agree with the reference."""
         specs = [(f"t{i}", acc) for i, acc in enumerate(program)]
-        _assert_backends_agree(_run_both(specs, windows=2))
+        _assert_sides_agree(_run_both(specs, windows=2))
 
     @settings(max_examples=20, deadline=None)
     @given(_program, st.sampled_from((0, 1, 17)))
     def test_prune_every_axis(self, program, prune_every):
         specs = [(f"t{i}", acc) for i, acc in enumerate(program)]
-        _assert_backends_agree(_run_both(specs, prune_every=prune_every))
+        _assert_sides_agree(_run_both(specs, prune_every=prune_every))
 
 
 # ----------------------------------------------------------------------
@@ -181,41 +188,41 @@ class TestFamilyEquivalence:
     @pytest.mark.parametrize("family", sorted(WORKLOADS))
     def test_family_backends_identical(self, family):
         snaps = {}
-        for backend in BACKENDS:
-            rt = _make_runtime(backend)
-            rt.submit_all(make_workload(family, scale=2, seed=1))
+        for side in SIDES:
+            rt = _make_runtime()
+            _submit(rt, make_workload(family, scale=2, seed=1), side)
             snap = _graph_snapshot(rt)
             kern = (rt.tracker.kernel_batches, rt.tracker.kernel_fallbacks)
             rt.run()
             snap["makespan"] = rt.machine.sim.now
-            snaps[backend] = snap
-            if backend == "numpy":
+            snaps[side] = snap
+            if side == "kernel":
                 # The shipped families must actually take the kernel.
                 assert kern == (1, 0), f"{family} fell back: {kern}"
             else:
-                assert kern == (0, 1)
-        _assert_backends_agree(snaps)
+                assert kern == (0, 0)
+        _assert_sides_agree(snaps)
 
     def test_kernel_rows_counts_accesses(self):
         tasks = make_workload("layered", scale=1, seed=1)
         n_rows = sum(len(t.deps) for t in tasks)
-        rt = _make_runtime("numpy")
+        rt = _make_runtime()
         rt.submit_all(tasks)
         assert rt.tracker.kernel_rows == n_rows
 
     @pytest.mark.parametrize("prune_every", (0, 1, 17))
     def test_family_prune_axis(self, prune_every):
         snaps = {}
-        for backend in BACKENDS:
-            rt = _make_runtime(backend, prune_every=prune_every)
-            rt.submit_all(make_workload("cholesky", scale=2, seed=1))
+        for side in SIDES:
+            rt = _make_runtime(prune_every=prune_every)
+            _submit(rt, make_workload("cholesky", scale=2, seed=1), side)
             rt.run()
-            snaps[backend] = (
+            snaps[side] = (
                 rt.machine.sim.now,
                 rt.stats.as_dict(),
                 rt.tracker.live_regions,
             )
-        assert snaps["python"] == snaps["numpy"]
+        assert snaps["reference"] == snaps["kernel"]
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +230,7 @@ class TestFamilyEquivalence:
 # ----------------------------------------------------------------------
 class TestFallbackRules:
     def test_concurrent_batch_falls_back(self):
-        rt = _make_runtime("numpy")
+        rt = _make_runtime()
         rt.submit_all([
             Task.make("w", out=["x"]),
             Task.make("c", concurrent=["x"]),
@@ -233,7 +240,7 @@ class TestFallbackRules:
         assert rt.graph.n_edges == 1  # scalar path still built the TDG
 
     def test_second_window_takes_scalar_path(self):
-        rt = _make_runtime("numpy")
+        rt = _make_runtime()
         rt.submit_all([Task.make("a", out=["x"])])
         assert rt.tracker.kernel_batches == 1
         rt.taskwait()
@@ -250,7 +257,7 @@ class TestFallbackRules:
         # Overlapping-but-not-equal intervals leave the disjoint fast
         # tier; the general tier must still be a kernel batch, with the
         # deferred member stash carrying real histories.
-        rt = _make_runtime("numpy")
+        rt = _make_runtime()
         rt.submit_all([
             Task.make("w0", out=[("x", 0, 10)]),
             Task.make("w1", out=[("x", 5, 15)]),
@@ -266,33 +273,13 @@ class TestFallbackRules:
         }
         assert edges == {(0, 1), (0, 2), (1, 2)}
 
-    def test_numpy_absent_degrades_to_python(self, monkeypatch):
-        monkeypatch.setattr(depkernel, "np", None)
-        tr = DependenceTracker()
-        assert tr.backend == "python"
-        rt = _make_runtime(None)  # default resolution under missing numpy
-        rt.submit_all(make_workload("fork_join", scale=1, seed=1))
-        assert rt.tracker.backend == "python"
-        assert rt.tracker.kernel_batches == 0
-        rt.run()
-        assert rt.machine.sim.now > 0
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEP_BACKEND", "python")
-        assert DependenceTracker().backend == "python"
-        monkeypatch.setenv("REPRO_DEP_BACKEND", "numpy")
-        assert DependenceTracker().backend == "numpy"
-        monkeypatch.setenv("REPRO_DEP_BACKEND", "cython")
-        with pytest.raises(ValueError):
-            DependenceTracker()
-
     def test_malformed_deps_fall_back_with_scalar_semantics(self):
         # A broken dependence mid-batch must surface the scalar path's
         # error (and its rollback), not a kernel internal error.
         good = Task.make("good", out=["x"])
         bad = Task.make("bad", in_=["x"])
         bad.deps.append("not a dependence")
-        rt = _make_runtime("numpy")
+        rt = _make_runtime()
         with pytest.raises(AttributeError):
             rt.submit_all([good, bad])
         assert rt.tracker.kernel_fallbacks == 1
@@ -301,31 +288,25 @@ class TestFallbackRules:
 
 
 # ----------------------------------------------------------------------
-# campaign-level equivalence via REPRO_DEP_BACKEND
+# campaign-level equivalence
 # ----------------------------------------------------------------------
 class TestCampaignEquivalence:
     def test_smoke_preset_records_match(self, monkeypatch):
+        """Campaign records are the same whether the kernel or the
+        scalar loop builds each TDG (the kernel declined by patching)."""
         from repro.campaign import run_campaign
         from repro.campaign.presets import build_preset
 
-        results = {}
-        for backend in BACKENDS:
-            monkeypatch.setenv("REPRO_DEP_BACKEND", backend)
+        def records():
             summary = run_campaign(build_preset("smoke"))
             assert summary.n_errors == 0
-            results[backend] = {
-                r["id"]: (r["metrics"], r["stats"])
-                for r in summary.records
+            return {
+                r["id"]: (r["metrics"], r["stats"]) for r in summary.records
             }
-        assert results["python"] == results["numpy"]
 
-    def test_dep_backend_param_reaches_runtime(self):
-        from repro.campaign import run_campaign
-        from repro.campaign.presets import build_preset
-
-        matrix = build_preset("throughput", scales=(1,), backend="python")
-        assert all(
-            s.param("dep_backend") == "python" for s in matrix.scenarios
+        kernel = records()
+        monkeypatch.setattr(
+            DependenceTracker, "register_batch",
+            lambda self, tasks, graph: None,
         )
-        summary = run_campaign(matrix)
-        assert summary.n_errors == 0
+        assert records() == kernel
