@@ -87,10 +87,9 @@ everything edge insertion needs), so retired tasks are collectible.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .depkernel import BatchResult
     from .graph import TaskGraph
 
 from .task import DepKind, Task, TaskState
@@ -130,16 +129,12 @@ class _RegionHistory:
 
     __slots__ = (
         "start", "stop", "writers", "readers", "concurrents", "overlaps",
-        "ghost_w", "ghost_r", "ghost_c", "kid",
+        "ghost_w", "ghost_r", "ghost_c",
     )
 
     def __init__(self, start: int, stop: int) -> None:
         self.start = start
         self.stop = stop
-        # Dense batch-local id assigned by the vectorised kernel
-        # (repro.core.depkernel); -1 outside a batch.  Only ever read
-        # during the one register_batch call that created the history.
-        self.kid = -1
         # Member dicts are lazy: ``None`` until the first member of that
         # kind arrives (and reset back to ``None`` by compaction), so a
         # fresh history costs zero dict allocations.  Invariant: a member
@@ -184,10 +179,11 @@ class DependenceTracker:
 
     The hot entry point is :meth:`register_preds`, which returns the
     predecessor tasks directly (what the runtime consumes); :meth:`register`
-    wraps them into ``(pred, succ)`` pairs for the original API.
-    Instrumented counters (``scan_probes``, ``scan_matches``) expose how
-    much index work registrations did, which the scale-regression tests
-    pin to stay linear in the task count.
+    wraps them into ``(pred, succ)`` pairs for the original API, and
+    :meth:`register_batch` runs it over a whole ``submit_all`` batch with
+    the graph insertion inlined.  Instrumented counters (``scan_probes``,
+    ``scan_matches``) expose how much index work registrations did, which
+    the scale-regression tests pin to stay linear in the task count.
 
     ``__slots__``: every registration read-modify-writes several counters
     and loads ``_by_name``/``_graph``/``_pruned``; fixed slots keep those
@@ -197,8 +193,7 @@ class DependenceTracker:
     __slots__ = (
         "_by_name", "_next_detached", "_graph", "_pruned", "edges_added",
         "scan_probes", "scan_matches", "cache_hits", "last_matches",
-        "last_depth_floor", "refs_released", "_pending",
-        "kernel_batches", "kernel_rows", "kernel_fallbacks",
+        "last_depth_floor", "refs_released",
     )
 
     def __init__(self) -> None:
@@ -237,16 +232,6 @@ class DependenceTracker:
         #: Strong Task references dropped by pruning so far (kept
         #: last-writer entries whose value became None).
         self.refs_released = 0
-        #: Member-writeback stash of the last vectorised batch
-        #: (histories + the kernel's sorted access arrays); drained by
-        #: _flush_members before any scalar path reads member dicts.
-        self._pending: Optional[Tuple[Any, ...]] = None
-        #: Vectorised batches executed / access rows they covered /
-        #: batch attempts that fell back to the scalar path — the
-        #: kernel_* observability counters (zero-cost plain ints).
-        self.kernel_batches = 0
-        self.kernel_rows = 0
-        self.kernel_fallbacks = 0
 
     # ------------------------------------------------------------------
     def _insert_history(
@@ -324,42 +309,142 @@ class DependenceTracker:
 
     # ------------------------------------------------------------------
     def register_batch(
-        self, tasks: List[Task], graph: "TaskGraph"
-    ) -> Optional["BatchResult"]:
-        """Attempt the vectorised kernel on a whole submission batch.
+        self,
+        tasks: List[Task],
+        graph: "TaskGraph",
+        now: float,
+        check_states: bool,
+    ) -> None:
+        """Add a whole submission batch to ``graph`` and insert its edges.
 
-        Only a *fresh* tracker qualifies (no histories, no graph
-        binding, never pruned, no pending member flush) — then every
-        history the batch touches is kernel-created and the numpy
-        last-writer expansion reproduces the scalar merge exactly
-        (:mod:`repro.core.depkernel`).  Returns the kernel's
-        :class:`~repro.core.depkernel.BatchResult` for
-        :meth:`TaskGraph.add_task_batch`, or ``None`` (counting a
-        ``kernel_fallbacks`` hit) when the batch must take the scalar
-        path; a ``None`` return has no side effects.
+        The bulk path behind ``Runtime.submit_all``: per task, exactly
+        ``graph.add_task`` + :meth:`register_preds` + the fresh-successor
+        branch of :meth:`TaskGraph.add_edges_to`, with the graph insertion
+        inlined (a Python call per task adds up on graphs of 10^4+ tasks)
+        and the struct-of-arrays storage bulk pre-extended in C-level
+        comprehensions instead of per-task appends.  Every task is
+        stamped with submit time ``now``.  ``check_states=False`` promises
+        that no task in ``graph`` has finished yet, which collapses the
+        per-edge FINISHED probe to ``unfinished = len(preds)``.
+
+        Readiness is left to the caller: the new gids run from
+        ``len(graph)`` before the call to ``len(graph)`` after it, and a
+        gid is ready when its ``unfinished_preds`` is 0.  On a mid-batch
+        failure (e.g. a
+        duplicate task) the tasks registered so far stay in the graph —
+        exactly where a one-task-at-a-time loop would have left graph and
+        tracker — the pre-extended tail is trimmed back off, and the
+        exception propagates.
         """
-        if (
-            self._graph is None
-            and not self._by_name
-            and not self._pruned
-            and self._pending is None
-            and not graph.tasks
-        ):
-            from . import depkernel
-
-            result = depkernel.register_batch(self, tasks, graph)
-            if result is not None:
-                return result
-        self.kernel_fallbacks += 1
-        return None
-
-    def _flush_members(self) -> None:
-        """Drain the kernel's deferred member writeback (idempotent)."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            from . import depkernel
-
-            depkernel.flush_members(self, pending)
+        index_of = graph.index_of
+        graph_tasks = graph.tasks
+        succ_ids = graph.succ_ids
+        pred_ids = graph.pred_ids
+        unfinished_preds = graph.unfinished_preds
+        depth_arr = graph.depth
+        state_arr = graph.state
+        finished = TaskState.FINISHED
+        n_new = len(tasks)
+        start = len(graph_tasks)
+        tids = [t.task_id for t in tasks]
+        graph_tasks.extend(tasks)
+        graph.task_ids.extend(tids)
+        succ_ids.extend([] for _ in range(n_new))
+        # Placeholder-filled: the loop below assigns each slot exactly
+        # once (a fresh list for edged tasks, [] otherwise), so no empty
+        # list is allocated just to be thrown away.
+        pred_ids.extend([None] * n_new)
+        unfinished_preds.extend([0] * n_new)
+        depth_arr.extend([0] * n_new)
+        state_arr.extend([t._state for t in tasks])
+        graph.bottom_level.extend([t._bottom_level for t in tasks])
+        graph.critical.extend([t._critical for t in tasks])
+        graph._wake_len.extend([0] * n_new)
+        # Timestamps are array-native: one bulk fill replaces a per-task
+        # ``task.submit_time = now`` slot write (the failure path trims
+        # the tail for never-registered tasks like every other array).
+        graph.submit_time.extend([now] * n_new)
+        graph.ready_time.extend([None] * n_new)
+        graph.start_time.extend([None] * n_new)
+        graph.end_time.extend([None] * n_new)
+        # Pruning cannot fire mid-batch (nothing here steps the
+        # simulation), so the ghost-depth replay applies uniformly.
+        apply_floor = self._pruned
+        register_preds = self.register_preds
+        n_done = 0
+        n_edges = 0
+        try:
+            for i, task in enumerate(tasks):
+                tid = tids[i]
+                gid = start + i
+                # One dict op for probe + insert (setdefault returns the
+                # prior mapping on a duplicate).
+                if index_of.setdefault(tid, gid) != gid:
+                    raise ValueError(f"task #{tid} already in graph")
+                task.graph = graph
+                task.gid = gid
+                # Registered only after the duplicate probe and gid
+                # assignment, so a mid-batch failure leaves the tracker
+                # and its counters exactly where a submit() loop would.
+                preds = register_preds(task)
+                if preds:
+                    # Fresh successor: every tracker pred is a new edge.
+                    depth = 0
+                    if check_states:
+                        unfinished = 0
+                        for p in preds:
+                            succ_ids[p].append(gid)
+                            if state_arr[p] is not finished:
+                                unfinished += 1
+                            d = depth_arr[p]
+                            if d >= depth:
+                                depth = d + 1
+                    else:
+                        unfinished = len(preds)
+                        for p in preds:
+                            succ_ids[p].append(gid)
+                            d = depth_arr[p]
+                            if d >= depth:
+                                depth = d + 1
+                    pred_ids[gid] = list(preds)
+                    if apply_floor:
+                        floor = self.last_depth_floor
+                        if floor > depth:
+                            depth = floor
+                    depth_arr[gid] = depth
+                    unfinished_preds[gid] = unfinished
+                    n_edges += len(preds)
+                else:
+                    pred_ids[gid] = []
+                    if apply_floor:
+                        floor = self.last_depth_floor
+                        if floor:
+                            depth_arr[gid] = floor
+                n_done += 1
+        finally:
+            if n_done != n_new:
+                cut = start + n_done
+                for arr in (
+                    graph_tasks, graph.task_ids, succ_ids, pred_ids,
+                    unfinished_preds, depth_arr, state_arr,
+                    graph.bottom_level, graph.critical, graph._wake_len,
+                    graph.submit_time, graph.ready_time,
+                    graph.start_time, graph.end_time,
+                ):
+                    del arr[cut:]
+                # The failing task may already hold a mapping/handle into
+                # the trimmed tail (a mid-registration exception lands
+                # after index_of/graph/gid were set); detach it so it is
+                # resubmittable and its properties don't index past the
+                # arrays.  A *duplicate* task maps below the cut and is
+                # left alone.
+                for t in tasks[n_done:]:
+                    g_t = index_of.get(t.task_id)
+                    if g_t is not None and g_t >= cut:
+                        del index_of[t.task_id]
+                        t.graph = None
+                        t.gid = -1
+            graph.n_edges += n_edges
 
     # ------------------------------------------------------------------
     def register(self, task: Task) -> Set[Tuple[Task, Task]]:
@@ -394,10 +479,6 @@ class DependenceTracker:
         For tasks not attached to a graph the ids are tracker-local
         negatives, useful only for dedup/counters.
         """
-        if self._pending is not None:
-            # A vectorised batch deferred its member writeback; land it
-            # before this scalar registration reads any member dict.
-            self._flush_members()
         graph = task.graph
         if graph is not None:
             # Member dicts key by gid, which is only unique within one
@@ -615,8 +696,6 @@ class DependenceTracker:
         graph-attached tasks, so a retired task is collectible the moment
         the graph releases its handle.  Returns entries removed.
         """
-        if self._pending is not None:
-            self._flush_members()
         self._pruned = True
         removed = 0
         released = 0
@@ -707,8 +786,6 @@ class DependenceTracker:
         """
         from .task import _REGION_INTERN
 
-        if self._pending is not None:
-            self._flush_members()
         cleared = 0
         setattr_ = object.__setattr__
         for region in _REGION_INTERN.values():
@@ -720,14 +797,7 @@ class DependenceTracker:
 
     @property
     def live_regions(self) -> int:
-        """Distinct histories held by the name index (both tiers).
-
-        Drains the kernel's deferred member stash first: a fresh batch's
-        histories only materialise at flush time, and telemetry must not
-        depend on which path (kernel or scalar) built the TDG.
-        """
-        if self._pending is not None:
-            self._flush_members()
+        """Distinct histories held by the name index (both tiers)."""
         return sum(
             len(e.hists) + len(e.longs) for e in self._by_name.values()
         )
@@ -735,8 +805,6 @@ class DependenceTracker:
     @property
     def live_members(self) -> int:
         """Total member entries across all histories (pruning diagnostics)."""
-        if self._pending is not None:
-            self._flush_members()
         return sum(
             (len(h.writers) if h.writers else 0)
             + (len(h.readers) if h.readers else 0)
@@ -749,8 +817,6 @@ class DependenceTracker:
     @property
     def live_task_refs(self) -> int:
         """Member entries still holding a strong Task reference."""
-        if self._pending is not None:
-            self._flush_members()
         total = 0
         for e in self._by_name.values():
             for tier in (e.hists, e.longs):

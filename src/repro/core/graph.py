@@ -32,12 +32,7 @@ run on demand.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .depkernel import BatchResult
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import SPAN_GRAPH_ANALYSIS, get_active
 from .task import Task, TaskState
@@ -63,18 +58,13 @@ class TaskGraph:
     #: Every gid-indexed parallel array.  Any path that grows or trims
     #: one of these must grow/trim all of them (lockstep is what makes a
     #: gid a valid index everywhere) — machine-checked by lint rule RL004.
-    #: ``_succ_rows`` / ``_pred_rows`` / ``_depth`` are the backing stores
-    #: of the ``succ_ids`` / ``pred_ids`` / ``depth`` flush-on-read
-    #: properties: the vectorised dependence kernel extends them with
-    #: placeholders in lockstep at batch-submit time and fills the slot
-    #: *contents* lazily (slice assignment, which never changes length).
     _ARRAY_MANIFEST = (
         "tasks",
         "task_ids",
-        "_succ_rows",
-        "_pred_rows",
+        "succ_ids",
+        "pred_ids",
         "unfinished_preds",
-        "_depth",
+        "depth",
         "state",
         "bottom_level",
         "critical",
@@ -94,18 +84,15 @@ class TaskGraph:
         self.task_ids: List[int] = []
         #: ``task_id`` -> gid (duplicate detection + object-API lookups).
         self.index_of: Dict[int, int] = {}
-        #: gid -> successor gids, in edge-insertion order (backing store
-        #: of the ``succ_ids`` property).
-        self._succ_rows: List[List[int]] = []
-        #: gid -> predecessor gids, in edge-insertion order (backing store
-        #: of the ``pred_ids`` property).
-        self._pred_rows: List[List[int]] = []
+        #: gid -> successor gids, in edge-insertion order.
+        self.succ_ids: List[List[int]] = []
+        #: gid -> predecessor gids, in edge-insertion order.
+        self.pred_ids: List[List[int]] = []
         #: gid -> number of predecessors not yet FINISHED.
         self.unfinished_preds: List[int] = []
         #: gid -> longest-edge-count distance from a root (monotone
         #: under-approximation during construction; see width_profile).
-        #: Backing store of the ``depth`` property.
-        self._depth: List[int] = []
+        self.depth: List[int] = []
         #: gid -> TaskState.
         self.state: List[TaskState] = []
         #: gid -> bottom level (filled by compute_bottom_levels).
@@ -127,52 +114,6 @@ class TaskGraph:
         # prepare_wake_order / the runtime's completion path.
         self._wake_len: List[int] = []
         self.n_edges = 0
-        # Edge batches from the vectorised dependence kernel whose
-        # adjacency/depth slots are still placeholder-filled; drained by
-        # _flush_edge_batches on the first read of succ_ids / pred_ids /
-        # depth (off the submission hot path).
-        self._edge_batches: List["BatchResult"] = []
-
-    # ------------------------------------------------------------------
-    # adjacency views (flush-on-read over the kernel's deferred batches)
-    # ------------------------------------------------------------------
-    @property
-    def succ_ids(self) -> List[List[int]]:
-        """gid -> successor gids, in edge-insertion order."""
-        if self._edge_batches:
-            self._flush_edge_batches()
-        return self._succ_rows
-
-    @property
-    def pred_ids(self) -> List[List[int]]:
-        """gid -> predecessor gids, in edge-insertion order."""
-        if self._edge_batches:
-            self._flush_edge_batches()
-        return self._pred_rows
-
-    @property
-    def depth(self) -> List[int]:
-        """gid -> longest-edge-count distance from a root."""
-        if self._edge_batches:
-            self._flush_edge_batches()
-        return self._depth
-
-    def _flush_edge_batches(self) -> None:
-        """Materialise deferred kernel batches into the adjacency arrays.
-
-        Slot *lengths* were already extended in lockstep at submit time
-        (RL004); this fills the placeholder contents by slice assignment,
-        so it lands in whichever later phase first reads the adjacency
-        (``prepare_wake_order``'s graph_analysis span on the standard
-        build-then-run pattern), not in the timed ``tdg_build`` window.
-        """
-        if not self._edge_batches:
-            return
-        batches, self._edge_batches = self._edge_batches, []
-        from . import depkernel
-
-        for res in batches:
-            depkernel.fill_adjacency(self, res)
 
     # ------------------------------------------------------------------
     # construction
@@ -188,10 +129,10 @@ class TaskGraph:
         task.gid = gid
         self.tasks.append(task)
         self.task_ids.append(tid)
-        self._succ_rows.append([])
-        self._pred_rows.append([])
+        self.succ_ids.append([])
+        self.pred_ids.append([])
         self.unfinished_preds.append(0)
-        self._depth.append(0)
+        self.depth.append(0)
         # Detached-task state carries over (matching the object-graph
         # behaviour, which kept whatever the task already held).
         self.state.append(task._state)
@@ -203,38 +144,6 @@ class TaskGraph:
         self.end_time.append(task._end_time)
         self._wake_len.append(0)
         return gid
-
-    def add_task_batch(
-        self, tasks: List[Task], result: "BatchResult", now: float
-    ) -> None:
-        """Bulk-register a kernel batch: extend every gid-indexed array.
-
-        The companion of :meth:`~repro.core.deps.DependenceTracker.
-        register_batch`: the tracker already assigned gids, filled
-        ``index_of`` and computed the batch's edge arrays; this extends
-        the struct-of-arrays storage in one shot (RL004 lockstep: all
-        manifest arrays grow here, adjacency/depth with placeholders the
-        deferred flush fills by slice assignment).
-        """
-        nb = result.n_tasks
-        self.tasks.extend(tasks)
-        self.task_ids.extend(result.task_ids)
-        # Placeholder-filled like the scalar bulk path: the deferred
-        # flush assigns every slot exactly once before first read.
-        self._succ_rows.extend([None] * nb)
-        self._pred_rows.extend([None] * nb)
-        self.unfinished_preds.extend(result.cnt2_list)
-        self._depth.extend([0] * nb)
-        self.state.extend([t._state for t in tasks])
-        self.bottom_level.extend([t._bottom_level for t in tasks])
-        self.critical.extend([t._critical for t in tasks])
-        self.submit_time.extend([now] * nb)
-        self.ready_time.extend([None] * nb)
-        self.start_time.extend([None] * nb)
-        self.end_time.extend([None] * nb)
-        self._wake_len.extend([0] * nb)
-        self.n_edges += result.n_edges
-        self._edge_batches.append(result)
 
     def add_edge(self, pred: Task, succ: Task) -> bool:
         """Insert ``pred -> succ``; returns False if it already existed.

@@ -351,160 +351,31 @@ class Runtime:
         if not isinstance(tasks, list):
             tasks = list(tasks)
         graph = self.graph
-        tracker = self.tracker
-        if tasks and not self._any_finished and not graph.tasks:
-            # Fresh-build fast path: hand the whole batch to the
-            # vectorised dependence kernel.  A None result (a concurrent
-            # access, an in-batch duplicate, malformed deps) falls
-            # through to the scalar loop with no tracker/graph state to
-            # undo.
-            result = tracker.register_batch(tasks, graph)
-            if result is not None:
-                graph.add_task_batch(tasks, result, self.machine.sim.now)
-                n_new = result.n_tasks
-                self._unfinished += n_new
-                self.stats.add("tasks_submitted", n_new)
-                make_ready = self._make_ready
-                for gid in result.roots:
-                    # Ascending gid = the order the scalar loop reaches
-                    # each root, so _pending_ready is bit-identical.
-                    make_ready(gid)
-                return tasks
-        make_ready = self._make_ready
-        # graph.add_task and the fresh-successor branch of add_edges_to,
-        # inlined (a Python call per task adds up on graphs of 10^4+
-        # tasks; the semantics are pinned by the graph unit tests and the
-        # representation-equivalence suite either way).  The struct-of-
-        # arrays storage is bulk pre-extended in C-level comprehensions
-        # instead of per-task appends inside the loop.
-        graph._flush_edge_batches()  # bind the real backing arrays below
-        index_of = graph.index_of
-        graph_tasks = graph.tasks
-        succ_ids = graph._succ_rows
-        pred_ids = graph._pred_rows
-        unfinished_preds = graph.unfinished_preds
-        depth_arr = graph._depth
-        state_arr = graph.state
-        finished = TaskState.FINISHED
-        n_new = len(tasks)
-        start = len(graph_tasks)
-        tids = [t.task_id for t in tasks]
-        graph_tasks.extend(tasks)
-        graph.task_ids.extend(tids)
-        succ_ids.extend([] for _ in range(n_new))
-        # Placeholder-filled: the loop below assigns each slot exactly
-        # once (a fresh list for edged tasks, [] otherwise), so no empty
-        # list is allocated just to be thrown away.
-        pred_ids.extend([None] * n_new)
-        unfinished_preds.extend([0] * n_new)
-        depth_arr.extend([0] * n_new)
-        state_arr.extend([t._state for t in tasks])
-        graph.bottom_level.extend([t._bottom_level for t in tasks])
-        graph.critical.extend([t._critical for t in tasks])
-        graph._wake_len.extend([0] * n_new)
-        now = self.machine.sim.now  # nothing below advances the clock
-        # Timestamps are array-native: one bulk fill replaces a per-task
-        # ``task.submit_time = now`` slot write (the failure path trims
-        # the tail for never-registered tasks like every other array).
-        graph.submit_time.extend([now] * n_new)
-        graph.ready_time.extend([None] * n_new)
-        graph.start_time.extend([None] * n_new)
-        graph.end_time.extend([None] * n_new)
-        # Pruning cannot fire mid-loop (nothing below steps the
-        # simulation), so the ghost-depth replay applies uniformly.
-        apply_floor = tracker._pruned
-        # Until the first completion, no predecessor can be FINISHED (the
-        # runtime is the only writer of that state), so the per-edge
-        # state probe collapses to ``unfinished = len(preds)``.
-        check_states = self._any_finished
-        register_preds = tracker.register_preds
-        n_done = 0
-        n_edges = 0
+        start = len(graph)
         try:
-            for i, task in enumerate(tasks):
-                tid = tids[i]
-                gid = start + i
-                # One dict op for probe + insert (setdefault returns the
-                # prior mapping on a duplicate).
-                if index_of.setdefault(tid, gid) != gid:
-                    raise ValueError(f"task #{tid} already in graph")
-                task.graph = graph
-                task.gid = gid
-                # Registered only after the duplicate probe and gid
-                # assignment, so a mid-batch failure leaves the tracker
-                # and its counters exactly where a submit() loop would.
-                preds = register_preds(task)
-                if preds:
-                    # Fresh successor: every tracker pred is a new edge.
-                    depth = 0
-                    if check_states:
-                        unfinished = 0
-                        for p in preds:
-                            succ_ids[p].append(gid)
-                            if state_arr[p] is not finished:
-                                unfinished += 1
-                            d = depth_arr[p]
-                            if d >= depth:
-                                depth = d + 1
-                    else:
-                        unfinished = len(preds)
-                        for p in preds:
-                            succ_ids[p].append(gid)
-                            d = depth_arr[p]
-                            if d >= depth:
-                                depth = d + 1
-                    pred_ids[gid] = list(preds)
-                    if apply_floor:
-                        floor = tracker.last_depth_floor
-                        if floor > depth:
-                            depth = floor
-                    depth_arr[gid] = depth
-                    unfinished_preds[gid] = unfinished
-                    n_edges += len(preds)
-                    n_done += 1
-                    if unfinished == 0:
-                        make_ready(gid)
-                else:
-                    pred_ids[gid] = []
-                    if apply_floor:
-                        floor = tracker.last_depth_floor
-                        if floor:
-                            depth_arr[gid] = floor
-                    n_done += 1
-                    make_ready(gid)
+            # Until the first completion no predecessor can be FINISHED
+            # (the runtime is the only writer of that state), so the
+            # tracker may skip its per-edge state probe.
+            self.tracker.register_batch(
+                tasks, graph, self.machine.sim.now, self._any_finished
+            )
         finally:
-            # Account even on a mid-loop failure (e.g. a duplicate task):
+            # Account even on a mid-batch failure (e.g. a duplicate task):
             # everything registered so far is in the graph and possibly
-            # ready, exactly as a submit() loop would have left it — and
-            # the pre-extended array tail for never-submitted tasks is
-            # trimmed back off.
-            if n_done != n_new:
-                cut = start + n_done
-                for arr in (
-                    graph_tasks, graph.task_ids, succ_ids, pred_ids,
-                    unfinished_preds, depth_arr, state_arr,
-                    graph.bottom_level, graph.critical, graph._wake_len,
-                    graph.submit_time, graph.ready_time,
-                    graph.start_time, graph.end_time,
-                ):
-                    del arr[cut:]
-                # The failing task may already hold a mapping/handle into
-                # the trimmed tail (a mid-registration exception lands
-                # after index_of/graph/gid were set); detach it so it is
-                # resubmittable and its properties don't index past the
-                # arrays.  A *duplicate* task maps below the cut and is
-                # left alone.
-                for t in tasks[n_done:]:
-                    g_t = index_of.get(t.task_id)
-                    if g_t is not None and g_t >= cut:
-                        del index_of[t.task_id]
-                        t.graph = None
-                        t.gid = -1
-            graph.n_edges += n_edges
+            # ready, exactly as a submit() loop would have left it.
+            n_done = len(graph) - start
             self._unfinished += n_done
             if n_done:
                 self.stats.add("tasks_submitted", n_done)
-        return tasks if n_done == n_new else tasks[:n_done]
+                # Ascending gid is the order a submit() loop reaches each
+                # ready task, so _pending_ready is bit-identical (and
+                # _make_ready only queues: dispatch is deferred).
+                make_ready = self._make_ready
+                ready_count = graph.unfinished_preds
+                for gid in range(start, start + n_done):
+                    if not ready_count[gid]:
+                        make_ready(gid)
+        return tasks
 
     def spawn(self, label: str = "task", **kwargs: Any) -> Task:
         """Create-and-submit shorthand mirroring ``#pragma omp task``."""
@@ -933,20 +804,10 @@ class Runtime:
             self._obs_collected = True
             tracker = self.tracker
             sim = self.machine.sim
-            if tracker._pending is not None:
-                # A fast-tier batch defers index construction (and with
-                # it the scan_probes count) to the member flush; settle
-                # it before sampling the counters.
-                tracker._flush_members()
             obs_.counter_add("wakeups", float(self._obs_wakeups))
             obs_.counter_add("edges_inserted", float(self.graph.n_edges))
             obs_.counter_add("index_window_scans", float(tracker.scan_probes))
             obs_.counter_add("region_cache_hits", float(tracker.cache_hits))
-            obs_.counter_add("kernel_batches", float(tracker.kernel_batches))
-            obs_.counter_add("kernel_rows", float(tracker.kernel_rows))
-            obs_.counter_add(
-                "kernel_fallbacks", float(tracker.kernel_fallbacks)
-            )
             obs_.counter_add("event_compactions", float(sim.queue.compactions))
             obs_.counter_add("events_processed", float(sim.events_processed))
             if self._fault_ctl is not None:

@@ -55,14 +55,12 @@ tasks the right power play in Section 3.1.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -138,12 +136,6 @@ class Region:
     the next access through the *same instance* (guaranteed by interning)
     skips the name and extent hash lookups entirely.  They are excluded
     from equality, hashing, repr and pickles.
-
-    ``_iid`` is the region's dense id in the process-global registry used
-    by the vectorised batch kernel (:mod:`repro.core.depkernel`): assigned
-    lazily the first time the region appears in a task's dependence
-    encoding, never reused, and — like the tracker cache — excluded from
-    equality, repr and pickles (ids are process-local).
     """
 
     name: str
@@ -154,7 +146,6 @@ class Region:
     # out of pickles (a cached history would drag the whole tracker in).
     _hist_owner: Any = field(default=None, init=False, repr=False, compare=False)
     _hist: Any = field(default=None, init=False, repr=False, compare=False)
-    _iid: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.stop <= self.start:
@@ -177,7 +168,6 @@ class Region:
             object.__setattr__(self, slot, value)
         object.__setattr__(self, "_hist_owner", None)
         object.__setattr__(self, "_hist", None)
-        object.__setattr__(self, "_iid", -1)
 
     @classmethod
     def of(cls, spec: "Region | str | Tuple[str, int, int]") -> "Region":
@@ -230,81 +220,12 @@ def clear_region_intern() -> int:
     return n
 
 
-# ---------------------------------------------------------------------------
-# Interned-id registry for the vectorised batch kernel.
-#
-# Every Region that ever appears in a task's dependence encoding gets a
-# dense process-global id (stored on the instance as ``_iid``); its extent
-# is mirrored into parallel ``array('q')`` columns so the kernel can view
-# them as zero-copy numpy arrays per batch.  Ids are never reused:
-# ``clear_region_intern`` drops *canonical* instances but must not shrink
-# this registry, because encodings cached on live tasks keep referencing
-# the old ids.  Names are ranked through ``_NAME_RANK`` so the kernel can
-# group extents per name with integer compares instead of string hashing.
-# ---------------------------------------------------------------------------
-_REGION_REGISTRY: List[Region] = []
-_IID_STARTS = array("q")
-_IID_STOPS = array("q")
-_IID_NAMES = array("q")
-_NAME_RANK: Dict[str, int] = {}
-
-# The kernel reinterprets encodings as int32/int64 numpy views; both
-# typecodes must have the expected width on this platform.
-assert array("i").itemsize == 4 and array("q").itemsize == 8
-
-
-def _register_region(region: Region) -> int:
-    """Assign ``region`` its dense registry id (first-touch only)."""
-    iid = len(_REGION_REGISTRY)
-    object.__setattr__(region, "_iid", iid)
-    _REGION_REGISTRY.append(region)
-    rank = _NAME_RANK.setdefault(region.name, len(_NAME_RANK))
-    _IID_STARTS.append(region.start)
-    _IID_STOPS.append(region.stop)
-    _IID_NAMES.append(rank)
-    return iid
-
-
 @dataclass(frozen=True, slots=True)
 class Dependence:
     """One declared access of a task: (kind, region)."""
 
     kind: DepKind
     region: Region
-
-
-#: Low-2-bit kind codes in a task's dependence encoding: bit 1 set means
-#: the access writes (OUT/INOUT/COMMUTATIVE share the scalar tracker's
-#: writer handling); the value 1 is reserved for CONCURRENT, which the
-#: batch kernel cannot express and treats as a whole-batch fallback.
-_KIND_BIT = {
-    DepKind.IN: 0,
-    DepKind.CONCURRENT: 1,
-    DepKind.OUT: 2,
-    DepKind.INOUT: 2,
-    DepKind.COMMUTATIVE: 2,
-}
-
-
-def _encode_deps(deps: List[Dependence]) -> "array[int]":
-    """Pack declared accesses as ``(region._iid << 2) | kind_bits`` rows.
-
-    Rows are 32-bit: the kernel's per-batch working set then stays
-    below glibc's mmap threshold and costs half the memory traffic of
-    an int64 layout.  The id budget (2**29 distinct regions) is far
-    beyond what fits in memory — each Region object alone is >100
-    bytes, so a registry that large could not exist.
-    """
-    enc = array("i")
-    append = enc.append
-    bits = _KIND_BIT
-    for d in deps:
-        region = d.region
-        iid = region._iid
-        if iid < 0:
-            iid = _register_region(region)
-        append((iid << 2) | bits[d.kind])
-    return enc
 
 
 class TaskState(Enum):
@@ -382,37 +303,9 @@ class Task:
     core_id: Optional[int] = None
     result: Any = None
 
-    #: Packed dependence rows for the batch kernel (see ``_encode_deps``),
-    #: built once at construction so batch submission never walks
-    #: ``deps`` per access.  ``deps`` is a mutable list, so consumers must
-    #: treat a length mismatch as stale and call :meth:`_refresh_dep_enc`.
-    _dep_enc: Any = field(default=None, init=False, repr=False)
-
     def __post_init__(self) -> None:
         if self.cpu_cycles < 0 or self.mem_seconds < 0:
             raise ValueError("task cost components must be non-negative")
-        self._dep_enc = _encode_deps(self.deps)
-
-    def _refresh_dep_enc(self) -> "array[int]":
-        """Re-pack ``deps`` after mutation (or after crossing a pickle)."""
-        enc = _encode_deps(self.deps)
-        self._dep_enc = enc
-        return enc
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The dependence encoding holds process-local registry ids; a
-        # clone in another process (or a deepcopy with fresh regions)
-        # must re-encode against its own registry, so it never travels.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_dep_enc"
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-        object.__setattr__(self, "_dep_enc", None)
 
     # ------------------------------------------------------------------
     @classmethod

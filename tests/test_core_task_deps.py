@@ -226,6 +226,26 @@ class TestTaskSlots:
         assert clone.deps == t.deps
         assert clone == t and hash(clone) == hash(t)
 
+    def test_pickled_clone_submits_with_same_edges(self):
+        import pickle
+
+        from repro.core.runtime import Runtime
+        from repro.sim.machine import Machine
+
+        def edges(tasks):
+            rt = Runtime(Machine(2), record_trace=False)
+            rt.submit_all(tasks)
+            return [list(s) for s in rt.graph.succ_ids]
+
+        tasks = [
+            Task.make("w", out=["a"]),
+            Task.make("r", in_=["a"], out=[("b", 0, 8)]),
+            Task.make("rw", inout=[("b", 4, 12)]),
+        ]
+        clones = pickle.loads(pickle.dumps(tasks))
+        assert all(c.graph is None and c.gid == -1 for c in clones)
+        assert edges(clones) == edges(tasks) == [[1], [2], []]
+
     def test_runtime_managed_fields_still_assignable(self):
         t = Task.make("t")
         t.critical = True
