@@ -59,11 +59,12 @@ multi-access writer is recorded once per region, not once per access.
 Members are stored as insertion-ordered ``{gid: Task}`` dicts keyed by the
 task's dense graph id: the hot loops move data with C-level ``dict.update``
 on int keys instead of hashing ``Task`` objects through their Python-level
-``__hash__``, and :meth:`register_preds` hands the accumulated key view —
-a predecessor *id* collection — straight to
-:meth:`~repro.core.graph.TaskGraph.add_edges_to` with no Task-set
-materialisation.  Tasks registered outside any graph get tracker-local
-negative ids, so the standalone API keeps working.
+``__hash__``, and :meth:`register_preds` returns the accumulated dict —
+its key view a predecessor *id* collection — which
+:meth:`DependenceTracker.register_batch` inserts into the graph's
+adjacency arrays with no Task-set materialisation.  Tasks registered
+outside any graph get tracker-local negative ids, so the standalone API
+keeps working.
 
 Watermark pruning (streaming mode)
 ----------------------------------
@@ -92,7 +93,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import TaskGraph
 
-from .task import DepKind, Task, TaskState
+from .task import Dependence, DepKind, Region, Task, TaskState
 
 __all__ = ["DependenceTracker"]
 
@@ -178,12 +179,13 @@ class DependenceTracker:
     """Derives TDG edges from declared per-task data accesses.
 
     The hot entry point is :meth:`register_preds`, which returns the
-    predecessor tasks directly (what the runtime consumes); :meth:`register`
-    wraps them into ``(pred, succ)`` pairs for the original API, and
-    :meth:`register_batch` runs it over a whole ``submit_all`` batch with
-    the graph insertion inlined.  Instrumented counters (``scan_probes``,
-    ``scan_matches``) expose how much index work registrations did, which
-    the scale-regression tests pin to stay linear in the task count.
+    predecessor tasks directly; :meth:`register` wraps them into
+    ``(pred, succ)`` pairs for the original API, and :meth:`register_batch`
+    runs it over a submission batch with the graph insertion inlined —
+    the runtime's only way into its graph.  Instrumented counters
+    (``scan_probes``, ``scan_matches``) expose how much index work
+    registrations did, which the scale-regression tests pin to stay
+    linear in the task count.
 
     ``__slots__``: every registration read-modify-writes several counters
     and loads ``_by_name``/``_graph``/``_pruned``; fixed slots keep those
@@ -225,9 +227,9 @@ class DependenceTracker:
         self.last_matches = 0
         #: Depth floor of the most recent register call: the max ghost
         #: depth of every consulted history, i.e. the depth the pruned
-        #: (finished, readiness-neutral) edges would have induced.  The
-        #: runtime folds it into ``graph.depth`` right after edge
-        #: insertion; 0 unless pruning has run.
+        #: (finished, readiness-neutral) edges would have induced.
+        #: :meth:`register_batch` folds it into ``graph.depth`` right after
+        #: edge insertion; 0 unless pruning has run.
         self.last_depth_floor = 0
         #: Strong Task references dropped by pruning so far (kept
         #: last-writer entries whose value became None).
@@ -309,64 +311,34 @@ class DependenceTracker:
 
     # ------------------------------------------------------------------
     def register_batch(
-        self,
-        tasks: List[Task],
-        graph: "TaskGraph",
-        now: float,
-        check_states: bool,
+        self, tasks: List[Task], graph: "TaskGraph", now: float
     ) -> None:
-        """Add a whole submission batch to ``graph`` and insert its edges.
+        """Add a submission batch to ``graph`` and insert its edges.
 
-        The bulk path behind ``Runtime.submit_all``: per task, exactly
-        ``graph.add_task`` + :meth:`register_preds` + the fresh-successor
-        branch of :meth:`TaskGraph.add_edges_to`, with the graph insertion
-        inlined (a Python call per task adds up on graphs of 10^4+ tasks)
-        and the struct-of-arrays storage bulk pre-extended in C-level
-        comprehensions instead of per-task appends.  Every task is
-        stamped with submit time ``now``.  ``check_states=False`` promises
-        that no task in ``graph`` has finished yet, which collapses the
-        per-edge FINISHED probe to ``unfinished = len(preds)``.
+        The one path that puts tasks and edges into a runtime's graph
+        (``Runtime.submit`` is a one-task batch).  The batch's slots are
+        appended in one :meth:`TaskGraph.grow` call, every task stamped
+        with submit time ``now``; then, per task: the duplicate probe,
+        :meth:`register_preds`, the edge insertion for a task that has no
+        edges yet, and the pruning depth floor.
 
         Readiness is left to the caller: the new gids run from
         ``len(graph)`` before the call to ``len(graph)`` after it, and a
         gid is ready when its ``unfinished_preds`` is 0.  On a mid-batch
-        failure (e.g. a
-        duplicate task) the tasks registered so far stay in the graph —
-        exactly where a one-task-at-a-time loop would have left graph and
-        tracker — the pre-extended tail is trimmed back off, and the
+        failure (a duplicate task, a malformed access) the tasks
+        registered so far stay in the graph — exactly where a
+        one-task-at-a-time loop would have left graph and tracker — the
+        rest is trimmed back off with :meth:`TaskGraph.truncate`, and the
         exception propagates.
         """
         index_of = graph.index_of
-        graph_tasks = graph.tasks
         succ_ids = graph.succ_ids
         pred_ids = graph.pred_ids
         unfinished_preds = graph.unfinished_preds
         depth_arr = graph.depth
         state_arr = graph.state
         finished = TaskState.FINISHED
-        n_new = len(tasks)
-        start = len(graph_tasks)
-        tids = [t.task_id for t in tasks]
-        graph_tasks.extend(tasks)
-        graph.task_ids.extend(tids)
-        succ_ids.extend([] for _ in range(n_new))
-        # Placeholder-filled: the loop below assigns each slot exactly
-        # once (a fresh list for edged tasks, [] otherwise), so no empty
-        # list is allocated just to be thrown away.
-        pred_ids.extend([None] * n_new)
-        unfinished_preds.extend([0] * n_new)
-        depth_arr.extend([0] * n_new)
-        state_arr.extend([t._state for t in tasks])
-        graph.bottom_level.extend([t._bottom_level for t in tasks])
-        graph.critical.extend([t._critical for t in tasks])
-        graph._wake_len.extend([0] * n_new)
-        # Timestamps are array-native: one bulk fill replaces a per-task
-        # ``task.submit_time = now`` slot write (the failure path trims
-        # the tail for never-registered tasks like every other array).
-        graph.submit_time.extend([now] * n_new)
-        graph.ready_time.extend([None] * n_new)
-        graph.start_time.extend([None] * n_new)
-        graph.end_time.extend([None] * n_new)
+        start = graph.grow(tasks, now)
         # Pruning cannot fire mid-batch (nothing here steps the
         # simulation), so the ghost-depth replay applies uniformly.
         apply_floor = self._pruned
@@ -374,9 +346,9 @@ class DependenceTracker:
         n_done = 0
         n_edges = 0
         try:
-            for i, task in enumerate(tasks):
-                tid = tids[i]
-                gid = start + i
+            for task in tasks:
+                gid = start + n_done
+                tid = task.task_id
                 # One dict op for probe + insert (setdefault returns the
                 # prior mapping on a duplicate).
                 if index_of.setdefault(tid, gid) != gid:
@@ -385,28 +357,22 @@ class DependenceTracker:
                 task.gid = gid
                 # Registered only after the duplicate probe and gid
                 # assignment, so a mid-batch failure leaves the tracker
-                # and its counters exactly where a submit() loop would.
+                # and its counters exactly where a one-task-at-a-time
+                # loop would.
                 preds = register_preds(task)
                 if preds:
-                    # Fresh successor: every tracker pred is a new edge.
+                    # A fresh task has no edges yet: every tracker pred
+                    # is a new edge.
                     depth = 0
-                    if check_states:
-                        unfinished = 0
-                        for p in preds:
-                            succ_ids[p].append(gid)
-                            if state_arr[p] is not finished:
-                                unfinished += 1
-                            d = depth_arr[p]
-                            if d >= depth:
-                                depth = d + 1
-                    else:
-                        unfinished = len(preds)
-                        for p in preds:
-                            succ_ids[p].append(gid)
-                            d = depth_arr[p]
-                            if d >= depth:
-                                depth = d + 1
-                    pred_ids[gid] = list(preds)
+                    unfinished = 0
+                    for p in preds:
+                        succ_ids[p].append(gid)
+                        if state_arr[p] is not finished:
+                            unfinished += 1
+                        d = depth_arr[p]
+                        if d >= depth:
+                            depth = d + 1
+                    pred_ids[gid].extend(preds)
                     if apply_floor:
                         floor = self.last_depth_floor
                         if floor > depth:
@@ -414,36 +380,15 @@ class DependenceTracker:
                     depth_arr[gid] = depth
                     unfinished_preds[gid] = unfinished
                     n_edges += len(preds)
-                else:
-                    pred_ids[gid] = []
-                    if apply_floor:
-                        floor = self.last_depth_floor
-                        if floor:
-                            depth_arr[gid] = floor
+                elif apply_floor:
+                    # Depth contribution of edges pruned away (always
+                    # finished predecessors), replayed so breadth-first
+                    # order matches the unpruned run.
+                    depth_arr[gid] = self.last_depth_floor
                 n_done += 1
         finally:
-            if n_done != n_new:
-                cut = start + n_done
-                for arr in (
-                    graph_tasks, graph.task_ids, succ_ids, pred_ids,
-                    unfinished_preds, depth_arr, state_arr,
-                    graph.bottom_level, graph.critical, graph._wake_len,
-                    graph.submit_time, graph.ready_time,
-                    graph.start_time, graph.end_time,
-                ):
-                    del arr[cut:]
-                # The failing task may already hold a mapping/handle into
-                # the trimmed tail (a mid-registration exception lands
-                # after index_of/graph/gid were set); detach it so it is
-                # resubmittable and its properties don't index past the
-                # arrays.  A *duplicate* task maps below the cut and is
-                # left alone.
-                for t in tasks[n_done:]:
-                    g_t = index_of.get(t.task_id)
-                    if g_t is not None and g_t >= cut:
-                        del index_of[t.task_id]
-                        t.graph = None
-                        t.gid = -1
+            if n_done != len(tasks):
+                graph.truncate(start + n_done)
             graph.n_edges += n_edges
 
     # ------------------------------------------------------------------
@@ -474,11 +419,27 @@ class DependenceTracker:
         The runtime's fast path: the successor of every edge is ``task``
         itself, so this returns a ``{gid: Task}`` mapping (deduplicated,
         self excluded) whose *key view is the predecessor id-list* that
-        :meth:`TaskGraph.add_edges_to` consumes directly — no per-edge
-        tuples and no Task-set materialisation on the submission hot path.
-        For tasks not attached to a graph the ids are tracker-local
+        :meth:`register_batch` inserts directly — no per-edge tuples and
+        no Task-set materialisation on the submission hot path.  For
+        tasks not attached to a graph the ids are tracker-local
         negatives, useful only for dedup/counters.
+
+        Every access is checked before any is recorded: each entry of
+        ``task.deps`` must be an exact :class:`Dependence` whose kind is a
+        :class:`DepKind` and whose region is a :class:`Region`, otherwise
+        :class:`TypeError` is raised and the tracker is left untouched.
         """
+        deps = task.deps
+        for dep in deps:
+            if (
+                type(dep) is not Dependence
+                or type(dep.kind) is not DepKind
+                or type(dep.region) is not Region
+            ):
+                raise TypeError(
+                    f"task #{task.task_id} ({task.label!r}): {dep!r} is not "
+                    "a Dependence(DepKind, Region)"
+                )
         graph = task.graph
         if graph is not None:
             # Member dicts key by gid, which is only unique within one
@@ -503,7 +464,7 @@ class DependenceTracker:
         pruned = self._pruned
         by_name = self._by_name
         setattr_ = object.__setattr__
-        for dep in task.deps:
+        for dep in deps:
             region = dep.region
             kind = dep.kind
             # Identity cache: an interned region resolved by this tracker
@@ -674,7 +635,7 @@ class DependenceTracker:
         self.cache_hits += hits
         self.last_matches = matches
         if pruned:
-            # Only meaningful (and only read by the runtime) after a
+            # Only meaningful (and only read by register_batch) after a
             # prune; stays 0 from construction otherwise.
             self.last_depth_floor = floor
         self.edges_added += len(preds)

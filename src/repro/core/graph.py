@@ -32,7 +32,7 @@ run on demand.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import SPAN_GRAPH_ANALYSIS, get_active
 from .task import Task, TaskState
@@ -123,33 +123,80 @@ class TaskGraph:
         tid = task.task_id
         if tid in self.index_of:
             raise ValueError(f"task #{tid} already in graph")
-        gid = len(self.tasks)
+        gid = self.grow([task])
         self.index_of[tid] = gid
         task.graph = self
         task.gid = gid
-        self.tasks.append(task)
-        self.task_ids.append(tid)
-        self.succ_ids.append([])
-        self.pred_ids.append([])
-        self.unfinished_preds.append(0)
-        self.depth.append(0)
-        # Detached-task state carries over (matching the object-graph
-        # behaviour, which kept whatever the task already held).
-        self.state.append(task._state)
-        self.bottom_level.append(task._bottom_level)
-        self.critical.append(task._critical)
-        self.submit_time.append(task._submit_time)
-        self.ready_time.append(task._ready_time)
-        self.start_time.append(task._start_time)
-        self.end_time.append(task._end_time)
-        self._wake_len.append(0)
         return gid
+
+    def grow(
+        self, tasks: Sequence[Task], submit_time: Optional[float] = None
+    ) -> int:
+        """Append one slot per task to every gid array; return the first
+        new gid.
+
+        New slots have no edges, ready count 0 and depth 0.  Detached
+        state carries over from each handle's fallback slots (state,
+        bottom level, criticality, the four timestamps); ``submit_time``,
+        when given, overrides the carried submit time.  The caller owns
+        ``index_of`` and the handles' ``graph``/``gid``, and rolls a
+        failed registration back with :meth:`truncate`.
+        """
+        # Ids first: an entry that is not a task fails before any array
+        # grows.
+        tids = [t.task_id for t in tasks]
+        start = len(self.tasks)
+        n = len(tasks)
+        self.tasks.extend(tasks)
+        self.task_ids.extend(tids)
+        self.succ_ids.extend([[] for _ in range(n)])
+        self.pred_ids.extend([[] for _ in range(n)])
+        self.unfinished_preds.extend([0] * n)
+        self.depth.extend([0] * n)
+        self.state.extend([t._state for t in tasks])
+        self.bottom_level.extend([t._bottom_level for t in tasks])
+        self.critical.extend([t._critical for t in tasks])
+        if submit_time is None:
+            self.submit_time.extend([t._submit_time for t in tasks])
+        else:
+            self.submit_time.extend([submit_time] * n)
+        self.ready_time.extend([t._ready_time for t in tasks])
+        self.start_time.extend([t._start_time for t in tasks])
+        self.end_time.extend([t._end_time for t in tasks])
+        self._wake_len.extend([0] * n)
+        return start
+
+    def truncate(self, n: int) -> None:
+        """Trim every gid array back to length ``n``.
+
+        The rollback of a failed registration.  A handle in the dropped
+        tail whose ``index_of`` entry points into the tail is detached
+        (mapping removed, ``graph``/``gid`` reset), so it is resubmittable
+        and its properties read the detached fallbacks instead of indexing
+        past the arrays; a handle that maps below ``n`` (a duplicate of an
+        earlier task) keeps its mapping.
+        """
+        index_of = self.index_of
+        for task in self.tasks[n:]:
+            if task is not None and index_of.get(task.task_id, -1) >= n:
+                del index_of[task.task_id]
+                task.graph = None
+                task.gid = -1
+        for arr in (
+            self.tasks, self.task_ids, self.succ_ids, self.pred_ids,
+            self.unfinished_preds, self.depth, self.state,
+            self.bottom_level, self.critical, self.submit_time,
+            self.ready_time, self.start_time, self.end_time,
+            self._wake_len,
+        ):
+            del arr[n:]
 
     def add_edge(self, pred: Task, succ: Task) -> bool:
         """Insert ``pred -> succ``; returns False if it already existed.
 
-        The object-handle API (tests, manually built graphs).  The
-        submission hot path uses :meth:`add_edges_to` on ids instead.
+        The object-handle API for building a graph by hand (tests,
+        manually built graphs).  Submission inserts edges by id in
+        :meth:`~repro.core.deps.DependenceTracker.register_batch`.
         """
         pg = self.index_of.get(pred.task_id)
         sg = self.index_of.get(succ.task_id)
@@ -165,62 +212,6 @@ class TaskGraph:
             self.depth[sg] = self.depth[pg] + 1
         self.n_edges += 1
         return True
-
-    def add_edges_to(self, pred_gids: Iterable[int], succ_gid: int) -> int:
-        """Bulk insert ``pred -> succ`` edges by id; returns how many were
-        new.
-
-        The submission hot path: ``pred_gids`` is the dependence tracker's
-        predecessor id collection (duplicate-free, all already in this
-        graph), which lets the common case — a freshly submitted ``succ``
-        with no edges yet — append straight into the adjacency arrays
-        with no membership probes and no ``Task`` hashing.  Iteration
-        order does not matter: every update (depth max, counter
-        increments) is order-insensitive.
-        """
-        if not hasattr(pred_gids, "__len__"):
-            # Both branches iterate twice (loop + extend / set probe);
-            # materialise one-shot iterators (the tracker's dict is sized
-            # and skips this).
-            pred_gids = list(pred_gids)
-        succs = self.succ_ids
-        depths = self.depth
-        states = self.state
-        finished = TaskState.FINISHED
-        preds_list = self.pred_ids[succ_gid]
-        depth = depths[succ_gid]
-        unfinished = 0
-        if preds_list:
-            # succ already has edges: probe membership per predecessor.
-            existing = set(preds_list)
-            added = 0
-            for p in pred_gids:
-                if p in existing:
-                    continue
-                succs[p].append(succ_gid)
-                preds_list.append(p)
-                if states[p] is not finished:
-                    unfinished += 1
-                d = depths[p]
-                if d >= depth:
-                    depth = d + 1
-                added += 1
-        else:
-            # Freshly submitted succ: every pred is a new edge, and the
-            # predecessor list fills in one bulk extend.
-            for p in pred_gids:
-                succs[p].append(succ_gid)
-                if states[p] is not finished:
-                    unfinished += 1
-                d = depths[p]
-                if d >= depth:
-                    depth = d + 1
-            preds_list.extend(pred_gids)
-            added = len(preds_list)
-        depths[succ_gid] = depth
-        self.unfinished_preds[succ_gid] += unfinished
-        self.n_edges += added
-        return added
 
     def __len__(self) -> int:
         return len(self.tasks)

@@ -145,20 +145,15 @@ class Runtime:
     rsu:
         Optional Runtime Support Unit (with its DVFS mechanism) that the
         runtime notifies on task start; required for DVFS experiments.
-    lower_on_idle:
-        If True the runtime asks the RSU to drop a core to the idle level
-        when it runs out of work (costs an extra reconfiguration).
     record_trace:
         Keep per-task execution records (memory proportional to task count).
-    execute_functions:
-        Run each task's real ``fn`` at simulated completion.
     submission:
         Optional :class:`~repro.sim.tdg_accel.SubmissionModel`: dependence
         registration then takes time on the (serial) master thread, so a
         task cannot become ready before the master has registered it.
-        Models that price matched accesses (``per_match_s``) or inserted
-        edges (``per_edge_s``) are fed the tracker's real match count and
-        the graph's real new-edge count for each registration.
+        Each registration is priced from the tracker's real match count
+        and the graph's real new-edge count (used by models with
+        ``per_match_s`` / ``per_edge_s`` terms).
     prefetcher:
         Optional :class:`~repro.core.prefetch.RuntimePrefetcher`: the
         runtime prefetches a ready task's input regions ahead of dispatch,
@@ -201,9 +196,7 @@ class Runtime:
         scheduler: Optional[Scheduler] = None,
         criticality: Optional[CriticalityPolicy] = None,
         rsu: Optional[RuntimeSupportUnit] = None,
-        lower_on_idle: bool = False,
         record_trace: bool = True,
-        execute_functions: bool = True,
         submission: Optional["SubmissionModel"] = None,
         prefetcher: Optional["RuntimePrefetcher"] = None,
         prune_every: int = 0,
@@ -224,18 +217,12 @@ class Runtime:
         self.scheduler = scheduler if scheduler is not None else FifoScheduler()
         self.criticality = criticality
         self.rsu = rsu
-        self.lower_on_idle = lower_on_idle
         self.tracker = DependenceTracker()
         self.graph = TaskGraph()
         self.scheduler.bind(self.graph)
         self.trace = TraceRecorder() if record_trace else None
-        self.execute_functions = execute_functions
         self.stats = StatSet("runtime")
         self._unfinished = 0
-        # False until the first task completion — lets bulk submission
-        # skip per-edge FINISHED probes on the (universal) build-then-run
-        # pattern.  Only _complete ever sets a task FINISHED.
-        self._any_finished = False
         self._dispatch_scheduled = False
         self._rr_hint = 0
         self._pending_ready: List[int] = []
@@ -291,85 +278,63 @@ class Runtime:
     # submission API
     # ------------------------------------------------------------------
     def submit(self, task: Task) -> Task:
-        """Register a task: derive its TDG edges and queue it if ready."""
-        graph = self.graph
-        tracker = self.tracker
-        gid = graph.add_task(task)
-        preds = tracker.register_preds(task)
-        n_edges = graph.add_edges_to(preds, gid) if preds else 0
-        if tracker._pruned:
-            floor = tracker.last_depth_floor
-            if floor > graph.depth[gid]:
-                # Depth contribution of edges the tracker pruned away
-                # (always finished predecessors): replayed so
-                # breadth-first order is bit-identical to the unpruned
-                # run.
-                graph.depth[gid] = floor
-        self._unfinished += 1
-        self.stats.add("tasks_submitted")
-        if self.submission is not None:
-            # The master thread serialises dependence registration.  A
-            # model that prices matched accesses (``per_match_s``) or
-            # inserted edges (``per_edge_s``) is fed the tracker's actual
-            # match count and the graph's actual new-edge count.
-            if getattr(self.submission, "per_match_s", 0.0) or getattr(
-                self.submission, "per_edge_s", 0.0
-            ):
-                cost = self.submission.register_seconds(
-                    len(task.deps), tracker.last_matches, n_edges
-                )
-            else:
-                cost = self.submission.register_seconds(len(task.deps))
-            self._master_free_at = max(
-                self._master_free_at, self.machine.sim.now
-            ) + cost
-            graph.submit_time[gid] = self._master_free_at
-            self.stats.add("submission_seconds", cost)
-        else:
-            graph.submit_time[gid] = self.machine.sim.now
-        if graph.unfinished_preds[gid] == 0:
-            self._make_ready(gid)
+        """Register a task: derive its TDG edges and queue it if ready.
+
+        A one-task :meth:`submit_all` batch, without a ``tdg_build`` span
+        of its own.
+        """
+        self._submit_all_impl([task])
         return task
 
     def submit_all(self, tasks: Sequence[Task]) -> List[Task]:
-        """Submit a whole graph; behaviourally identical to a
-        :meth:`submit` loop, with the per-call overhead hoisted out.
+        """Submit a batch of tasks in order; returns them as a list.
 
         The bulk path the workload builders and the campaign runner use,
         so the TDG-construction throughput the ROADMAP tracks is measured
-        against this loop.  Each call is one ``tdg_build`` phase span
+        against this call.  Each call is one ``tdg_build`` phase span
         when observability is enabled.
         """
         with self.obs.span(SPAN_TDG_BUILD):
             return self._submit_all_impl(tasks)
 
     def _submit_all_impl(self, tasks: Sequence[Task]) -> List[Task]:
-        if self.submission is not None:
-            # The master-thread latency chain is inherently sequential;
-            # take the plain path to keep its accounting in one place.
-            return [self.submit(t) for t in tasks]
         if not isinstance(tasks, list):
             tasks = list(tasks)
         graph = self.graph
+        tracker = self.tracker
+        now = self.machine.sim.now
         start = len(graph)
         try:
-            # Until the first completion no predecessor can be FINISHED
-            # (the runtime is the only writer of that state), so the
-            # tracker may skip its per-edge state probe.
-            self.tracker.register_batch(
-                tasks, graph, self.machine.sim.now, self._any_finished
-            )
+            model = self.submission
+            if model is None:
+                tracker.register_batch(tasks, graph, now)
+            else:
+                # The master thread serialises dependence registration:
+                # one task per registration, each priced from what it
+                # did (a new task's pred list is exactly its new edges)
+                # and released no earlier than the master finished it.
+                for task in tasks:
+                    tracker.register_batch([task], graph, now)
+                    gid = len(graph) - 1
+                    cost = model.register_seconds(
+                        len(task.deps), tracker.last_matches,
+                        len(graph.pred_ids[gid]),
+                    )
+                    free_at = max(self._master_free_at, now) + cost
+                    self._master_free_at = graph.submit_time[gid] = free_at
+                    self.stats.add("submission_seconds", cost)
         finally:
             # Account even on a mid-batch failure (e.g. a duplicate task):
             # everything registered so far is in the graph and possibly
-            # ready, exactly as a submit() loop would have left it.
+            # ready, exactly as a one-task-at-a-time loop would leave it.
             n_done = len(graph) - start
-            self._unfinished += n_done
             if n_done:
+                self._unfinished += n_done
                 self.stats.add("tasks_submitted", n_done)
-                # Ascending gid is the order a submit() loop reaches each
-                # ready task, so _pending_ready is bit-identical (and
-                # _make_ready only queues: dispatch is deferred).
+                # Ascending gid is the order a one-task-at-a-time loop
+                # reaches each ready task, so _pending_ready and the
+                # release events are in that order too (_make_ready only
+                # queues: dispatch is deferred).
                 make_ready = self._make_ready
                 ready_count = graph.unfinished_preds
                 for gid in range(start, start + n_done):
@@ -561,7 +526,6 @@ class Runtime:
             # a later fault can never cancel a fired event.
             ctl.inflight.pop(gid, None)
         graph.state[gid] = TaskState.FINISHED
-        self._any_finished = True
         self._unfinished -= 1
         self.stats.add("tasks_finished")
         # No-trace fast path: with tracing off, no TraceRecord is ever
@@ -580,7 +544,7 @@ class Runtime:
                     critical=graph.critical[gid],
                 )
             )
-        if self.execute_functions and task.fn is not None:
+        if task.fn is not None:
             task.result = task.fn(*task.args, **task.kwargs)
         # Deterministic wake-up order: successor lists are walked in
         # ascending task_id.  prepare_wake_order sorted every list at
@@ -599,8 +563,6 @@ class Runtime:
                 n = unfinished_preds[s] = unfinished_preds[s] - 1
                 if n == 0 and state[s] is created:
                     make_ready(s)
-        if self.rsu is not None and self.lower_on_idle:
-            self.rsu.notify_task_end(core_id, now)
         if self.prune_every:
             self._retired.append(gid)
             if len(self._retired) >= self.prune_every:
@@ -791,7 +753,7 @@ class Runtime:
         its summary dict (``None`` when observability is disabled).
 
         The named counters (``edges_inserted``, ``index_window_scans``,
-        ``region_cache_hits``, ``event_compactions``, ...) are sampled
+        ``region_cache_hits``, ``events_processed``, ...) are sampled
         from instrumentation the components maintain anyway, so enabling
         observability adds no work to the registration/event hot loops.
         Idempotent: the fold happens once per runtime, repeat calls just
@@ -808,7 +770,6 @@ class Runtime:
             obs_.counter_add("edges_inserted", float(self.graph.n_edges))
             obs_.counter_add("index_window_scans", float(tracker.scan_probes))
             obs_.counter_add("region_cache_hits", float(tracker.cache_hits))
-            obs_.counter_add("event_compactions", float(sim.queue.compactions))
             obs_.counter_add("events_processed", float(sim.events_processed))
             if self._fault_ctl is not None:
                 stats = self.stats

@@ -280,12 +280,13 @@ class Task:
     # identity ---------------------------------------------------------------
     task_id: int = field(default_factory=lambda: next(_task_ids))
     #: Dense id in the owning graph's struct-of-arrays storage.  ``-1``
-    #: while detached; assigned by :meth:`TaskGraph.add_task` (or, for a
-    #: graphless :class:`~repro.core.deps.DependenceTracker`, a negative
+    #: while detached; assigned on registration (``register_batch`` or
+    #: :meth:`TaskGraph.add_task`; for a graphless
+    #: :class:`~repro.core.deps.DependenceTracker`, a negative
     #: tracker-local id ``<= -2``).
     gid: int = -1
     #: The owning :class:`~repro.core.graph.TaskGraph`, or ``None`` while
-    #: detached.  Set by ``TaskGraph.add_task``.
+    #: detached.  Set together with ``gid``.
     graph: Optional["TaskGraph"] = None
 
     # detached-task fallbacks for the graph-owned attributes -----------------

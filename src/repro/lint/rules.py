@@ -462,8 +462,8 @@ _SEEDED_RANDOM = {"Random", "SystemRandom"}
 #: submission.  Feeding them from unordered iteration makes the run
 #: depend on hash order.
 _ORDER_SINKS = {
-    "add_edges_to", "schedule", "schedule_at", "defer", "push",
-    "submit", "submit_all",
+    "add_edge", "register_batch", "schedule", "schedule_at", "defer",
+    "push", "submit", "submit_all",
 }
 
 #: Path suffixes where wall-clock reads are legitimate.  Exactly one

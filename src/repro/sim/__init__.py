@@ -28,7 +28,7 @@ from .power import (
     edp,
 )
 from .rsu import RsuPolicy, RuntimeSupportUnit, TaskCriticality
-from .stats import StatSet, Timeline, WeightedMean, geometric_mean
+from .stats import StatSet, geometric_mean
 from .tdg_accel import (
     HardwareSubmission,
     IndexedSoftwareSubmission,
@@ -67,8 +67,6 @@ __all__ = [
     "SubmissionModel",
     "granularity_sweep",
     "StatSet",
-    "Timeline",
-    "WeightedMean",
     "geometric_mean",
     "TraceRecord",
     "TraceRecorder",

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .power import DvfsTable, EnergyAccount, PowerModel
-from .stats import StatSet, Timeline
 
 __all__ = ["Core"]
 
@@ -53,9 +52,6 @@ class Core:
         #: fail-stop liveness: a dead core never accepts work again
         self.alive = True
         self.energy = EnergyAccount()
-        self.stats = StatSet(f"core{core_id}")
-        self.freq_timeline = Timeline()
-        self.freq_timeline.record(0.0, self.frequency_ghz)
         self._last_update = 0.0
         #: opaque handle for whatever the runtime is executing here
         self.current_work: object = None
@@ -100,8 +96,6 @@ class Core:
                 else self.power_model.idle_power(op)
             )
             self.energy.accumulate(power, dt)
-            key = "busy_seconds" if self.busy else "idle_seconds"
-            self.stats.add(key, dt)
         self._last_update = max(self._last_update, now)
 
     # ------------------------------------------------------------------
@@ -115,7 +109,6 @@ class Core:
         self._integrate_to(now)
         self.busy = True
         self.current_work = work
-        self.stats.add("tasks_started")
 
     def end_work(self, now: float) -> None:
         if not self.busy:
@@ -123,25 +116,21 @@ class Core:
         self._integrate_to(now)
         self.busy = False
         self.current_work = None
-        self.stats.add("tasks_finished")
 
     def set_level(self, now: float, level: int) -> None:
         """Change DVFS level at time ``now`` (energy charged at old level)."""
         if not (0 <= level <= self.dvfs.max_level):
             raise ValueError(f"DVFS level {level} out of range")
         self._integrate_to(now)
-        if level != self.level:
-            self.level = level
-            self.stats.add("dvfs_transitions")
-            self.freq_timeline.record(now, self.frequency_ghz)
+        self.level = level
 
     def fail(self, now: float) -> None:
         """Fail-stop the core: no work may ever start here again.
 
         The caller (the runtime's core-kill path) must abort any
         in-flight task first — a busy core cannot die, because the
-        energy/stat accounting for the killed interval belongs to the
-        abort, not to the failure.  Dead cores stop drawing power: their
+        energy accounting for the killed interval belongs to the abort,
+        not to the failure.  Dead cores stop drawing power: their
         energy is integrated up to the failure instant and frozen.
         """
         if self.busy:
@@ -153,7 +142,6 @@ class Core:
             raise RuntimeError(f"core {self.core_id} is already dead")
         self._integrate_to(now)
         self.alive = False
-        self.stats.add("failed")
 
     def finalize(self, now: float) -> None:
         """Integrate energy up to the end of the simulation."""

@@ -49,7 +49,7 @@ class Event:
         if not self.cancelled:
             self.cancelled = True
             if self._queue is not None:
-                self._queue._note_cancel()
+                self._queue._live -= 1
 
     @property
     def pending(self) -> bool:
@@ -64,22 +64,16 @@ class Event:
 class EventQueue:
     """Binary-heap priority queue of :class:`Event` with stable ordering.
 
-    Live-event count is tracked incrementally so ``len()`` is O(1), and
-    cancelled entries are compacted lazily: when they outnumber live ones
-    the heap is rebuilt without them, keeping pops amortised O(log n) in
-    the number of *live* events even under heavy cancellation.
+    Live-event count is tracked incrementally so ``len()`` is O(1).
+    Cancelled entries stay in the heap until they reach the top, where
+    ``pop``/``peek_time`` discard them (only fault injection cancels
+    events, a handful per run).
     """
-
-    #: Below this heap size compaction is not worth the rebuild.
-    _COMPACT_MIN = 64
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._counter = itertools.count()
         self._live = 0
-        #: Lazy-compaction passes performed (observability: sampled into
-        #: the ``event_compactions`` counter at end of run).
-        self.compactions = 0
 
     def __len__(self) -> int:
         return self._live
@@ -89,20 +83,6 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         self._live += 1
         return event
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        if (
-            len(self._heap) >= self._COMPACT_MIN
-            and self._live * 2 < len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        # (time, seq) is a total order, so heapify preserves pop order.
-        self.compactions += 1
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest live event, or ``None`` when empty."""

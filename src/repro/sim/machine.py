@@ -16,7 +16,6 @@ from .cpu import Core
 from .events import Simulator
 from .noc import MeshNoC, NocParams
 from .power import DEFAULT_DVFS_TABLE, DvfsTable, PowerModel, edp
-from .stats import StatSet
 
 __all__ = ["Machine"]
 
@@ -61,7 +60,6 @@ class Machine:
         ]
         self.noc = MeshNoC.square_for(n_cores, noc_params)
         self.power_budget_w = power_budget_w
-        self.stats = StatSet("machine")
 
     # ------------------------------------------------------------------
     @property

@@ -1,16 +1,15 @@
 """Statistics collection for simulator components.
 
-Every architectural model (caches, SPMs, NoC, cores, schedulers) accumulates
+Every architectural model (caches, SPMs, the NoC, the task runtime) accumulates
 its observable behaviour into a :class:`StatSet` so that benchmarks can diff
 configurations without poking at component internals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
-__all__ = ["StatSet", "Timeline", "WeightedMean"]
+__all__ = ["StatSet"]
 
 
 class StatSet:
@@ -19,8 +18,8 @@ class StatSet:
     Counters are created on first use and always default to zero, so model
     code can ``stats.add("l1.hits")`` without registration boilerplate.
 
-    :meth:`add` sits on the simulator's per-task hot path (~6 calls per
-    simulated task), so the counters live in a plain dict with an
+    :meth:`add` sits on the simulator's per-task hot path (the runtime's
+    start/finish counters), so the counters live in a plain dict with an
     EAFP increment — the hit case is a single dict store, with no
     ``defaultdict.__missing__`` machinery — and bulk transfers go through
     :meth:`add_many`, which skips the per-call overhead entirely.
@@ -84,78 +83,6 @@ class StatSet:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"StatSet({self.name}: {body})"
-
-
-@dataclass
-class Timeline:
-    """Piecewise-constant signal sampled at event boundaries.
-
-    Used for e.g. per-core frequency over time and power draw over time.
-    Samples are ``(time, value)``; the value holds until the next sample.
-    """
-
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-
-    def record(self, time: float, value: float) -> None:
-        if self.samples and time < self.samples[-1][0]:
-            raise ValueError("timeline samples must be appended in time order")
-        # Collapse repeated samples at identical timestamps (keep last).
-        if self.samples and self.samples[-1][0] == time:
-            self.samples[-1] = (time, value)
-        else:
-            self.samples.append((time, value))
-
-    def value_at(self, time: float) -> float:
-        """Value of the signal at ``time`` (last sample at or before it)."""
-        if not self.samples:
-            raise ValueError("empty timeline")
-        value = self.samples[0][1]
-        for t, v in self.samples:
-            if t > time:
-                break
-            value = v
-        return value
-
-    def integrate(self, t0: float, t1: float) -> float:
-        """Integral of the piecewise-constant signal over ``[t0, t1]``."""
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        if not self.samples:
-            return 0.0
-        total = 0.0
-        # Build segment list clipped to [t0, t1].
-        times = [t for t, _ in self.samples]
-        values = [v for _, v in self.samples]
-        for i, (seg_start, value) in enumerate(zip(times, values)):
-            seg_end = times[i + 1] if i + 1 < len(times) else t1
-            lo = max(seg_start, t0)
-            hi = min(seg_end, t1)
-            if hi > lo:
-                total += value * (hi - lo)
-        # Signal before the first sample is taken as the first value.
-        if times[0] > t0:
-            total += values[0] * (min(times[0], t1) - t0)
-        return total
-
-
-class WeightedMean:
-    """Streaming time- or count-weighted mean."""
-
-    def __init__(self) -> None:
-        self._num = 0.0
-        self._den = 0.0
-
-    def add(self, value: float, weight: float = 1.0) -> None:
-        self._num += value * weight
-        self._den += weight
-
-    @property
-    def mean(self) -> float:
-        return self._num / self._den if self._den else 0.0
-
-    @property
-    def weight(self) -> float:
-        return self._den
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -46,13 +46,13 @@ class SubmissionModel:
     costs O(log n) per declared dependence plus O(k) in the k earlier
     accesses it overlaps — exactly the matches a hardware task-superscalar
     unit resolves in its dependence-matching pipeline.  The optional
-    ``per_edge_s`` term prices TDG *edge insertion* separately: the
-    id-keyed graph core reports how many new edges each registration
-    actually produced (``TaskGraph.add_edges_to``'s return value), which
-    is the adjacency-update traffic a hardware task manager's dependence
-    table absorbs.  The runtime feeds the tracker's measured match count
-    and the graph's measured edge count per registration; the defaults of
-    0.0 keep the classic flat-cost model bit-for-bit unchanged.
+    ``per_edge_s`` term prices TDG *edge insertion* separately: the new
+    edges a registration actually produced (a new task's predecessor
+    list), which is the adjacency-update traffic a hardware task
+    manager's dependence table absorbs.  The runtime feeds the tracker's
+    measured match count and the graph's measured edge count per
+    registration; the defaults of 0.0 keep the classic flat-cost model
+    bit-for-bit unchanged.
     """
 
     base_s: float

@@ -8,8 +8,8 @@ def wake_all(sim, waiting):
         sim.schedule(0.0, task.run)
 
 
-def link_edges(graph, task, preds):
-    graph.add_edges_to(task, set(preds))  # set arg into edge insertion
+def register_all(tracker, graph, tasks, now):
+    tracker.register_batch(set(tasks), graph, now)  # set arg into registration
 
 
 def flush(sim, queues):

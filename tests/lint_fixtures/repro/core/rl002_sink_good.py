@@ -7,8 +7,8 @@ def wake_all(sim, waiting):
         sim.schedule(0.0, task.run)
 
 
-def link_edges(graph, task, preds):
-    graph.add_edges_to(task, sorted(set(preds)))
+def register_all(tracker, graph, tasks, now):
+    tracker.register_batch(sorted(set(tasks)), graph, now)
 
 
 def flush(sim, queues):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.graph import CycleError, TaskGraph
-from repro.core.task import Task
+from repro.core.task import Task, TaskState
 
 
 def chain(n, cycles=1e6):
@@ -79,35 +79,42 @@ class TestStructure:
         g, _ = diamond()
         g.validate()
 
-    def test_add_edges_to_accepts_one_shot_iterator(self):
-        """A generator of pred ids must not be half-consumed: both the
-        succ-append loop and the pred-list fill need every id."""
+    def test_grow_carries_detached_state(self):
+        """Every gid array gains one slot per task; detached fallbacks
+        carry over and an explicit submit time overrides the carried one."""
         g = TaskGraph()
-        a, b, s = Task.make("a"), Task.make("b"), Task.make("s")
-        for t in (a, b, s):
-            g.add_task(t)
-        added = g.add_edges_to(iter([a.gid, b.gid]), s.gid)
-        assert added == 2
-        assert sorted(g.pred_ids[s.gid]) == sorted([a.gid, b.gid])
-        assert g.unfinished_preds[s.gid] == 2
-        g.validate()
+        g.add_task(Task.make("first"))
+        a, b = Task.make("a"), Task.make("b")
+        a.state = TaskState.READY
+        a.critical = True
+        a.ready_time = 1.5
+        b.submit_time = 0.25
+        assert g.grow([a, b]) == 1
+        lengths = {len(getattr(g, name)) for name in TaskGraph._ARRAY_MANIFEST}
+        assert lengths == {3}
+        assert g.state[1:] == [TaskState.READY, TaskState.CREATED]
+        assert g.critical[1:] == [True, False]
+        assert g.ready_time[1:] == [1.5, None]
+        assert g.submit_time[1:] == [None, 0.25]
+        assert g.pred_ids[1:] == [[], []] and g.succ_ids[1:] == [[], []]
+        g.grow([Task.make("c")], submit_time=2.0)
+        assert g.submit_time[3] == 2.0
 
-    def test_add_edges_to_incremental_dedups(self):
-        """A second id-keyed bulk insert against a succ that already has
-        predecessors must probe membership and only add the new edges."""
+    def test_truncate_detaches_only_the_dropped_tail(self):
         g = TaskGraph()
-        preds = [Task.make(f"p{i}") for i in range(3)]
-        succ = Task.make("s")
-        for t in preds + [succ]:
-            g.add_task(t)
-        assert g.add_edges_to([preds[0].gid, preds[1].gid], succ.gid) == 2
-        # Overlapping second batch: one duplicate, one new.
-        assert g.add_edges_to([preds[1].gid, preds[2].gid], succ.gid) == 1
-        assert g.n_edges == 3
-        assert succ.unfinished_preds == 3
-        assert sorted(g.pred_ids[succ.gid]) == [p.gid for p in preds]
-        assert g.depth[succ.gid] == 1
-        g.validate()
+        kept, dropped = Task.make("kept"), Task.make("dropped")
+        g.add_task(kept)
+        g.add_task(dropped)
+        # A duplicate handle in the tail maps below the cut: left alone.
+        g.grow([kept])
+        g.truncate(1)
+        assert len(g) == 1
+        assert {len(getattr(g, name)) for name in TaskGraph._ARRAY_MANIFEST} == {1}
+        assert kept.graph is g and kept.gid == 0
+        assert g.index_of == {kept.task_id: 0}
+        assert dropped.graph is None and dropped.gid == -1
+        g.add_task(dropped)  # resubmittable after the rollback
+        assert dropped.gid == 1
 
 
 class TestAnalyses:

@@ -6,7 +6,9 @@ from repro.core import (
     BottomLevelHeuristic,
     CriticalPathOracle,
     DeadlockError,
+    Dependence,
     FifoScheduler,
+    Region,
     Runtime,
     Task,
     TaskState,
@@ -165,12 +167,6 @@ class TestRealFunctionExecution:
         t = rt.submit(Task.make("t", fn=lambda a, b: a + b, args=(2, 3)))
         rt.run()
         assert t.result == 5
-
-    def test_execute_functions_can_be_disabled(self):
-        rt = make_runtime(1, execute_functions=False)
-        t = rt.submit(Task.make("t", fn=lambda: 42))
-        rt.run()
-        assert t.result is None
 
 
 class TestDecoratorApi:
@@ -444,8 +440,8 @@ class TestSubmitAllFailureConsistency:
         rt = Runtime(machine, record_trace=False)
         good = Task.make("good", cpu_cycles=1e6, out=["x"])
         bad = Task.make("bad", cpu_cycles=1e6, in_=["x"])
-        bad.deps.append("not a dependence")  # blows up in the tracker
-        with pytest.raises(AttributeError):
+        bad.deps.append("not a dependence")  # rejected by the tracker
+        with pytest.raises(TypeError):
             rt.submit_all([good, bad])
         assert rt._unfinished == 1
         assert len(rt.graph) == 1
@@ -456,3 +452,46 @@ class TestSubmitAllFailureConsistency:
         rt.submit(bad)
         res = rt.run()
         assert res.n_tasks == 2
+
+
+class TestMalformedAccessRollback:
+    """A registration that raises on a malformed access records nothing:
+    neither the failing task nor its earlier, well-formed accesses are
+    left behind in the graph or the tracker."""
+
+    @staticmethod
+    def _bad_writer():
+        bad = Task.make("bad", out=["x"])
+        bad.deps.append("not a dependence")
+        return bad
+
+    def test_failed_batch_leaves_no_access_in_tracker(self):
+        rt = Runtime(Machine(2))
+        with pytest.raises(TypeError):
+            rt.submit_all([self._bad_writer()])
+        a = Task.make("a", out=["y"])
+        c = Task.make("c", in_=["x"])
+        rt.submit_all([a, c])
+        # ``bad``'s write of x must not survive under the gid ``a`` got.
+        assert c.predecessors == set()
+        assert rt.run().makespan == pytest.approx(0.5e-3)
+
+    def test_failed_submit_leaves_graph_unchanged(self):
+        rt = Runtime(Machine(2))
+        bad = self._bad_writer()
+        with pytest.raises(TypeError):
+            rt.submit(bad)
+        assert len(rt.graph) == 0
+        assert bad.graph is None and bad.gid == -1
+        rt.submit(Task.make("r", in_=["x"]))
+        res = rt.run()  # a stranded ``bad`` would deadlock this reader
+        assert res.n_tasks == 1
+
+    def test_string_kind_is_rejected(self):
+        rt = Runtime(Machine(2))
+        bad = Task("bad", deps=[Dependence("in", Region("x"))])
+        with pytest.raises(TypeError):
+            rt.submit(bad)
+        rt.submit_all([Task.make("r1", in_=["x"]), Task.make("r2", in_=["x"])])
+        assert len(rt.graph) == 2
+        assert rt.graph.n_edges == 0

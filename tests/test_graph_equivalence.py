@@ -132,13 +132,13 @@ def build_both(tasks, finish_every=0):
     ref = ReferenceGraph()
     submitted = []
     for i, task in enumerate(tasks):
-        gid = g.add_task(task)
+        # The production insertion: a one-task register_batch, as
+        # Runtime.submit runs it.
+        tracker.register_batch([task], g, 0.0)
+        gid = task.gid
         ref.add_task(task)
-        preds = tracker.register_preds(task)
-        if preds:
-            g.add_edges_to(preds, gid)
-            for p in preds.values():
-                ref.add_edge(p.task_id, task.task_id)
+        for p in g.pred_ids[gid]:
+            ref.add_edge(g.task_ids[p], task.task_id)
         submitted.append(task)
         # Ready counts must agree after every single insertion.
         assert g.unfinished_preds[gid] == ref.unfinished[task.task_id], (

@@ -170,7 +170,6 @@ class TestRuntimeIntegration:
             "index_window_scans",
             "region_cache_hits",
             "wakeups",
-            "event_compactions",
             "events_processed",
         ):
             assert counter in obs["counters"], counter

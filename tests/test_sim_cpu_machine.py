@@ -51,11 +51,12 @@ class TestCore:
 
     def test_set_level_changes_frequency_and_counts(self, core):
         core.set_level(1.0, 4)
+        assert core.level == 4
         assert core.frequency_ghz == pytest.approx(3.0)
-        assert core.stats.get("dvfs_transitions") == 1
-        # setting the same level again is not a transition
+        # setting the same level again changes nothing
         core.set_level(2.0, 4)
-        assert core.stats.get("dvfs_transitions") == 1
+        assert core.level == 4
+        assert core.frequency_ghz == pytest.approx(3.0)
 
     def test_level_change_charges_old_level_first(self):
         pm = PowerModel()

@@ -65,21 +65,6 @@ class TestEventQueue:
         assert q.pop() is not None
         assert q.pop() is None
 
-    def test_mass_cancellation_compacts_lazily(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(500)]
-        keep = events[::10]
-        for e in events:
-            if e not in keep:
-                e.cancel()
-        assert len(q) == len(keep)
-        # Compaction kicked in: the heap no longer drags dead entries.
-        assert len(q._heap) < 500
-        popped = []
-        while (e := q.pop()) is not None:
-            popped.append(e.time)
-        assert popped == sorted(e.time for e in keep)
-
 
 class TestSimulator:
     def test_clock_advances_to_event_times(self):

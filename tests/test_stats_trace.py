@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import StatSet, Timeline, WeightedMean, geometric_mean
+from repro.sim.stats import StatSet, geometric_mean
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 
@@ -55,67 +55,6 @@ class TestStatSet:
         for key, value in pairs:
             loop.add(key, value)
         assert bulk.as_dict() == loop.as_dict()
-
-
-class TestTimeline:
-    def test_value_at(self):
-        t = Timeline()
-        t.record(0.0, 1.0)
-        t.record(2.0, 5.0)
-        assert t.value_at(0.5) == 1.0
-        assert t.value_at(2.0) == 5.0
-        assert t.value_at(10.0) == 5.0
-
-    def test_integrate(self):
-        t = Timeline()
-        t.record(0.0, 2.0)
-        t.record(1.0, 4.0)
-        assert t.integrate(0.0, 2.0) == pytest.approx(2.0 + 4.0)
-        assert t.integrate(0.5, 1.5) == pytest.approx(1.0 + 2.0)
-
-    def test_out_of_order_rejected(self):
-        t = Timeline()
-        t.record(1.0, 1.0)
-        with pytest.raises(ValueError):
-            t.record(0.5, 2.0)
-
-    def test_same_time_overwrites(self):
-        t = Timeline()
-        t.record(1.0, 1.0)
-        t.record(1.0, 9.0)
-        assert t.value_at(1.0) == 9.0
-
-    def test_empty_timeline_value_raises(self):
-        with pytest.raises(ValueError):
-            Timeline().value_at(0.0)
-
-    def test_time_weighted_record(self):
-        """integrate() over recorded samples is the time-weighted total:
-        holding 2.0 for 1s then 4.0 for 3s averages 3.5, not the
-        sample-count mean of 3.0."""
-        t = Timeline()
-        t.record(0.0, 2.0)
-        t.record(1.0, 4.0)
-        total = t.integrate(0.0, 4.0)
-        assert total == pytest.approx(2.0 * 1.0 + 4.0 * 3.0)
-        assert total / 4.0 == pytest.approx(3.5)
-        # WeightedMean with hold-durations as weights agrees.
-        m = WeightedMean()
-        m.add(2.0, weight=1.0)
-        m.add(4.0, weight=3.0)
-        assert m.mean == pytest.approx(3.5)
-
-
-class TestWeightedMean:
-    def test_weighted(self):
-        m = WeightedMean()
-        m.add(1.0, weight=1.0)
-        m.add(3.0, weight=3.0)
-        assert m.mean == pytest.approx(2.5)
-        assert m.weight == 4.0
-
-    def test_empty_mean_zero(self):
-        assert WeightedMean().mean == 0.0
 
 
 class TestGeometricMean:

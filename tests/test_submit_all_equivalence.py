@@ -1,17 +1,18 @@
-"""``submit_all`` vs a plain ``submit()`` loop — batch-path equivalence.
+"""``submit_all`` vs a plain ``submit()`` loop — batch-size equivalence.
 
-``Runtime.submit_all`` hands a whole batch to
-:meth:`~repro.core.deps.DependenceTracker.register_batch`, which inlines
-the graph insertion that ``submit()`` performs through
-``TaskGraph.add_task`` + ``add_edges_to`` one task at a time.  Hoisting
-that per-call overhead is a pure *speed* change: for any submission
-batch the result must be the graph a ``submit()`` loop produces — same
-edges in the same adjacency order, same depths and ready counts, same
-tracker member state and counters, bit for bit — otherwise TDGs, and
-with them every simulated makespan, silently shift.  These suites drive
-both sides over hypothesis-fuzzed WAR/WAW/RAW programs (overlapping
-intervals and whole-object regions), workload families, mid-build
-completion windows and watermark pruning, and assert identical state.
+Both entry points run
+:meth:`~repro.core.deps.DependenceTracker.register_batch`: ``submit()``
+is a one-task batch, ``submit_all`` hands over the whole batch (or, under
+a submission model, one task per call so each registration is priced
+on the serial master thread).  Batch size must be invisible: for any
+program the result must be the graph a ``submit()`` loop produces —
+same edges in the same adjacency order, same depths, ready counts and
+submit times, same tracker member state and counters, bit for bit —
+otherwise TDGs, and with them every simulated makespan, silently shift.
+These suites drive both sides over hypothesis-fuzzed WAR/WAW/RAW
+programs (overlapping intervals and whole-object regions), workload
+families, mid-build completion windows, watermark pruning and a priced
+submission model, and assert identical state.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core.runtime import Runtime
 from repro.core.schedulers import FifoScheduler
 from repro.core.task import Task
 from repro.sim.machine import Machine
+from repro.sim.tdg_accel import SubmissionModel
 
 #: "reference" submits task by task through ``submit()``; "batch"
 #: submits whole batches through ``submit_all``.
@@ -33,14 +35,22 @@ SIDES = ("reference", "batch")
 # CONCURRENT groups are covered separately below.
 _KINDS = ("in_", "out", "inout", "commutative")
 
+#: Submission-model axis: free registration, and a master thread that
+#: prices every term (declared deps, tracker matches, inserted edges).
+_MODELS = (
+    None,
+    SubmissionModel(1e-6, 2e-7, per_match_s=5e-8, per_edge_s=3e-8),
+)
 
-def _make_runtime(prune_every=0):
+
+def _make_runtime(prune_every=0, submission=None):
     machine = Machine(8, initial_level=2)
     return Runtime(
         machine,
         scheduler=FifoScheduler(),
         record_trace=False,
         prune_every=prune_every,
+        submission=submission,
     )
 
 
@@ -89,6 +99,7 @@ def _graph_snapshot(rt):
         "succs": list(g.succ_ids),
         "depth": list(g.depth),
         "unfinished": list(g.unfinished_preds),
+        "submit_time": list(g.submit_time),
         "n_edges": g.n_edges,
         "members": members,
         "counters": (
@@ -98,7 +109,7 @@ def _graph_snapshot(rt):
     }
 
 
-def _run_both(specs, prune_every=0, windows=1):
+def _run_both(specs, prune_every=0, windows=1, submission=None):
     """Submit the same program through both sides; return snapshots.
 
     ``windows > 1`` splits the program into that many batches with a
@@ -107,7 +118,7 @@ def _run_both(specs, prune_every=0, windows=1):
     """
     snaps = {}
     for side in SIDES:
-        rt = _make_runtime(prune_every=prune_every)
+        rt = _make_runtime(prune_every=prune_every, submission=submission)
         tasks = _build_tasks(specs)
         if windows == 1:
             _submit(rt, tasks, side)
@@ -156,19 +167,22 @@ _program = st.lists(
 
 class TestFuzzedEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(_program)
-    def test_war_waw_raw_programs(self, program):
+    @given(_program, st.sampled_from(_MODELS))
+    def test_war_waw_raw_programs(self, program, submission):
         specs = [(f"t{i}", acc) for i, acc in enumerate(program)]
-        _assert_sides_agree(_run_both(specs))
+        _assert_sides_agree(_run_both(specs, submission=submission))
 
     @settings(max_examples=20, deadline=None)
-    @given(_program)
-    def test_two_submission_windows(self, program):
+    @given(_program, st.sampled_from(_MODELS))
+    def test_two_submission_windows(self, program, submission):
         """Mid-build completions: a second ``submit_all`` window lands on
-        a drained-but-warm tracker (the per-edge FINISHED probe is live)
-        and must still agree with the reference."""
+        a drained-but-warm tracker (the per-edge FINISHED probe has
+        finished predecessors to skip) and must still agree with the
+        reference."""
         specs = [(f"t{i}", acc) for i, acc in enumerate(program)]
-        _assert_sides_agree(_run_both(specs, windows=2))
+        _assert_sides_agree(
+            _run_both(specs, windows=2, submission=submission)
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(_program, st.sampled_from((0, 1, 17)))
@@ -181,15 +195,23 @@ class TestFuzzedEquivalence:
 # workload families
 # ----------------------------------------------------------------------
 class TestFamilyEquivalence:
-    @pytest.mark.parametrize("family", sorted(WORKLOADS))
-    def test_family_identical(self, family):
+    @pytest.mark.parametrize(
+        "family,submission",
+        [pytest.param(f, None, id=f) for f in sorted(WORKLOADS)]
+        + [
+            pytest.param(f, _MODELS[1], id=f"{f}-priced")
+            for f in sorted(WORKLOADS)
+        ],
+    )
+    def test_family_identical(self, family, submission):
         snaps = {}
         for side in SIDES:
-            rt = _make_runtime()
+            rt = _make_runtime(submission=submission)
             _submit(rt, make_workload(family, scale=2, seed=1), side)
             snap = _graph_snapshot(rt)
             rt.run()
             snap["makespan"] = rt.machine.sim.now
+            snap["stats"] = rt.stats.as_dict()
             snaps[side] = snap
         _assert_sides_agree(snaps)
 
@@ -239,7 +261,7 @@ class TestBatchEdgeCases:
         bad = Task.make("bad", in_=["x"])
         bad.deps.append("not a dependence")
         rt = _make_runtime()
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             rt.submit_all([good, bad])
         assert len(rt.graph) == 1  # good registered, bad rolled back
         assert bad.gid == -1
