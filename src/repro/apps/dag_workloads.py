@@ -360,9 +360,10 @@ def stream_window(
     the producer/consumer shape of a long-running ingest pipeline.  The
     buffer namespace is a *bounded ring*, so the dependence tracker's
     ``live_regions`` stays ≤ ``n_buffers`` no matter how many windows are
-    submitted; what grows without watermark pruning is the strong ``Task``
-    references retired tasks leave behind (member dicts + graph handles),
-    which is exactly what ``Runtime(prune_every=N)`` bounds.
+    submitted; what grows without watermark pruning is the tracker's
+    member entries (gids) and the graph's strong handles to retired
+    ``Task`` objects, which is exactly what ``Runtime(prune_every=N)``
+    bounds.
 
     The RNG is seeded per ``(seed, window)``: submitting windows
     ``0..k`` always produces the same task stream regardless of how runs

@@ -56,15 +56,16 @@ region's writer set (last-writer compaction — earlier readers, writers and
 concurrents are fully ordered before it and can be forgotten), and writer
 propagation into overlapping histories deduplicates by task id, so a
 multi-access writer is recorded once per region, not once per access.
-Members are stored as insertion-ordered ``{gid: Task}`` dicts keyed by the
-task's dense graph id: the hot loops move data with C-level ``dict.update``
-on int keys instead of hashing ``Task`` objects through their Python-level
-``__hash__``, and :meth:`register_preds` returns the accumulated dict —
-its key view a predecessor *id* collection — which
-:meth:`DependenceTracker.register_batch` inserts into the graph's
-adjacency arrays with no Task-set materialisation.  Tasks registered
-outside any graph get tracker-local negative ids, so the standalone API
-keeps working.
+A tracker serves the one :class:`~repro.core.graph.TaskGraph` it is built
+with (``DependenceTracker(graph)``) and holds **gids only**: members are
+insertion-ordered ``{gid: None}`` dicts (ordered sets) keyed by the task's
+dense graph id, and every per-task fact the tracker needs (state, depth)
+is read from the graph's arrays — no ``Task`` is reachable from it.  The
+hot loops move data with C-level ``dict.update`` on int keys instead of
+hashing ``Task`` objects through their Python-level ``__hash__``, and
+:meth:`register_preds` returns the accumulated dict — a predecessor *id*
+collection — which :meth:`DependenceTracker.register_batch` inserts into
+the graph's adjacency arrays.
 
 Watermark pruning (streaming mode)
 ----------------------------------
@@ -80,15 +81,15 @@ pruned from it), reset exactly where the member dicts themselves are
 reset (last-writer compaction), and :meth:`register_preds` folds the
 ghosts of every consulted history into ``last_depth_floor`` so the
 runtime reproduces bit-for-bit the depth the un-pruned edges would have
-produced.  Kept last-writer entries drop their strong ``Task`` reference
-(value becomes ``None``; the gid key and the graph's arrays carry
-everything edge insertion needs), so retired tasks are collectible.
+produced.  Pruning reads ``graph.state`` / ``graph.depth`` only; since
+members are bare gids, a retired task is collectible as soon as the graph
+releases its handle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import TaskGraph
@@ -113,8 +114,8 @@ class _RegionHistory:
     this region (the first entry is the last exact writer, if any; the rest
     were propagated from overlapping writes).  ``readers``/``concurrents``
     hold the exact accesses of those kinds since the last exact write.
-    All three are insertion-ordered ``{gid: Task}`` dicts keyed by the
-    task's dense graph id (tracker-local negative id when detached).
+    All three are insertion-ordered ``{gid: None}`` dicts keyed by the
+    task's dense graph id.
 
     ``overlaps`` is the cached list of histories whose region overlaps this
     one — *including itself* — maintained symmetrically as new regions are
@@ -141,9 +142,9 @@ class _RegionHistory:
         # fresh history costs zero dict allocations.  Invariant: a member
         # dict is either ``None`` or non-empty, which keeps every
         # truthiness guard on the hot path working unchanged.
-        self.writers: Optional[Dict[int, Optional[Task]]] = None
-        self.readers: Optional[Dict[int, Optional[Task]]] = None
-        self.concurrents: Optional[Dict[int, Optional[Task]]] = None
+        self.writers: Optional[Dict[int, None]] = None
+        self.readers: Optional[Dict[int, None]] = None
+        self.concurrents: Optional[Dict[int, None]] = None
         self.ghost_w = 0
         self.ghost_r = 0
         self.ghost_c = 0
@@ -176,42 +177,33 @@ class _NameIndex:
 
 
 class DependenceTracker:
-    """Derives TDG edges from declared per-task data accesses.
+    """Derives the edges of ``graph``'s TDG from declared data accesses.
 
-    The hot entry point is :meth:`register_preds`, which returns the
-    predecessor tasks directly; :meth:`register` wraps them into
-    ``(pred, succ)`` pairs for the original API, and :meth:`register_batch`
-    runs it over a submission batch with the graph insertion inlined —
-    the runtime's only way into its graph.  Instrumented counters
-    (``scan_probes``, ``scan_matches``) expose how much index work
-    registrations did, which the scale-regression tests pin to stay
-    linear in the task count.
+    :meth:`register_batch` is the entry point — the runtime's only way
+    into its graph: it appends a submission batch to ``graph`` and runs
+    :meth:`register_preds` per task with the edge insertion inlined.
+    Instrumented counters (``scan_probes``, ``scan_matches``) expose how
+    much index work registrations did, which the scale-regression tests
+    pin to stay linear in the task count.
 
     ``__slots__``: every registration read-modify-writes several counters
-    and loads ``_by_name``/``_graph``/``_pruned``; fixed slots keep those
-    off a per-instance ``__dict__`` on the submission hot path.
+    and loads ``_by_name``/``_pruned``; fixed slots keep those off a
+    per-instance ``__dict__`` on the submission hot path.
     """
 
     __slots__ = (
-        "_by_name", "_next_detached", "_graph", "_pruned", "edges_added",
-        "scan_probes", "scan_matches", "cache_hits", "last_matches",
-        "last_depth_floor", "refs_released",
+        "graph", "_by_name", "_pruned", "scan_probes", "scan_matches",
+        "cache_hits", "last_matches", "last_depth_floor",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, graph: "TaskGraph") -> None:
+        #: The graph this tracker registers into; member dicts key by its
+        #: gids, which are graph-local.
+        self.graph = graph
         self._by_name: Dict[str, _NameIndex] = {}
-        # Tracker-local dense ids for tasks registered outside any graph
-        # (counting down from -2; graph-attached tasks use their gid >= 0,
-        # -1 is the detached sentinel).  Either way every task this tracker
-        # sees carries a unique int id for the member dicts.
-        self._next_detached = -2
-        # The one TaskGraph whose gids this tracker has seen (gids are
-        # graph-local, so mixing graphs is rejected in register_preds).
-        self._graph = None
         # Becomes True after the first prune_finished call; gates the
         # ghost-depth bookkeeping out of the never-pruned hot path.
         self._pruned = False
-        self.edges_added = 0
         #: Candidate histories examined by insertion scans so far
         #: (including window false positives) — index efficiency metric.
         self.scan_probes = 0
@@ -231,9 +223,6 @@ class DependenceTracker:
         #: :meth:`register_batch` folds it into ``graph.depth`` right after
         #: edge insertion; 0 unless pruning has run.
         self.last_depth_floor = 0
-        #: Strong Task references dropped by pruning so far (kept
-        #: last-writer entries whose value became None).
-        self.refs_released = 0
 
     # ------------------------------------------------------------------
     def _insert_history(
@@ -310,10 +299,8 @@ class DependenceTracker:
         return h
 
     # ------------------------------------------------------------------
-    def register_batch(
-        self, tasks: List[Task], graph: "TaskGraph", now: float
-    ) -> None:
-        """Add a submission batch to ``graph`` and insert its edges.
+    def register_batch(self, tasks: List[Task], now: float) -> None:
+        """Add a submission batch to the graph and insert its edges.
 
         The one path that puts tasks and edges into a runtime's graph
         (``Runtime.submit`` is a one-task batch).  The batch's slots are
@@ -331,6 +318,7 @@ class DependenceTracker:
         rest is trimmed back off with :meth:`TaskGraph.truncate`, and the
         exception propagates.
         """
+        graph = self.graph
         index_of = graph.index_of
         succ_ids = graph.succ_ids
         pred_ids = graph.pred_ids
@@ -392,37 +380,15 @@ class DependenceTracker:
             graph.n_edges += n_edges
 
     # ------------------------------------------------------------------
-    def register(self, task: Task) -> Set[Tuple[Task, Task]]:
-        """Register ``task``'s accesses; return the set of new edges.
+    def register_preds(self, task: Task) -> Dict[int, None]:
+        """Register ``task``'s accesses; return its predecessor gids.
 
-        Edges are returned as ``(predecessor, successor)`` pairs with
-        ``successor is task``; self-edges (a task touching the same region
-        twice) are suppressed.  After watermark pruning a predecessor's
-        strong reference may have been dropped; such pairs are resolved
-        through the graph's handle view, and omitted if the handle was
-        released too (the id-keyed :meth:`register_preds` path — what the
-        runtime uses — always reports the full predecessor id set).
-        """
-        preds = self.register_preds(task)
-        graph = self._graph
-        out: Set[Tuple[Task, Task]] = set()
-        for gid, pred in preds.items():
-            if pred is None and graph is not None and gid >= 0:
-                pred = graph.tasks[gid]
-            if pred is not None:
-                out.add((pred, task))
-        return out
-
-    def register_preds(self, task: Task) -> Dict[int, Task]:
-        """Register ``task``'s accesses; return its predecessors keyed by id.
-
-        The runtime's fast path: the successor of every edge is ``task``
-        itself, so this returns a ``{gid: Task}`` mapping (deduplicated,
-        self excluded) whose *key view is the predecessor id-list* that
-        :meth:`register_batch` inserts directly — no per-edge tuples and
-        no Task-set materialisation on the submission hot path.  For
-        tasks not attached to a graph the ids are tracker-local
-        negatives, useful only for dedup/counters.
+        The per-task step of :meth:`register_batch`, which has already
+        given ``task`` its gid in the graph.  The successor of every edge
+        is ``task`` itself, so this returns an insertion-ordered
+        ``{gid: None}`` set of predecessors (deduplicated, self excluded)
+        that :meth:`register_batch` inserts directly — no per-edge tuples
+        and no Task-set materialisation on the submission hot path.
 
         Every access is checked before any is recorded: each entry of
         ``task.deps`` must be an exact :class:`Dependence` whose kind is a
@@ -440,24 +406,8 @@ class DependenceTracker:
                     f"task #{task.task_id} ({task.label!r}): {dep!r} is not "
                     "a Dependence(DepKind, Region)"
                 )
-        graph = task.graph
-        if graph is not None:
-            # Member dicts key by gid, which is only unique within one
-            # graph: feeding one tracker tasks from two graphs would
-            # silently collide ids and drop/merge dependences, so it is
-            # an error, not a wrong answer.
-            if graph is not self._graph:
-                if self._graph is not None:
-                    raise ValueError(
-                        "tracker already bound to a different TaskGraph; "
-                        "one DependenceTracker serves one graph"
-                    )
-                self._graph = graph
         tid = task.gid
-        if tid == -1:
-            tid = task.gid = self._next_detached
-            self._next_detached -= 1
-        preds: Dict[int, Optional[Task]] = {}
+        preds: Dict[int, None] = {}
         matches = 0
         hits = 0
         floor = 0
@@ -493,11 +443,11 @@ class DependenceTracker:
                         # workloads.
                         matches += 1
                         if kind is _IN:
-                            h.readers = {tid: task}
+                            h.readers = {tid: None}
                         elif kind is _CONCURRENT:
-                            h.concurrents = {tid: task}
+                            h.concurrents = {tid: None}
                         else:
-                            h.writers = {tid: task}
+                            h.writers = {tid: None}
                         continue
                 else:
                     setattr_(region, "_hist_owner", self)
@@ -539,9 +489,9 @@ class DependenceTracker:
                                 floor = g
                 r = h.readers
                 if r is None:
-                    h.readers = {tid: task}
+                    h.readers = {tid: None}
                 else:
-                    r[tid] = task
+                    r[tid] = None
             elif kind is _CONCURRENT:
                 # Ordered against writers and ordinary readers, but NOT
                 # against fellow members of the open concurrent group.
@@ -558,9 +508,9 @@ class DependenceTracker:
                             floor = g
                 c = h.concurrents
                 if c is None:
-                    h.concurrents = {tid: task}
+                    h.concurrents = {tid: None}
                 else:
-                    c[tid] = task
+                    c[tid] = None
             else:
                 # OUT/INOUT: WAW vs writers, WAR vs readers, ordering vs
                 # concurrents.  COMMUTATIVE chains conservatively the same
@@ -592,9 +542,9 @@ class DependenceTracker:
                         w = o.writers
                         if w:
                             preds.update(w)
-                            w[tid] = task
+                            w[tid] = None
                         else:
-                            o.writers = {tid: task}
+                            o.writers = {tid: None}
                         r = o.readers
                         if r:
                             preds.update(r)
@@ -629,7 +579,7 @@ class DependenceTracker:
                     h.ghost_w = h.ghost_r = h.ghost_c = 0
                 # New sole writer: previous readers/writers/concurrents
                 # are now fully ordered before it (last-writer compaction).
-                h.writers = {tid: task}
+                h.writers = {tid: None}
         preds.pop(tid, None)
         self.scan_matches += matches
         self.cache_hits += hits
@@ -638,7 +588,6 @@ class DependenceTracker:
             # Only meaningful (and only read by register_batch) after a
             # prune; stays 0 from construction otherwise.
             self.last_depth_floor = floor
-        self.edges_added += len(preds)
         return preds
 
     # ------------------------------------------------------------------
@@ -651,98 +600,63 @@ class DependenceTracker:
         preserved: each removal folds ``depth + 1`` into the history's
         per-kind ghost (see the module docstring), which
         :meth:`register_preds` replays as ``last_depth_floor``.  Finished
-        readers/concurrents and superseded writers are removed outright;
-        the *last* writer entry is kept for exact RAW bookkeeping but its
-        strong ``Task`` reference is dropped (value ``None``) for
-        graph-attached tasks, so a retired task is collectible the moment
-        the graph releases its handle.  Returns entries removed.
+        readers/concurrents and superseded writers are removed; the
+        *last* writer entry is kept for exact RAW bookkeeping.  State and
+        depth are read from the graph's arrays.  Returns entries removed.
         """
         self._pruned = True
-        removed = 0
-        released = 0
-        graph = self._graph
-        state_arr = graph.state if graph is not None else None
-        depth_arr = graph.depth if graph is not None else None
+        state = self.graph.state
+        depth = self.graph.depth
         finished = TaskState.FINISHED
 
-        def is_finished(mid: int, t: Optional[Task]) -> bool:
-            if t is None:
-                return True  # reference already dropped by a prior prune
-            if mid >= 0 and state_arr is not None:
-                return state_arr[mid] is finished
-            return t.state is finished
+        def prune(
+            members: Dict[int, None], ghost: int, keep: int = -1
+        ) -> Tuple[Dict[int, None], int]:
+            # Members other than ``keep`` that have finished leave,
+            # folding their depth + 1 into the ghost.
+            kept: Dict[int, None] = {}
+            for mid in members:
+                if mid != keep and state[mid] is finished:
+                    d = depth[mid] + 1
+                    if d > ghost:
+                        ghost = d
+                else:
+                    kept[mid] = None
+            return kept, ghost
 
-        def ghost_of(mid: int, t: Optional[Task]) -> int:
-            if mid >= 0 and depth_arr is not None:
-                return depth_arr[mid] + 1
-            return (t._depth if t is not None else 0) + 1
-
+        removed = 0
         for entry in self._by_name.values():
             for tier in (entry.hists, entry.longs):
                 for h in tier:
                     readers = h.readers
                     if readers:
-                        kept: Dict[int, Optional[Task]] = {}
-                        g = h.ghost_r
-                        for mid, t in readers.items():
-                            if is_finished(mid, t):
-                                removed += 1
-                                d = ghost_of(mid, t)
-                                if d > g:
-                                    g = d
-                            else:
-                                kept[mid] = t
+                        kept, h.ghost_r = prune(readers, h.ghost_r)
                         if len(kept) != len(readers):
+                            removed += len(readers) - len(kept)
                             h.readers = kept or None
-                            h.ghost_r = g
                     concurrents = h.concurrents
                     if concurrents:
-                        kept = {}
-                        g = h.ghost_c
-                        for mid, t in concurrents.items():
-                            if is_finished(mid, t):
-                                removed += 1
-                                d = ghost_of(mid, t)
-                                if d > g:
-                                    g = d
-                            else:
-                                kept[mid] = t
+                        kept, h.ghost_c = prune(concurrents, h.ghost_c)
                         if len(kept) != len(concurrents):
+                            removed += len(concurrents) - len(kept)
                             h.concurrents = kept or None
-                            h.ghost_c = g
                     writers = h.writers
                     if writers:
-                        last_mid = next(reversed(writers))
-                        kept = {}
-                        g = h.ghost_w
-                        for mid, t in writers.items():
-                            if mid != last_mid and is_finished(mid, t):
-                                removed += 1
-                                d = ghost_of(mid, t)
-                                if d > g:
-                                    g = d
-                            else:
-                                kept[mid] = t
-                        last_t = kept[last_mid]
-                        if (
-                            last_t is not None
-                            and last_mid >= 0
-                            and is_finished(last_mid, last_t)
-                        ):
-                            kept[last_mid] = None
-                            released += 1
-                        h.writers = kept
-                        h.ghost_w = g
-        self.refs_released += released
+                        kept, h.ghost_w = prune(
+                            writers, h.ghost_w, next(reversed(writers))
+                        )
+                        if len(kept) != len(writers):
+                            removed += len(writers) - len(kept)
+                            h.writers = kept
         return removed
 
     def invalidate_region_caches(self) -> int:
         """Clear this tracker's identity caches off every interned region.
 
         A canonical :class:`Region` lives in the process-wide intern
-        table; its ``_hist`` slot would otherwise keep this tracker's
-        entire history graph (and through it every member task) alive
-        after the run is over.  The campaign runner calls this once per
+        table; its ``_hist_owner`` slot would otherwise keep this tracker
+        (and through it the graph and every task handle it still holds)
+        alive after the run is over.  The campaign runner calls this once per
         scenario.  Returns how many caches were cleared.
         """
         from .task import _REGION_INTERN
@@ -774,17 +688,3 @@ class DependenceTracker:
             for tier in (e.hists, e.longs)
             for h in tier
         )
-
-    @property
-    def live_task_refs(self) -> int:
-        """Member entries still holding a strong Task reference."""
-        total = 0
-        for e in self._by_name.values():
-            for tier in (e.hists, e.longs):
-                for h in tier:
-                    for members in (h.writers, h.readers, h.concurrents):
-                        if members:
-                            total += sum(
-                                1 for t in members.values() if t is not None
-                            )
-        return total

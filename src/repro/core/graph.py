@@ -19,9 +19,11 @@ indexed by that id:
 Edge insertion on the submission hot path is then pure C-level list
 traffic (an ``append`` per endpoint) instead of ``set`` operations that
 hash ``Task`` objects through their Python-level ``__hash__`` — the
-constant factor ROADMAP open item 3 targeted.  :class:`~repro.core.task.Task`
-stays a thin handle whose ``predecessors``/``successors``/... properties
-delegate back here, so object-level user code keeps working.
+constant factor ROADMAP open item 3 targeted.  These arrays are the only
+store of per-task state: :class:`~repro.core.task.Task` stays a thin
+handle whose ``predecessors``/``successors``/``state``/... properties are
+read-only views of them (creation defaults while detached), and the
+dependence tracker keeps gids, never handles.
 
 This module holds the graph itself plus the global analyses the rest of the
 system consumes — topological ordering, longest (critical) path, bottom
@@ -90,8 +92,11 @@ class TaskGraph:
         self.pred_ids: List[List[int]] = []
         #: gid -> number of predecessors not yet FINISHED.
         self.unfinished_preds: List[int] = []
-        #: gid -> longest-edge-count distance from a root (monotone
-        #: under-approximation during construction; see width_profile).
+        #: gid -> longest-edge-count distance from a root as edge insertion
+        #: derives it (a lower bound if a hand-built graph adds edges out
+        #: of order; includes pruning's ghost-depth floor).  Breadth-first
+        #: scheduling orders by it, so analyses never write it (see
+        #: width_profile).
         self.depth: List[int] = []
         #: gid -> TaskState.
         self.state: List[TaskState] = []
@@ -135,12 +140,12 @@ class TaskGraph:
         """Append one slot per task to every gid array; return the first
         new gid.
 
-        New slots have no edges, ready count 0 and depth 0.  Detached
-        state carries over from each handle's fallback slots (state,
-        bottom level, criticality, the four timestamps); ``submit_time``,
-        when given, overrides the carried submit time.  The caller owns
-        ``index_of`` and the handles' ``graph``/``gid``, and rolls a
-        failed registration back with :meth:`truncate`.
+        New slots hold the creation defaults a detached handle reads: no
+        edges, ready count 0, depth 0, state ``CREATED``, bottom level
+        0.0, not critical, and no timestamps except ``submit_time`` (when
+        given).  Nothing is read off the handles but their ``task_id``.
+        The caller owns ``index_of`` and the handles' ``graph``/``gid``,
+        and rolls a failed registration back with :meth:`truncate`.
         """
         # Ids first: an entry that is not a task fails before any array
         # grows.
@@ -153,16 +158,13 @@ class TaskGraph:
         self.pred_ids.extend([[] for _ in range(n)])
         self.unfinished_preds.extend([0] * n)
         self.depth.extend([0] * n)
-        self.state.extend([t._state for t in tasks])
-        self.bottom_level.extend([t._bottom_level for t in tasks])
-        self.critical.extend([t._critical for t in tasks])
-        if submit_time is None:
-            self.submit_time.extend([t._submit_time for t in tasks])
-        else:
-            self.submit_time.extend([submit_time] * n)
-        self.ready_time.extend([t._ready_time for t in tasks])
-        self.start_time.extend([t._start_time for t in tasks])
-        self.end_time.extend([t._end_time for t in tasks])
+        self.state.extend([TaskState.CREATED] * n)
+        self.bottom_level.extend([0.0] * n)
+        self.critical.extend([False] * n)
+        self.submit_time.extend([submit_time] * n)
+        self.ready_time.extend([None] * n)
+        self.start_time.extend([None] * n)
+        self.end_time.extend([None] * n)
         self._wake_len.extend([0] * n)
         return start
 
@@ -172,9 +174,10 @@ class TaskGraph:
         The rollback of a failed registration.  A handle in the dropped
         tail whose ``index_of`` entry points into the tail is detached
         (mapping removed, ``graph``/``gid`` reset), so it is resubmittable
-        and its properties read the detached fallbacks instead of indexing
-        past the arrays; a handle that maps below ``n`` (a duplicate of an
-        earlier task) keeps its mapping.
+        and its properties read the creation defaults instead of indexing
+        past the arrays — whatever the dropped slots held is gone with
+        them; a handle that maps below ``n`` (a duplicate of an earlier
+        task) keeps its mapping.
         """
         index_of = self.index_of
         for task in self.tasks[n:]:
@@ -418,14 +421,18 @@ class TaskGraph:
         return n_critical
 
     def width_profile(self) -> List[int]:
-        """Number of tasks at each depth (the graph's parallelism profile)."""
+        """Number of tasks at each depth (the graph's parallelism profile).
+
+        Depths are recomputed from ``pred_ids`` into a local list: the
+        ``depth`` array is live scheduling state (breadth-first order,
+        and after pruning it also carries the ghost depth of edges
+        ``pred_ids`` no longer holds), so an analysis must not write it.
+        """
         if not self.tasks:
             return []
-        # Recompute depths from scratch (add_edge keeps them monotone but
-        # submission order can under-approximate).
         order = self.topo_ids()
-        depth = self.depth
         preds = self.pred_ids
+        depth = [0] * len(preds)
         for g in order:
             best = 0
             for p in preds[g]:

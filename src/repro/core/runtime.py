@@ -217,8 +217,8 @@ class Runtime:
         self.scheduler = scheduler if scheduler is not None else FifoScheduler()
         self.criticality = criticality
         self.rsu = rsu
-        self.tracker = DependenceTracker()
         self.graph = TaskGraph()
+        self.tracker = DependenceTracker(self.graph)
         self.scheduler.bind(self.graph)
         self.trace = TraceRecorder() if record_trace else None
         self.stats = StatSet("runtime")
@@ -307,14 +307,14 @@ class Runtime:
         try:
             model = self.submission
             if model is None:
-                tracker.register_batch(tasks, graph, now)
+                tracker.register_batch(tasks, now)
             else:
                 # The master thread serialises dependence registration:
                 # one task per registration, each priced from what it
                 # did (a new task's pred list is exactly its new edges)
                 # and released no earlier than the master finished it.
                 for task in tasks:
-                    tracker.register_batch([task], graph, now)
+                    tracker.register_batch([task], now)
                     gid = len(graph) - 1
                     cost = model.register_seconds(
                         len(task.deps), tracker.last_matches,

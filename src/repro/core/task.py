@@ -16,15 +16,17 @@ counts, depth, state, criticality — **and the per-task lifecycle
 timestamps** (``submit_time`` / ``ready_time`` / ``start_time`` /
 ``end_time``) live in id-keyed arrays on the owning
 :class:`~repro.core.graph.TaskGraph`; ``task.gid`` is the task's dense
-index into those arrays.  The ``predecessors`` / ``successors`` /
-``unfinished_preds`` / ``state`` / ``depth`` / ``bottom_level`` /
-``critical`` / timestamp attributes remain available as properties that
-delegate to the graph (falling back to local slots while a task is
-detached), so existing user code keeps working; the hot paths in the
-runtime bypass the properties and touch the arrays directly.  Keeping the
-timestamps in graph arrays means completion-side bookkeeping never has to
-resolve ``tasks[gid]`` handles just to stamp times, and post-run
-analytics (:mod:`repro.core.analytics`) can pivot whole campaigns without
+index into those arrays, which are the *only* store of that state.  The
+``predecessors`` / ``successors`` / ``unfinished_preds`` / ``state`` /
+``depth`` / ``bottom_level`` / ``critical`` / timestamp attributes are
+read-only properties that index the graph's arrays; a detached task (never
+registered, or rolled back by :meth:`~repro.core.graph.TaskGraph.truncate`)
+reads the creation defaults (``CREATED``, ``False``, ``0.0``, ``0``,
+``None``).  Writers go through the arrays (``graph.state[gid] = ...``),
+as the runtime's hot paths do.  Keeping the timestamps in graph arrays
+means completion-side bookkeeping never has to resolve ``tasks[gid]``
+handles just to stamp times, and post-run analytics
+(:mod:`repro.core.analytics`) can pivot whole campaigns without
 materialising any Task collection.
 
 Region interning
@@ -244,10 +246,10 @@ class Task:
 
     ``slots=True``: the runtime reads task descriptions (costs, deps) on
     every dispatch, so fixed slots instead of a per-instance ``__dict__``
-    shave the hot-path attribute traffic the ROADMAP flags.  Lifecycle
-    timestamps live in the owning graph's arrays (the properties below
-    delegate); ad-hoc attributes can no longer be attached to tasks —
-    extend the dataclass instead.
+    shave the hot-path attribute traffic the ROADMAP flags.  Graph-owned
+    state and lifecycle timestamps live in the owning graph's arrays (the
+    read-only properties below index them); ad-hoc attributes can no
+    longer be attached to tasks — extend the dataclass instead.
 
     Parameters
     ----------
@@ -281,23 +283,11 @@ class Task:
     task_id: int = field(default_factory=lambda: next(_task_ids))
     #: Dense id in the owning graph's struct-of-arrays storage.  ``-1``
     #: while detached; assigned on registration (``register_batch`` or
-    #: :meth:`TaskGraph.add_task`; for a graphless
-    #: :class:`~repro.core.deps.DependenceTracker`, a negative
-    #: tracker-local id ``<= -2``).
+    #: :meth:`TaskGraph.add_task`).
     gid: int = -1
     #: The owning :class:`~repro.core.graph.TaskGraph`, or ``None`` while
     #: detached.  Set together with ``gid``.
     graph: Optional["TaskGraph"] = None
-
-    # detached-task fallbacks for the graph-owned attributes -----------------
-    _state: TaskState = TaskState.CREATED
-    _critical: bool = False
-    _bottom_level: float = 0.0
-    _depth: int = 0
-    _submit_time: Optional[float] = None
-    _ready_time: Optional[float] = None
-    _start_time: Optional[float] = None
-    _end_time: Optional[float] = None
 
     # bookkeeping filled in by the executor (handle-local: dispatch target
     # and the real function's return value)
@@ -348,111 +338,48 @@ class Task:
         )
 
     # ------------------------------------------------------------------
-    # graph-owned state, delegated through the handle
+    # graph-owned state: read-only views of the owning graph's arrays
+    # (creation defaults while detached)
     # ------------------------------------------------------------------
     @property
     def state(self) -> TaskState:
         g = self.graph
-        return g.state[self.gid] if g is not None else self._state
-
-    @state.setter
-    def state(self, value: TaskState) -> None:
-        g = self.graph
-        if g is not None:
-            g.state[self.gid] = value
-        else:
-            self._state = value
+        return g.state[self.gid] if g is not None else TaskState.CREATED
 
     @property
     def critical(self) -> bool:
         g = self.graph
-        return g.critical[self.gid] if g is not None else self._critical
-
-    @critical.setter
-    def critical(self, value: bool) -> None:
-        g = self.graph
-        if g is not None:
-            g.critical[self.gid] = value
-        else:
-            self._critical = value
+        return g.critical[self.gid] if g is not None else False
 
     @property
     def bottom_level(self) -> float:
         g = self.graph
-        return g.bottom_level[self.gid] if g is not None else self._bottom_level
-
-    @bottom_level.setter
-    def bottom_level(self, value: float) -> None:
-        g = self.graph
-        if g is not None:
-            g.bottom_level[self.gid] = value
-        else:
-            self._bottom_level = value
+        return g.bottom_level[self.gid] if g is not None else 0.0
 
     @property
     def depth(self) -> int:
         g = self.graph
-        return g.depth[self.gid] if g is not None else self._depth
-
-    @depth.setter
-    def depth(self, value: int) -> None:
-        g = self.graph
-        if g is not None:
-            g.depth[self.gid] = value
-        else:
-            self._depth = value
+        return g.depth[self.gid] if g is not None else 0
 
     @property
     def submit_time(self) -> Optional[float]:
         g = self.graph
-        return g.submit_time[self.gid] if g is not None else self._submit_time
-
-    @submit_time.setter
-    def submit_time(self, value: Optional[float]) -> None:
-        g = self.graph
-        if g is not None:
-            g.submit_time[self.gid] = value
-        else:
-            self._submit_time = value
+        return g.submit_time[self.gid] if g is not None else None
 
     @property
     def ready_time(self) -> Optional[float]:
         g = self.graph
-        return g.ready_time[self.gid] if g is not None else self._ready_time
-
-    @ready_time.setter
-    def ready_time(self, value: Optional[float]) -> None:
-        g = self.graph
-        if g is not None:
-            g.ready_time[self.gid] = value
-        else:
-            self._ready_time = value
+        return g.ready_time[self.gid] if g is not None else None
 
     @property
     def start_time(self) -> Optional[float]:
         g = self.graph
-        return g.start_time[self.gid] if g is not None else self._start_time
-
-    @start_time.setter
-    def start_time(self, value: Optional[float]) -> None:
-        g = self.graph
-        if g is not None:
-            g.start_time[self.gid] = value
-        else:
-            self._start_time = value
+        return g.start_time[self.gid] if g is not None else None
 
     @property
     def end_time(self) -> Optional[float]:
         g = self.graph
-        return g.end_time[self.gid] if g is not None else self._end_time
-
-    @end_time.setter
-    def end_time(self, value: Optional[float]) -> None:
-        g = self.graph
-        if g is not None:
-            g.end_time[self.gid] = value
-        else:
-            self._end_time = value
+        return g.end_time[self.gid] if g is not None else None
 
     @property
     def unfinished_preds(self) -> int:

@@ -8,8 +8,8 @@ def wake_all(sim, waiting):
         sim.schedule(0.0, task.run)
 
 
-def register_all(tracker, graph, tasks, now):
-    tracker.register_batch(set(tasks), graph, now)  # set arg into registration
+def register_all(tracker, tasks, now):
+    tracker.register_batch(set(tasks), now)  # set arg into registration
 
 
 def flush(sim, queues):

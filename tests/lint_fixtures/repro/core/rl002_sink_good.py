@@ -7,8 +7,8 @@ def wake_all(sim, waiting):
         sim.schedule(0.0, task.run)
 
 
-def register_all(tracker, graph, tasks, now):
-    tracker.register_batch(sorted(set(tasks)), graph, now)
+def register_all(tracker, tasks, now):
+    tracker.register_batch(sorted(set(tasks)), now)
 
 
 def flush(sim, queues):

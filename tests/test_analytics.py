@@ -17,8 +17,11 @@ from repro.core import (
     timestamp_table,
 )
 from repro.apps.dag_workloads import make_workload
+from repro.core.deps import DependenceTracker
+from repro.core.graph import TaskGraph
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceRecorder
+from tracker_helpers import register
 
 
 def _run(record_trace=False, criticality=None, n_cores=4, scale=1):
@@ -61,22 +64,6 @@ class TestTimestampArrays:
             assert task.ready_time == g.ready_time[task.gid]
             assert task.start_time == g.start_time[task.gid]
             assert task.end_time == g.end_time[task.gid]
-
-    def test_detached_fallback_slots(self):
-        t = Task.make("t")
-        assert t.submit_time is None and t.end_time is None
-        t.start_time = 1.5
-        assert t.start_time == 1.5 and t._start_time == 1.5
-
-    def test_attach_carries_detached_timestamps(self):
-        from repro.core.graph import TaskGraph
-
-        t = Task.make("t")
-        t.submit_time = 2.0
-        g = TaskGraph()
-        g.add_task(t)
-        assert g.submit_time[t.gid] == 2.0
-        assert t.submit_time == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +204,9 @@ class TestRegionInterning:
         assert Region.interned("y").name == "y"
 
     def test_pickle_drops_tracker_cache(self):
-        from repro.core.deps import DependenceTracker
-
         region = Region.interned(("pkl", 0, 4))
-        tr = DependenceTracker()
-        tr.register_preds(Task.make("w", out=[region]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w", out=[region]))
         assert region._hist_owner is tr
         clone = pickle.loads(pickle.dumps(region))
         assert clone == region
@@ -242,15 +227,13 @@ class TestRegionInterning:
     def test_two_trackers_share_interned_region_safely(self):
         """A canonical region touched by two trackers must resolve each
         tracker's own history (the cache re-binds on owner mismatch)."""
-        from repro.core.deps import DependenceTracker
-
         region = Region.interned(("dual", 0, 4))
         edges = []
         for _ in range(2):
-            tr = DependenceTracker()
+            tr = DependenceTracker(TaskGraph())
             w = Task.make("w", out=[region])
             r = Task.make("r", in_=[region])
-            tr.register(w)
-            edges.append({(p.label, s.label) for p, s in tr.register(r)})
+            register(tr, w)
+            edges.append({(p.label, s.label) for p, s in register(tr, r)})
             tr.invalidate_region_caches()
         assert edges[0] == edges[1] == {("w", "r")}

@@ -79,23 +79,20 @@ class TestStructure:
         g, _ = diamond()
         g.validate()
 
-    def test_grow_carries_detached_state(self):
-        """Every gid array gains one slot per task; detached fallbacks
-        carry over and an explicit submit time overrides the carried one."""
+    def test_grow_fills_creation_defaults(self):
+        """Every gid array gains one slot per task, holding the creation
+        defaults (only ``submit_time`` is set, and only when given)."""
         g = TaskGraph()
         g.add_task(Task.make("first"))
-        a, b = Task.make("a"), Task.make("b")
-        a.state = TaskState.READY
-        a.critical = True
-        a.ready_time = 1.5
-        b.submit_time = 0.25
-        assert g.grow([a, b]) == 1
+        assert g.grow([Task.make("a"), Task.make("b")]) == 1
         lengths = {len(getattr(g, name)) for name in TaskGraph._ARRAY_MANIFEST}
         assert lengths == {3}
-        assert g.state[1:] == [TaskState.READY, TaskState.CREATED]
-        assert g.critical[1:] == [True, False]
-        assert g.ready_time[1:] == [1.5, None]
-        assert g.submit_time[1:] == [None, 0.25]
+        assert g.state[1:] == [TaskState.CREATED] * 2
+        assert g.critical[1:] == [False, False]
+        assert g.bottom_level[1:] == [0.0, 0.0]
+        assert g.depth[1:] == [0, 0] and g.unfinished_preds[1:] == [0, 0]
+        assert g.submit_time[1:] == g.ready_time[1:] == [None, None]
+        assert g.start_time[1:] == g.end_time[1:] == [None, None]
         assert g.pred_ids[1:] == [[], []] and g.succ_ids[1:] == [[], []]
         g.grow([Task.make("c")], submit_time=2.0)
         assert g.submit_time[3] == 2.0

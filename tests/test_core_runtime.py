@@ -102,7 +102,7 @@ class TestBasicExecution:
         rt.graph.add_task(b)
         rt.graph.add_edge(a, b)
         rt.graph.add_edge(b, a)
-        a.state = TaskState.CREATED
+        assert a.state is TaskState.CREATED
         rt._unfinished = 2
         with pytest.raises(DeadlockError):
             rt.taskwait()
@@ -403,8 +403,8 @@ class TestSubmitAllFailureConsistency:
     def _tracker_counters(rt):
         tr = rt.tracker
         return (
-            tr.scan_matches, tr.cache_hits, tr.edges_added,
-            tr.last_matches, tr.scan_probes, rt.graph.n_edges,
+            tr.scan_matches, tr.cache_hits, tr.last_matches,
+            tr.scan_probes, rt.graph.n_edges,
         )
 
     def test_duplicate_on_warm_tracker_keeps_counters(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.deps import DependenceTracker
-from repro.core.task import DepKind, Region, Task
+from repro.core.graph import TaskGraph
+from repro.core.task import DepKind, Region, Task, TaskState
+from tracker_helpers import register
 
 
 class TestRegion:
@@ -58,79 +60,79 @@ class TestTaskConstruction:
 
 
 def edges_of(tracker, task):
-    return {(p.label, s.label) for p, s in tracker.register(task)}
+    return {(p.label, s.label) for p, s in register(tracker, task)}
 
 
 class TestDependenceTracker:
     def test_raw_dependence(self):
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         w = Task.make("w", out=["x"])
         r = Task.make("r", in_=["x"])
-        assert tr.register(w) == set()
+        assert register(tr, w) == set()
         assert edges_of(tr, r) == {("w", "r")}
 
     def test_war_dependence(self):
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         r = Task.make("r", in_=["x"])
         w = Task.make("w", out=["x"])
-        tr.register(r)
+        register(tr, r)
         assert edges_of(tr, w) == {("r", "w")}
 
     def test_waw_dependence(self):
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         w1 = Task.make("w1", out=["x"])
         w2 = Task.make("w2", out=["x"])
-        tr.register(w1)
+        register(tr, w1)
         assert edges_of(tr, w2) == {("w1", "w2")}
 
     def test_independent_reads_share_no_edge(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w", out=["x"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w", out=["x"]))
         r1 = Task.make("r1", in_=["x"])
         r2 = Task.make("r2", in_=["x"])
-        tr.register(r1)
+        register(tr, r1)
         edges = edges_of(tr, r2)
         assert ("r1", "r2") not in edges
 
     def test_new_writer_orders_after_all_readers(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w0", out=["x"]))
-        tr.register(Task.make("r1", in_=["x"]))
-        tr.register(Task.make("r2", in_=["x"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w0", out=["x"]))
+        register(tr, Task.make("r1", in_=["x"]))
+        register(tr, Task.make("r2", in_=["x"]))
         w = Task.make("w1", out=["x"])
         edges = edges_of(tr, w)
         assert ("r1", "w1") in edges and ("r2", "w1") in edges
 
     def test_reader_after_new_writer_sees_only_new_writer(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w0", out=["x"]))
-        tr.register(Task.make("w1", out=["x"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w0", out=["x"]))
+        register(tr, Task.make("w1", out=["x"]))
         r = Task.make("r", in_=["x"])
         assert edges_of(tr, r) == {("w1", "r")}
 
     def test_disjoint_block_accesses_are_independent(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w0", out=[("x", 0, 10)]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w0", out=[("x", 0, 10)]))
         r = Task.make("r", in_=[("x", 10, 20)])
         assert edges_of(tr, r) == set()
 
     def test_overlapping_block_accesses_conflict(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w0", out=[("x", 0, 10)]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w0", out=[("x", 0, 10)]))
         r = Task.make("r", in_=[("x", 5, 8)])
         assert edges_of(tr, r) == {("w0", "r")}
 
     def test_whole_object_write_conflicts_with_blocks(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("wb", out=[("x", 0, 10)]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("wb", out=[("x", 0, 10)]))
         w_all = Task.make("wall", inout=["x"])
         assert edges_of(tr, w_all) == {("wb", "wall")}
         r = Task.make("r", in_=[("x", 3, 7)])
         assert ("wall", "r") in edges_of(tr, r)
 
     def test_concurrent_group_members_unordered(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w", out=["acc"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w", out=["acc"]))
         c1 = Task.make("c1", concurrent=["acc"])
         c2 = Task.make("c2", concurrent=["acc"])
         assert edges_of(tr, c1) == {("w", "c1")}
@@ -139,70 +141,42 @@ class TestDependenceTracker:
         assert ("w", "c2") in edges2
 
     def test_reader_after_concurrent_group_waits_for_all(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("c1", concurrent=["acc"]))
-        tr.register(Task.make("c2", concurrent=["acc"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("c1", concurrent=["acc"]))
+        register(tr, Task.make("c2", concurrent=["acc"]))
         r = Task.make("r", in_=["acc"])
         assert edges_of(tr, r) == {("c1", "r"), ("c2", "r")}
 
     def test_commutative_chain_serialises(self):
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         m1 = Task.make("m1", commutative=["x"])
         m2 = Task.make("m2", commutative=["x"])
         m3 = Task.make("m3", commutative=["x"])
-        tr.register(m1)
+        register(tr, m1)
         assert edges_of(tr, m2) == {("m1", "m2")}
         assert edges_of(tr, m3) == {("m2", "m3")}
 
     def test_inout_chain(self):
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         prev = None
         for i in range(5):
             t = Task.make(f"t{i}", inout=["x"])
-            edges = tr.register(t)
+            edges = register(tr, t)
             if prev is not None:
                 assert (prev, t) in edges
             prev = t
 
     def test_no_self_edges(self):
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         t = Task.make("t", in_=["x"], out=["x"])
-        assert tr.register(t) == set()
+        assert register(tr, t) == set()
 
     def test_multiple_names_tracked_independently(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("wx", out=["x"]))
-        tr.register(Task.make("wy", out=["y"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("wx", out=["x"]))
+        register(tr, Task.make("wy", out=["y"]))
         r = Task.make("r", in_=["x", "y"])
         assert edges_of(tr, r) == {("wx", "r"), ("wy", "r")}
-
-    def test_tracker_rejects_tasks_from_two_graphs(self):
-        """Member dicts key by gid, which is graph-local: mixing graphs
-        would silently collide ids, so it must raise instead."""
-        from repro.core.graph import TaskGraph
-
-        g1, g2 = TaskGraph(), TaskGraph()
-        w = Task.make("w", out=["x"])
-        r = Task.make("r", in_=["x"])
-        g1.add_task(w)  # gid 0 in g1
-        g2.add_task(r)  # gid 0 in g2
-        tr = DependenceTracker()
-        tr.register(w)
-        with pytest.raises(ValueError, match="one DependenceTracker"):
-            tr.register(r)
-
-    def test_tracker_mixes_one_graph_with_detached_tasks(self):
-        """Graph gids (>= 0) and tracker-local detached ids (<= -2)
-        never collide, so one graph plus detached tasks is fine."""
-        from repro.core.graph import TaskGraph
-
-        g = TaskGraph()
-        w = Task.make("w", out=["x"])
-        g.add_task(w)
-        tr = DependenceTracker()
-        tr.register(w)
-        r = Task.make("r", in_=["x"])  # detached
-        assert edges_of(tr, r) == {("w", "r")}
 
 
 class TestTaskSlots:
@@ -246,21 +220,71 @@ class TestTaskSlots:
         assert all(c.graph is None and c.gid == -1 for c in clones)
         assert edges(clones) == edges(tasks) == [[1], [2], []]
 
-    def test_runtime_managed_fields_still_assignable(self):
-        t = Task.make("t")
-        t.critical = True
-        t.bottom_level = 4.2
-        assert t.critical and t.bottom_level == 4.2
-
     def test_graph_owned_fields_delegate_once_attached(self):
-        from repro.core.graph import TaskGraph
-
         g = TaskGraph()
         t = Task.make("t")
-        t.critical = True  # detached: local fallback slot
         g.add_task(t)
-        assert t.critical  # carried into the graph array
-        t.bottom_level = 2.5
-        assert g.bottom_level[t.gid] == 2.5  # setter hits the array
-        g.critical[t.gid] = False
-        assert t.critical is False  # getter reads the array
+        assert t.critical is False and t.bottom_level == 0.0
+        g.critical[t.gid] = True
+        g.bottom_level[t.gid] = 2.5
+        assert t.critical is True  # the getter reads the array
+        assert t.bottom_level == 2.5
+
+
+#: The graph-owned views and the creation default a detached handle reads.
+GRAPH_OWNED_DEFAULTS = {
+    "state": TaskState.CREATED,
+    "critical": False,
+    "bottom_level": 0.0,
+    "depth": 0,
+    "submit_time": None,
+    "ready_time": None,
+    "start_time": None,
+    "end_time": None,
+}
+
+
+def assert_detached(task):
+    assert task.graph is None and task.gid == -1
+    for name, default in GRAPH_OWNED_DEFAULTS.items():
+        assert getattr(task, name) == default, name
+        assert type(getattr(task, name)) is type(default), name
+        with pytest.raises(AttributeError):
+            setattr(task, name, default)
+
+
+class TestGraphOwnedState:
+    """The graph's arrays are the only store of per-task state."""
+
+    def test_detached_handle_reads_creation_defaults(self):
+        assert_detached(Task.make("t", out=["x"]))
+
+    def test_attached_views_reject_assignment(self):
+        from repro.core.runtime import Runtime
+        from repro.sim.machine import Machine
+
+        rt = Runtime(Machine(1), record_trace=False)
+        t = rt.submit(Task.make("t", cpu_cycles=1e6))
+        rt.run()
+        assert t.state is TaskState.FINISHED and t.end_time > 0
+        for name in GRAPH_OWNED_DEFAULTS:
+            with pytest.raises(AttributeError):
+                setattr(t, name, getattr(t, name))
+        assert t.state is TaskState.FINISHED
+
+    def test_handle_detached_by_a_failed_batch_reads_defaults(self):
+        """A batch that fails mid-way is trimmed with TaskGraph.truncate:
+        the failing task's slot (stamped with a submit time) is gone, and
+        its handle reads the creation defaults again."""
+        from repro.core.runtime import Runtime
+        from repro.core.task import Dependence
+        from repro.sim.machine import Machine
+
+        rt = Runtime(Machine(2), record_trace=False)
+        good = Task.make("good", out=["x"])
+        bad = Task(label="bad", deps=[Dependence(DepKind.IN, "x")])
+        with pytest.raises(TypeError):
+            rt.submit_all([good, bad])
+        assert len(rt.graph) == 1 and good.gid == 0
+        assert bad.task_id not in rt.graph.index_of
+        assert_detached(bad)

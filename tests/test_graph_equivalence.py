@@ -127,14 +127,14 @@ def build_both(tasks, finish_every=0):
     FINISHED mid-build (in both representations), so later edge inserts
     exercise the ready-count state check.
     """
-    tracker = DependenceTracker()
     g = TaskGraph()
+    tracker = DependenceTracker(g)
     ref = ReferenceGraph()
     submitted = []
     for i, task in enumerate(tasks):
         # The production insertion: a one-task register_batch, as
         # Runtime.submit runs it.
-        tracker.register_batch([task], g, 0.0)
+        tracker.register_batch([task], 0.0)
         gid = task.gid
         ref.add_task(task)
         for p in g.pred_ids[gid]:

@@ -57,12 +57,8 @@ def random_program(draw, max_tasks=25):
 
 
 def build_graph(tasks):
-    tracker = DependenceTracker()
     graph = TaskGraph()
-    for t in tasks:
-        graph.add_task(t)
-        for pred, succ in tracker.register(t):
-            graph.add_edge(pred, succ)
+    DependenceTracker(graph).register_batch(tasks, 0.0)
     return graph
 
 

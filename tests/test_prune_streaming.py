@@ -10,10 +10,11 @@ Three pillars:
   replay: pruning may only drop readiness-neutral bookkeeping, never
   shift an execution.
 * **Memory boundedness** — pruning bounds the tracker's member entries
-  and strong Task references, and releases the graph's handles.
+  and releases the graph's handles; the tracker itself holds gids only,
+  so no ``Task`` is ever reachable from it, pruned or not.
 * **GC regression** — retired tasks must actually be collectible once
   the caller's references lapse; in particular, kept last-writer entries
-  must not pin Task objects (the bug this PR fixes).
+  must not pin Task objects.
 """
 
 import gc
@@ -24,9 +25,10 @@ import pytest
 
 from repro.apps.dag_workloads import stream_window
 from repro.campaign.runner import SCHEDULERS
-from repro.core.deps import DependenceTracker
+from repro.core.graph import TaskGraph
 from repro.core.runtime import Runtime
-from repro.core.task import Region, Task, TaskState
+from repro.core.schedulers import BreadthFirstScheduler
+from repro.core.task import Region, Task
 from repro.sim.machine import Machine
 
 PRUNE_SETTINGS = (0, 1, 17, 4096)
@@ -197,13 +199,39 @@ def test_watermark_off_by_default_keeps_handles():
 def test_prune_bounds_tracker_refs():
     pruned = _stream(prune_every=16)
     unpruned = _stream(prune_every=0)
-    assert pruned.tracker.live_task_refs == 0
-    assert unpruned.tracker.live_task_refs > 0
     # Histories themselves stay (bounded by the ring), members shrink.
     assert pruned.tracker.live_regions == unpruned.tracker.live_regions
     assert pruned.tracker.live_members <= unpruned.tracker.live_members
     pruned.tracker.invalidate_region_caches()
     unpruned.tracker.invalidate_region_caches()
+
+
+def _tasks_reachable(root):
+    """Task objects reachable from ``root`` without entering a TaskGraph
+    or a class (whose module globals reach everything)."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        for obj in gc.get_referents(stack.pop()):
+            if id(obj) in seen or isinstance(obj, (TaskGraph, type)):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Task):
+                found.append(obj)
+            else:
+                stack.append(obj)
+    return found
+
+
+@pytest.mark.parametrize("prune_every", [0, 16])
+def test_tracker_reaches_no_task(prune_every):
+    """The tracker keeps gids only: neither a pruned nor an unpruned run
+    leaves a Task reachable from it except through its graph."""
+    rt = _stream(prune_every=prune_every)
+    assert rt.tracker.live_members > 0  # there is something to walk
+    assert _tasks_reachable(rt.tracker) == []
+    rt.tracker.invalidate_region_caches()
 
 
 def test_prune_rejects_per_edge_submission_model():
@@ -297,8 +325,8 @@ def test_unpruned_tasks_stay_pinned():
 
 
 def test_prune_drops_last_writer_strong_ref_but_keeps_edge():
-    """The satellite fix: a kept last-writer entry holds gid + None, not
-    the Task — yet a later reader still derives the RAW edge from it."""
+    """A kept last-writer entry is a bare gid, not the Task — yet a later
+    reader still derives the RAW edge from it."""
     rt = Runtime(Machine(2, initial_level=2), record_trace=False,
                  prune_every=1)
     writer = rt.submit(
@@ -308,7 +336,7 @@ def test_prune_drops_last_writer_strong_ref_but_keeps_edge():
     writer_gid = writer.gid
     writer.result = _Canary()
     ref = weakref.ref(writer.result)
-    assert rt.tracker.live_task_refs == 0  # value already None
+    assert _tasks_reachable(rt.tracker) == []
     del writer
     gc.collect()
     assert ref() is None
@@ -405,17 +433,30 @@ def test_killed_task_survives_aggressive_pruning():
     rt.tracker.invalidate_region_caches()
 
 
-def test_detached_prune_keeps_task_refs():
-    """Standalone (graphless) tracker use: pruning must keep detached
-    last-writer Task objects, because there is no graph to resolve gids."""
-    tr = DependenceTracker()
-    w0 = Task.make("w0", inout=["x"])
-    w1 = Task.make("w1", inout=["x"])
-    tr.register(w0)
-    tr.register(w1)
-    w0.state = TaskState.FINISHED
-    w1.state = TaskState.FINISHED
-    tr.prune_finished()
-    r = Task.make("r", in_=["x"])
-    edges = {(p.label, s.label) for p, s in tr.register(r)}
-    assert edges == {("w1", "r")}
+# ----------------------------------------------------------------------
+# analyses between windows must not move later schedules
+# ----------------------------------------------------------------------
+def test_width_profile_between_windows_leaves_the_schedule_alone():
+    """``TaskGraph.width_profile`` recomputes depths from ``pred_ids``,
+    which after pruning lacks the edges whose depth the ghost floor
+    replays.  Writing that into ``graph.depth`` (what breadth-first
+    scheduling orders by) shifted every later window: makespan 7.85 ms
+    became 7.90 ms on this program."""
+
+    def run(profile_between_windows):
+        rt = Runtime(
+            Machine(5),
+            scheduler=BreadthFirstScheduler(),
+            record_trace=False,
+            prune_every=4,
+        )
+        for w in range(5):
+            rt.submit_all(stream_window(w, n_buffers=16, n_tasks=96, seed=1))
+            rt.taskwait()
+            if profile_between_windows:
+                assert sum(rt.graph.width_profile()) == len(rt.graph)
+        rt.tracker.invalidate_region_caches()
+        g = rt.graph
+        return rt.machine.sim.now, list(g.start_time), list(g.depth)
+
+    assert run(True) == run(False)

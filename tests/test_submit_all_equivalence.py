@@ -104,7 +104,7 @@ def _graph_snapshot(rt):
         "members": members,
         "counters": (
             tr.scan_matches, tr.cache_hits, tr.last_matches,
-            tr.edges_added, tr.scan_probes,
+            tr.scan_probes,
         ),
     }
 

@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.core.deps import DependenceTracker
-from repro.core.task import DepKind, Task
+from repro.core.graph import TaskGraph
+from repro.core.task import DepKind, Task, TaskState
+from tracker_helpers import register
 
 
 # ----------------------------------------------------------------------
@@ -145,15 +147,15 @@ def edge_ids(pairs):
 
 
 def assert_equivalent(tasks):
-    ref, new = ReferenceTracker(), DependenceTracker()
+    ref, new = ReferenceTracker(), DependenceTracker(TaskGraph())
     for task in tasks:
         expected = edge_ids(ref.register(task))
-        actual = edge_ids(new.register(task))
+        actual = edge_ids(register(new, task))
         assert actual == expected, (
             f"edge sets diverge at {task.label}: "
             f"extra={actual - expected}, missing={expected - actual}"
         )
-    assert new.edges_added == ref.edges_added
+    assert new.graph.n_edges == ref.edges_added
 
 
 class TestRandomizedEquivalence:
@@ -196,23 +198,23 @@ class TestWitnessRegionSemantics:
         # w0 writes [0,10); w1 writes [5,15).  A reader of [0,3) only
         # overlaps w0's bytes, but the seen region [0,10) acts as witness
         # for w1 too — the reader must depend on BOTH writers.
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         w0 = Task.make("w0", out=[("x", 0, 10)])
         w1 = Task.make("w1", out=[("x", 5, 15)])
         r = Task.make("r", in_=[("x", 0, 3)])
-        tr.register(w0)
-        tr.register(w1)
-        edges = {(p.label, s.label) for p, s in tr.register(r)}
+        register(tr, w0)
+        register(tr, w1)
+        edges = {(p.label, s.label) for p, s in register(tr, r)}
         assert edges == {("w0", "r"), ("w1", "r")}
 
     def test_exact_rewrite_clears_witness(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("w0", out=[("x", 0, 10)]))
-        tr.register(Task.make("w1", out=[("x", 5, 15)]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w0", out=[("x", 0, 10)]))
+        register(tr, Task.make("w1", out=[("x", 5, 15)]))
         # An exact write to [0,10) supersedes both writers there.
-        tr.register(Task.make("w2", out=[("x", 0, 10)]))
+        register(tr, Task.make("w2", out=[("x", 0, 10)]))
         r = Task.make("r", in_=[("x", 0, 3)])
-        edges = {(p.label, s.label) for p, s in tr.register(r)}
+        edges = {(p.label, s.label) for p, s in register(tr, r)}
         assert edges == {("w2", "r")}
 
 
@@ -220,9 +222,9 @@ class TestWitnessRegionSemantics:
 # index scale regression
 # ----------------------------------------------------------------------
 def _register_all(tasks):
-    tr = DependenceTracker()
+    tr = DependenceTracker(TaskGraph())
     for t in tasks:
-        tr.register_preds(t)
+        register(tr, t)
     return tr
 
 
@@ -262,35 +264,33 @@ class TestIndexScaling:
         )
 
     def test_matches_count_includes_own_history(self):
-        tr = DependenceTracker()
-        tr.register_preds(Task.make("w", out=["x"]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("w", out=["x"]))
         assert tr.last_matches == 1  # its own (fresh) history
-        tr.register_preds(Task.make("r", in_=["x"]))
+        register(tr, Task.make("r", in_=["x"]))
         assert tr.last_matches == 1  # exact hit on the same history
-        tr.register_preds(Task.make("r2", in_=[("x", 0, 4)]))
+        register(tr, Task.make("r2", in_=[("x", 0, 4)]))
         assert tr.last_matches == 2  # own history + the whole-object one
 
 
 class TestPruneCompaction:
     def test_prune_drops_superseded_finished_tasks(self):
-        from repro.core.task import TaskState
-
-        tr = DependenceTracker()
+        tr = DependenceTracker(TaskGraph())
         tasks = [Task.make(f"t{i}", inout=["x"]) for i in range(4)]
         readers = [Task.make(f"r{i}", in_=["x"]) for i in range(3)]
         for t in tasks[:2] + readers:
-            tr.register(t)
+            register(tr, t)
         for t in tasks[:2] + readers:
-            t.state = TaskState.FINISHED
+            tr.graph.state[t.gid] = TaskState.FINISHED
         removed = tr.prune_finished()
         assert removed == len(readers)  # readers gone, last writer kept
         # New writer after pruning still chains correctly off the kept one.
-        edges = {(p.label, s.label) for p, s in tr.register(tasks[2])}
+        edges = {(p.label, s.label) for p, s in register(tr, tasks[2])}
         assert edges == {("t1", "t2")}
 
     def test_live_regions_counts_both_tiers(self):
-        tr = DependenceTracker()
-        tr.register(Task.make("a", out=["whole"]))
-        tr.register(Task.make("b", out=[("whole", 0, 8)]))
-        tr.register(Task.make("c", out=[("other", 4, 6)]))
+        tr = DependenceTracker(TaskGraph())
+        register(tr, Task.make("a", out=["whole"]))
+        register(tr, Task.make("b", out=[("whole", 0, 8)]))
+        register(tr, Task.make("c", out=[("other", 4, 6)]))
         assert tr.live_regions == 3
