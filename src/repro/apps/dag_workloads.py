@@ -27,9 +27,8 @@ compute-bound (DVFS-sensitive) or memory-bound (DVFS-insensitive).
 
 Regions are **interned** (:meth:`repro.core.task.Region.interned`): a
 tile or layer slot touched by many tasks is one canonical ``Region``
-instance, so builders allocate no duplicate region objects and the
-dependence tracker's identity cache hits on every repeat access — the
-submission-path constant factor ROADMAP open item 2 targeted.
+instance, so builders allocate no duplicate region objects.  A region is
+a plain value, so sharing one across runs keeps no run alive.
 
 :func:`stream_window` is the steady-state companion: rolling windows of
 tasks over a bounded ring of buffers, the workload shape the runtime's

@@ -46,7 +46,6 @@ Presets
 ``fig2_rsu``       Sec. 3.1 static vs criticality-aware DVFS, 32 cores
 ``fig2_overhead``  software vs RSU DVFS stall sweep, 4..64 cores
 ``fig5_parsec``    PARSEC pthreads vs OmpSs speedups, 1..16 threads
-``throughput``     tasks/s per DAG family vs scale (1, 2, 4)
 =================  ==========================================================
 
 JSONL record schema (v1)

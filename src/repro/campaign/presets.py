@@ -405,20 +405,6 @@ def _runtime_faults_sweep() -> Matrix:
     return Matrix("runtime_faults_sweep", tuple(scenarios))
 
 
-def _throughput(scales: Sequence[int] = (1, 2, 4)) -> Matrix:
-    """Kernel-throughput trajectory: tasks/s per family vs graph scale
-    (the ROADMAP's --scale axis; host timing lives in the records'
-    ``timing`` block)."""
-    return Matrix.product(
-        "throughput",
-        families=DAG_FAMILIES,
-        schedulers=("fifo",),
-        core_counts=(16,),
-        scales=tuple(scales),
-        seeds=(1,),
-    )
-
-
 #: name -> (description, factory)
 PRESETS: Dict[str, Tuple[str, Callable[[], Matrix]]] = {
     "smoke": (
@@ -465,10 +451,6 @@ PRESETS: Dict[str, Tuple[str, Callable[[], Matrix]]] = {
     "fig5_parsec": (
         "Fig 5: PARSEC pthreads vs OmpSs speedup, 1..16 threads",
         _fig5_parsec,
-    ),
-    "throughput": (
-        "tasks/s per DAG family vs scale (1,2,4), FIFO, 16 cores",
-        _throughput,
     ),
 }
 

@@ -307,8 +307,7 @@ def _build_machine(scenario: Scenario) -> Machine:
     (narrow-voltage table + ``budget_factor`` × cores × nominal busy
     power budget) so campaign records reproduce the figure numbers bit
     for bit; PARSEC scenarios use the stock machine of the Figure 5
-    harness; plain DAG scenarios pin the nominal mid level like the
-    throughput bench.
+    harness; plain DAG scenarios pin the nominal mid level.
     """
     n = scenario.n_cores
     if scenario.rsu != "off":
@@ -463,7 +462,6 @@ def run_scenario(scenario: Scenario, campaign: str = "", obs: bool = False) -> d
     t0 = _now()
     sim_s = 0.0
     tdg_s = 0.0
-    rt = None
     registry: Optional[MetricsRegistry] = None
     with ExitStack() as stack:
         if obs:
@@ -492,15 +490,15 @@ def run_scenario(scenario: Scenario, campaign: str = "", obs: bool = False) -> d
                 tasks = _build_workload(scenario)
                 machine = _build_machine(scenario)
                 rt = _build_runtime(scenario, machine)
-                # Simulation wall time starts at submission, matching the
-                # throughput bench's direct path: graph *generation* cost must
-                # not pollute the tracked tasks/s trajectory (the ROADMAP notes
-                # TDG construction dominates at large scales).  ``tdg_s`` is the
-                # host-side TDG-construction slice of that window — dependence
-                # registration + edge insertion — tracked separately so tracker
-                # regressions are visible even when the event kernel dominates.
-                # (With ``obs`` the same slice is also visible as the
-                # ``tdg_build`` phase span.)
+                # Simulation wall time starts at submission: graph
+                # *generation* cost must not pollute the tracked tasks/s
+                # trajectory (the ROADMAP notes TDG construction dominates
+                # at large scales).  ``tdg_s`` is the host-side
+                # TDG-construction slice of that window — dependence
+                # registration + edge insertion — tracked separately so
+                # tracker regressions are visible even when the event kernel
+                # dominates.  (With ``obs`` the same slice is also visible as
+                # the ``tdg_build`` phase span.)
                 t_sim = _now()
                 rt.submit_all(tasks)
                 tdg_s = _now() - t_sim
@@ -539,13 +537,6 @@ def run_scenario(scenario: Scenario, campaign: str = "", obs: bool = False) -> d
                 record["error"]["reason"] = "timeout"
             record["metrics"] = None
             record["stats"] = None
-        finally:
-            # Long-lived workers run many scenarios: sever the interned
-            # regions' back-references into this run's tracker so its
-            # history graph (and every Task it anchors) is collectible —
-            # error scenarios included.
-            if rt is not None:
-                rt.tracker.invalidate_region_caches()
     if registry is not None:
         record["obs"] = registry.summary()
     wall = _now() - t0

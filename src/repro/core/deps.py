@@ -32,24 +32,17 @@ Histories are kept per name in two tiers:
   index robust: a single whole-object access used to poison ``max_len`` and
   degrade every later scan under that name to O(history).
 
-The index is only consulted when a *new* region instance appears.  Each
-history caches its overlap set (``h.overlaps``, kept symmetric as regions
-are inserted), so the common case — another access to an already-seen
-region — is a dict hit plus an O(k) walk of exactly the overlapping
-histories, with no scan at all.  The cache stores one entry per
-overlapping *pair*, the same k·n total the queries already pay in time.
-
-On top of the dict hit sits an **identity cache**: after resolving a
-region's history once, the tracker stashes ``(tracker, history)`` on the
-:class:`~repro.core.task.Region` instance itself (``_hist_owner`` /
-``_hist`` slots).  Workload builders intern their regions
-(:meth:`Region.interned`), so every later access through the same
-canonical instance resolves with two attribute loads and an identity
-compare — no name-string hash, no ``(start, stop)`` tuple hash.
-:meth:`DependenceTracker.invalidate_region_caches` severs those
-back-references when a tracker is retired (the campaign runner calls it
-per scenario), so a canonical region never keeps a dead tracker's
-history graph alive.
+Every access resolves the same way: ``by_name[name].exact[(start,
+stop)]``, the history of that exact extent.  The interval index is only
+scanned when that lookup misses, i.e. when a *new* extent appears.  Each
+history keeps its overlap set (``h.overlaps``, itself included, kept
+symmetric as regions are inserted), so an access is two dict hits plus an
+O(k) walk of exactly the overlapping histories, with no scan at all.  The
+overlap sets store one entry per overlapping *pair*, the same k·n total
+the queries already pay in time.  All of this state lives in the tracker:
+a :class:`~repro.core.task.Region` is a plain value, so nothing outside
+a run points into its tracker, and a dropped
+:class:`~repro.core.runtime.Runtime` is garbage with no cleanup call.
 
 Compaction keeps the member sets tight: an exact write *replaces* the
 region's writer set (last-writer compaction — earlier readers, writers and
@@ -155,10 +148,7 @@ class _RegionHistory:
 class _NameIndex:
     """The two-tier interval index of one region name."""
 
-    __slots__ = (
-        "starts", "stops", "hists", "max_len", "longs", "exact",
-        "append_tail",
-    )
+    __slots__ = ("starts", "stops", "hists", "max_len", "longs", "exact")
 
     def __init__(self) -> None:
         self.starts: List[int] = []
@@ -167,13 +157,6 @@ class _NameIndex:
         self.max_len = 0
         self.longs: List[_RegionHistory] = []
         self.exact: Dict[Tuple[int, int], _RegionHistory] = {}
-        # While every insertion under this name has arrived in ascending,
-        # mutually disjoint order (layer slots, ring buffers, per-round
-        # partials), ``append_tail`` is the exclusive high-water stop and
-        # a new region starting at/after it provably overlaps nothing —
-        # no bisects, no window scan.  Set to None forever on the first
-        # violation (or any long-tier insert).
-        self.append_tail: Optional[int] = -(1 << 62)
 
 
 class DependenceTracker:
@@ -193,7 +176,7 @@ class DependenceTracker:
 
     __slots__ = (
         "graph", "_by_name", "_pruned", "scan_probes", "scan_matches",
-        "cache_hits", "last_matches", "last_depth_floor",
+        "last_matches", "last_depth_floor",
     )
 
     def __init__(self, graph: "TaskGraph") -> None:
@@ -210,10 +193,6 @@ class DependenceTracker:
         #: History entries consulted by queries (the access's own history
         #: plus every overlapping one) — the irreducible per-access k.
         self.scan_matches = 0
-        #: Accesses resolved through the interned-region identity cache
-        #: (``Region._hist_owner`` slot) without touching the name index —
-        #: the ``region_cache_hits`` observability counter.
-        self.cache_hits = 0
         #: Matches of the most recent register call (consumed by the
         #: runtime's submission-cost model).
         self.last_matches = 0
@@ -226,45 +205,14 @@ class DependenceTracker:
 
     # ------------------------------------------------------------------
     def _insert_history(
-        self,
-        entry: _NameIndex,
-        qstart: int,
-        qstop: int,
-        key: Optional[Tuple[int, int]] = None,
+        self, entry: _NameIndex, key: Tuple[int, int]
     ) -> _RegionHistory:
-        """Index a new exact region: scan once, then cache the overlap set
-        on the new history and symmetrically on everything it overlaps.
-
-        ``key`` lets the caller pass the already-built ``(qstart, qstop)``
-        tuple from its failed ``exact`` probe instead of re-building it.
-        """
-        # __new__ + inline stores: this runs once per distinct region and
-        # the __init__ frame was a measurable slice of insertion cost.
-        h = _RegionHistory.__new__(_RegionHistory)
-        h.start = qstart
-        h.stop = qstop
-        h.writers = None
-        h.readers = None
-        h.concurrents = None
-        h.ghost_w = h.ghost_r = h.ghost_c = 0
-        entry.exact[key if key is not None else (qstart, qstop)] = h
-        length = qstop - qstart
-        tail = entry.append_tail
-        if tail is not None:
-            if qstart >= tail and length < _LONG_LEN:
-                # Ascending-disjoint append (layer slots, ring buffers,
-                # per-round partials): every indexed region stops at or
-                # before ``tail`` <= qstart, so nothing can overlap — no
-                # bisects, no window scan, pure appends.
-                h.overlaps = [h]
-                entry.starts.append(qstart)
-                entry.stops.append(qstop)
-                entry.hists.append(h)
-                entry.append_tail = qstop
-                if length > entry.max_len:
-                    entry.max_len = length
-                return h
-            entry.append_tail = None
+        """Index a new exact region ``key = (start, stop)``: scan once, then
+        cache the overlap set on the new history and symmetrically on
+        everything it overlaps."""
+        qstart, qstop = key
+        h = _RegionHistory(qstart, qstop)
+        entry.exact[key] = h
         found: List[_RegionHistory] = []
         starts = entry.starts
         lo = bisect_left(starts, qstart - entry.max_len)
@@ -279,11 +227,11 @@ class DependenceTracker:
         for other in entry.longs:
             if other.start < qstop and other.stop > qstart:
                 found.append(other)
-        if found:
-            for other in found:
-                other.overlaps.append(h)
+        for other in found:
+            other.overlaps.append(h)
         found.append(h)
         h.overlaps = found
+        length = qstop - qstart
         if length >= _LONG_LEN:
             entry.longs.append(h)
         else:
@@ -409,84 +357,39 @@ class DependenceTracker:
         tid = task.gid
         preds: Dict[int, None] = {}
         matches = 0
-        hits = 0
         floor = 0
         pruned = self._pruned
         by_name = self._by_name
-        setattr_ = object.__setattr__
         for dep in deps:
             region = dep.region
             kind = dep.kind
-            # Identity cache: an interned region resolved by this tracker
-            # before carries its history on a slot — two loads and an
-            # identity compare instead of a name hash plus an extent hash.
-            if region._hist_owner is self:
-                h = region._hist
-                hits += 1
-            else:
-                qstart = region.start
-                qstop = region.stop
-                entry = by_name.get(region.name)
-                if entry is None:
-                    entry = by_name[region.name] = _NameIndex()
-                key = (qstart, qstop)
-                h = entry.exact.get(key)
-                if h is None:
-                    h = self._insert_history(entry, qstart, qstop, key)
-                    setattr_(region, "_hist_owner", self)
-                    setattr_(region, "_hist", h)
-                    if len(h.overlaps) == 1:
-                        # Brand-new region overlapping nothing: its
-                        # (empty) history contributes no edges — just
-                        # record the access.  This is every first write
-                        # to a fresh tile, the hottest case of the tiled
-                        # workloads.
-                        matches += 1
-                        if kind is _IN:
-                            h.readers = {tid: None}
-                        elif kind is _CONCURRENT:
-                            h.concurrents = {tid: None}
-                        else:
-                            h.writers = {tid: None}
-                        continue
-                else:
-                    setattr_(region, "_hist_owner", self)
-                    setattr_(region, "_hist", h)
+            entry = by_name.get(region.name)
+            if entry is None:
+                entry = by_name[region.name] = _NameIndex()
+            key = (region.start, region.stop)
+            h = entry.exact.get(key)
+            if h is None:
+                h = self._insert_history(entry, key)
             overlapping = h.overlaps
-            n_over = len(overlapping)
-            matches += n_over
+            matches += len(overlapping)
 
             # --- edge computation (before this access is recorded) ----
             # Empty member dicts are guarded out (no C update call on
-            # nothing), and the single-overlap case — an isolated region,
-            # the common shape under disjoint tiling — skips the loop
-            # machinery entirely.
+            # nothing).
             if kind is _IN:
                 # RAW against writers and any open concurrent group
                 # (concurrent tasks count as writers to outsiders).
-                if n_over == 1:
-                    w = h.writers
+                for o in overlapping:
+                    w = o.writers
                     if w:
                         preds.update(w)
-                    c = h.concurrents
+                    c = o.concurrents
                     if c:
                         preds.update(c)
                     if pruned:
-                        g = h.ghost_w if h.ghost_w >= h.ghost_c else h.ghost_c
+                        g = o.ghost_w if o.ghost_w >= o.ghost_c else o.ghost_c
                         if g > floor:
                             floor = g
-                else:
-                    for o in overlapping:
-                        w = o.writers
-                        if w:
-                            preds.update(w)
-                        c = o.concurrents
-                        if c:
-                            preds.update(c)
-                        if pruned:
-                            g = o.ghost_w if o.ghost_w >= o.ghost_c else o.ghost_c
-                            if g > floor:
-                                floor = g
                 r = h.readers
                 if r is None:
                     h.readers = {tid: None}
@@ -516,62 +419,41 @@ class DependenceTracker:
                 # concurrents.  COMMUTATIVE chains conservatively the same
                 # way, serialising the group in submission order (a legal
                 # linearisation of the relaxed semantics).
-                if n_over == 1:
-                    w = h.writers
+                #
+                # Edge collection and writer propagation fused into one
+                # pass: each history's members merge into ``preds``
+                # *before* the new writer is recorded into it, and the
+                # self-entry this plants in ``h.writers`` is overwritten
+                # by the reset below (self edges are popped at the end
+                # regardless).  Every overlapping region must observe the
+                # new writer, otherwise a later reader of the overlap
+                # could miss the RAW edge.
+                for o in overlapping:
+                    w = o.writers
                     if w:
                         preds.update(w)
-                    r = h.readers
+                        w[tid] = None
+                    else:
+                        o.writers = {tid: None}
+                    r = o.readers
                     if r:
                         preds.update(r)
-                        h.readers = None
-                    c = h.concurrents
+                    c = o.concurrents
                     if c:
                         preds.update(c)
-                        h.concurrents = None
-                else:
-                    # Edge collection and writer propagation fused into
-                    # one pass: each history's members merge into
-                    # ``preds`` *before* the new writer is recorded into
-                    # it, and the self-entry this plants in ``h.writers``
-                    # is overwritten by the reset below (self edges are
-                    # popped at the end regardless).  Every overlapping
-                    # region must observe the new writer, otherwise a
-                    # later reader of the overlap could miss the RAW
-                    # edge.
-                    for o in overlapping:
-                        w = o.writers
-                        if w:
-                            preds.update(w)
-                            w[tid] = None
-                        else:
-                            o.writers = {tid: None}
-                        r = o.readers
-                        if r:
-                            preds.update(r)
-                        c = o.concurrents
-                        if c:
-                            preds.update(c)
-                        if pruned:
-                            g = o.ghost_w
-                            if o.ghost_r > g:
-                                g = o.ghost_r
-                            if o.ghost_c > g:
-                                g = o.ghost_c
-                            if g > floor:
-                                floor = g
-                    if h.readers is not None:
-                        h.readers = None
-                    if h.concurrents is not None:
-                        h.concurrents = None
-                if pruned:
-                    if n_over == 1:
-                        g = h.ghost_w
-                        if h.ghost_r > g:
-                            g = h.ghost_r
-                        if h.ghost_c > g:
-                            g = h.ghost_c
+                    if pruned:
+                        g = o.ghost_w
+                        if o.ghost_r > g:
+                            g = o.ghost_r
+                        if o.ghost_c > g:
+                            g = o.ghost_c
                         if g > floor:
                             floor = g
+                if h.readers is not None:
+                    h.readers = None
+                if h.concurrents is not None:
+                    h.concurrents = None
+                if pruned:
                     # Exact write: everything earlier — members and the
                     # ghosts of members pruned from this history — is now
                     # fully ordered before the new sole writer, exactly
@@ -582,7 +464,6 @@ class DependenceTracker:
                 h.writers = {tid: None}
         preds.pop(tid, None)
         self.scan_matches += matches
-        self.cache_hits += hits
         self.last_matches = matches
         if pruned:
             # Only meaningful (and only read by register_batch) after a
@@ -651,24 +532,15 @@ class DependenceTracker:
         return removed
 
     def invalidate_region_caches(self) -> int:
-        """Clear this tracker's identity caches off every interned region.
+        """No-op that returns 0, kept for its remaining caller: the
+        host-performance benchmark in ``benchmarks/perf/`` calls it after
+        each run.
 
-        A canonical :class:`Region` lives in the process-wide intern
-        table; its ``_hist_owner`` slot would otherwise keep this tracker
-        (and through it the graph and every task handle it still holds)
-        alive after the run is over.  The campaign runner calls this once per
-        scenario.  Returns how many caches were cleared.
+        A :class:`Region` holds no tracker state, so a finished run needs
+        no cleanup call: dropping the runtime frees its tracker, graph
+        and tasks.
         """
-        from .task import _REGION_INTERN
-
-        cleared = 0
-        setattr_ = object.__setattr__
-        for region in _REGION_INTERN.values():
-            if region._hist_owner is self:
-                setattr_(region, "_hist_owner", None)
-                setattr_(region, "_hist", None)
-                cleared += 1
-        return cleared
+        return 0
 
     @property
     def live_regions(self) -> int:

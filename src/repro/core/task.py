@@ -34,12 +34,11 @@ Region interning
 Workload builders emit the same ``(name, start, stop)`` triples over and
 over (every tile of a factorisation is touched by O(nt) tasks).
 :meth:`Region.interned` maps each distinct triple to one canonical
-:class:`Region` instance, which buys two things: builders stop allocating
-duplicate frozen dataclasses, and the dependence tracker can cache its
-per-region history slot *on the canonical instance* (see
-``_hist``/``_hist_owner``), so repeat accesses resolve by identity —
-two attribute loads — instead of re-hashing name strings and bound
-tuples on every declared access.
+:class:`Region` instance, so builders stop allocating duplicate frozen
+dataclasses.  A region is a plain ``(name, start, stop)`` value and
+carries no tracker state: the dependence tracker resolves every access
+through its own name/extent index, so a canonical region never keeps a
+finished run alive.
 
 Cost model
 ----------
@@ -130,24 +129,13 @@ class Region:
 
     ``slots=True``: the dependence tracker reads ``name``/``start``/``stop``
     for every declared access of every submitted task, so fixed slots keep
-    those reads off the per-instance ``__dict__``.
-
-    ``_hist`` / ``_hist_owner`` are the dependence tracker's identity
-    cache: the :class:`~repro.core.deps.DependenceTracker` that last
-    resolved this exact region instance stashes its history slot here, so
-    the next access through the *same instance* (guaranteed by interning)
-    skips the name and extent hash lookups entirely.  They are excluded
-    from equality, hashing, repr and pickles.
+    those reads off the per-instance ``__dict__``.  Those three fields are
+    the whole region: it holds no tracker state, and pickles as its value.
     """
 
     name: str
     start: int = _WHOLE[0]
     stop: int = _WHOLE[1]
-    # Tracker identity cache (see class docstring).  ``compare=False``
-    # keeps them out of __eq__/__hash__; custom __getstate__ keeps them
-    # out of pickles (a cached history would drag the whole tracker in).
-    _hist_owner: Any = field(default=None, init=False, repr=False, compare=False)
-    _hist: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.stop <= self.start:
@@ -159,17 +147,6 @@ class Region:
             and self.start < other.stop
             and other.start < self.stop
         )
-
-    def __getstate__(self) -> Tuple[str, int, int]:
-        # Drop the tracker cache: pickling/deepcopy must never serialise
-        # a history chain, and a clone belongs to no tracker.
-        return (self.name, self.start, self.stop)
-
-    def __setstate__(self, state: Tuple[str, int, int]) -> None:
-        for slot, value in zip(("name", "start", "stop"), state):
-            object.__setattr__(self, slot, value)
-        object.__setattr__(self, "_hist_owner", None)
-        object.__setattr__(self, "_hist", None)
 
     @classmethod
     def of(cls, spec: "Region | str | Tuple[str, int, int]") -> "Region":
@@ -189,10 +166,10 @@ class Region:
         Every distinct ``(name, start, stop)`` triple maps to exactly one
         :class:`Region` object per process, so workload builders that
         declare the same region across many tasks share a single frozen
-        instance — and the tracker's identity cache on it.  The table is
-        bounded by the number of *distinct* regions ever interned (ring
-        buffers and tile grids recur; see :func:`clear_region_intern` for
-        explicit resets in long-lived processes).
+        instance.  The table is bounded by the number of *distinct*
+        regions ever interned (ring buffers and tile grids recur; see
+        :func:`clear_region_intern` for explicit resets in long-lived
+        processes).
         """
         if isinstance(spec, Region):
             key = (spec.name, spec.start, spec.stop)
@@ -213,9 +190,9 @@ _REGION_INTERN: dict = {}
 def clear_region_intern() -> int:
     """Empty the canonical-region table; returns how many were dropped.
 
-    Interned regions also anchor the tracker identity caches, so a
-    long-lived process that is done with a workload family can call this
-    to release both in one step.
+    A long-lived process that is done with a workload family can call
+    this to release the family's regions.  Runs never need it: a region
+    holds no tracker state, so the table pins nothing but regions.
     """
     n = len(_REGION_INTERN)
     _REGION_INTERN.clear()

@@ -13,7 +13,7 @@ Pass 1 of the linter walks every file once and records, per class:
   ``__init__`` assignments.
 
 Pass 2 (the rules) queries this index: "is ``Scheduler`` sized?", "does
-``Region`` declare ``_hist`` as a slot?", "which arrays are in
+``Task`` declare ``gid`` as a slot?", "which arrays are in
 ``TaskGraph``'s manifest?".  Resolution is deliberately name-based and
 conservative — unknown external bases make a chain "open" (RL003 then
 skips it) and never make a class sized (RL001 only fires on positive

@@ -1084,9 +1084,10 @@ RULES: Dict[str, RuleInfo] = {
         rule_rl003,
         "Fully-slotted classes must declare every attribute they assign "
         "(an undeclared slot raises only on the first untested path), and "
-        "identity-cache slots (e.g. Region._hist) must stay out of "
-        "__eq__/__hash__/__getstate__/__reduce__ or pickles drag whole "
-        "tracker histories across the campaign worker boundary.",
+        "cache slots (compare=False, init=False fields or _CACHE_SLOTS) "
+        "must stay out of __eq__/__hash__/__getstate__/__reduce__ or "
+        "pickles drag whatever they cache across the campaign worker "
+        "boundary.",
     ),
     "RL004": RuleInfo(
         "RL004",

@@ -156,7 +156,6 @@ class TestAnalytics:
         rows = per_depth_latency(rt.graph)
         assert sum(r["n"] for r in rows) == len(rt.graph)
         assert ready_queue_residency(rt.graph).n == len(rt.graph)
-        rt.tracker.invalidate_region_caches()
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +183,6 @@ class TestTraceFromGraph:
         rt.run()
         rebuilt = TraceRecorder.from_graph(rt.graph)
         assert len(rebuilt) == rt.graph.live_handles()
-        rt.tracker.invalidate_region_caches()
 
 
 # ----------------------------------------------------------------------
@@ -204,15 +202,17 @@ class TestRegionInterning:
         assert Region.interned("y").name == "y"
 
     def test_pickle_drops_tracker_cache(self):
+        """A region a tracker has resolved pickles as its plain value:
+        the copy is equal, hashes the same, and no tracker state reaches
+        the pickle stream."""
         region = Region.interned(("pkl", 0, 4))
         tr = DependenceTracker(TaskGraph())
         register(tr, Task.make("w", out=[region]))
-        assert region._hist_owner is tr
-        clone = pickle.loads(pickle.dumps(region))
+        data = pickle.dumps(region)
+        clone = pickle.loads(data)
         assert clone == region
-        assert clone._hist_owner is None and clone._hist is None
-        tr.invalidate_region_caches()
-        assert region._hist_owner is None
+        assert hash(clone) == hash(region)
+        assert b"DependenceTracker" not in data
 
     def test_cache_excluded_from_eq_hash(self):
         plain = Region("z", 0, 4)
@@ -226,7 +226,7 @@ class TestRegionInterning:
 
     def test_two_trackers_share_interned_region_safely(self):
         """A canonical region touched by two trackers must resolve each
-        tracker's own history (the cache re-binds on owner mismatch)."""
+        tracker's own history."""
         region = Region.interned(("dual", 0, 4))
         edges = []
         for _ in range(2):
@@ -235,5 +235,4 @@ class TestRegionInterning:
             r = Task.make("r", in_=[region])
             register(tr, w)
             edges.append({(p.label, s.label) for p, s in register(tr, r)})
-            tr.invalidate_region_caches()
         assert edges[0] == edges[1] == {("w", "r")}

@@ -232,12 +232,14 @@ class TestInvariantContracts:
         assert set(lengths.values()) == {2}, lengths
 
     def test_region_pickle_excludes_cache_slots(self):
+        """A region is its three fields: no slot can hold cache state,
+        and the pickle carries the value only."""
         r = Region("x", 0, 64)
-        object.__setattr__(r, "_hist_owner", object())
-        object.__setattr__(r, "_hist", {"poison": True})
-        clone = pickle.loads(pickle.dumps(r))
+        assert Region.__slots__ == ("name", "start", "stop")
+        with pytest.raises(AttributeError):
+            object.__setattr__(r, "_hist", {"poison": True})
+        data = pickle.dumps(r)
+        clone = pickle.loads(data)
         assert clone == r
         assert hash(clone) == hash(r)
-        assert clone._hist is None and clone._hist_owner is None
-        # Cache state never reaches the pickle stream at all.
-        assert b"poison" not in pickle.dumps(r)
+        assert b"poison" not in data and b"_hist" not in data

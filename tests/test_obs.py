@@ -168,7 +168,6 @@ class TestRuntimeIntegration:
         for counter in (
             "edges_inserted",
             "index_window_scans",
-            "region_cache_hits",
             "wakeups",
             "events_processed",
         ):

@@ -9,12 +9,15 @@ Three pillars:
   {off, 1, 17, 4096} for all seven schedulers.  This pins the ghost-depth
   replay: pruning may only drop readiness-neutral bookkeeping, never
   shift an execution.
-* **Memory boundedness** — pruning bounds the tracker's member entries
-  and releases the graph's handles; the tracker itself holds gids only,
-  so no ``Task`` is ever reachable from it, pruned or not.
+* **Memory boundedness** — the buffer ring bounds the tracker's
+  histories, and pruning bounds its member entries and the graph's live
+  handles per window; the tracker itself holds gids only, so no ``Task``
+  is ever reachable from it, pruned or not.
 * **GC regression** — retired tasks must actually be collectible once
   the caller's references lapse; in particular, kept last-writer entries
-  must not pin Task objects.
+  must not pin Task objects.  A finished run is freed as soon as it is
+  dropped, with no cleanup call: no region, interned or not, points back
+  into a tracker.
 """
 
 import gc
@@ -23,7 +26,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.apps.dag_workloads import stream_window
+from repro.apps.dag_workloads import make_workload, stream_window
 from repro.campaign.runner import SCHEDULERS
 from repro.core.graph import TaskGraph
 from repro.core.runtime import Runtime
@@ -102,7 +105,6 @@ def random_program(seed: int, n_windows: int = 3, window: int = 24):
             rt.submit_all(tasks)
             rt.taskwait()
         machine.finalize()
-        rt.tracker.invalidate_region_caches()
         return {
             "makespan": machine.sim.now,
             "energy": machine.total_energy_j(),
@@ -156,7 +158,6 @@ def test_prune_equivalence_streaming_workload():
                     stream_window(w, n_buffers=16, n_tasks=64, seed=7)
                 )
                 rt.taskwait()
-            rt.tracker.invalidate_region_caches()
             results.append((machine.sim.now, list(rt.graph.depth)))
         assert results[0] == results[1], scheduler
 
@@ -165,45 +166,56 @@ def test_prune_equivalence_streaming_workload():
 # memory boundedness
 # ----------------------------------------------------------------------
 def _stream(prune_every, windows=4, n_tasks=64, n_buffers=16):
+    """Stream ``windows`` windows with a taskwait after each; return the
+    runtime and, per window, the live graph handles right after
+    ``submit_all`` (the window's peak) and after its ``taskwait``."""
     rt = Runtime(
         Machine(4, initial_level=2),
         record_trace=False,
         prune_every=prune_every,
     )
+    handles = []
     for w in range(windows):
         rt.submit_all(
             stream_window(w, n_buffers=n_buffers, n_tasks=n_tasks, seed=5)
         )
+        submitted = rt.graph.live_handles()
         rt.taskwait()
-    return rt
+        handles.append((submitted, rt.graph.live_handles()))
+    return rt, handles
 
 
 def test_watermark_releases_graph_handles():
-    rt = _stream(prune_every=16)
+    rt, handles = _stream(prune_every=16)
     total = 4 * 64
     assert len(rt.graph) == total
+    # The buffer ring bounds the tracker's histories (never dropped, so
+    # the final count is the peak)...
+    assert rt.tracker.live_regions <= 16
+    # ...and pruning bounds live handles to a window + watermark while a
+    # window runs and to a watermark once it drains, in every window.
+    assert max(peak for peak, _ in handles) <= 64 + 16
+    assert max(drained for _, drained in handles) <= 16
     # Everything at/past the last watermark is released.
     assert rt.graph.live_handles() == 0
     assert rt.stats.get("prune_passes") == total // 16
     assert rt.stats.get("tasks_retired") == total
-    rt.tracker.invalidate_region_caches()
 
 
 def test_watermark_off_by_default_keeps_handles():
-    rt = _stream(prune_every=0)
+    rt, handles = _stream(prune_every=0)
+    # Without pruning the graph pins every task ever submitted.
+    assert [drained for _, drained in handles] == [64, 128, 192, 256]
     assert rt.graph.live_handles() == 4 * 64
     assert rt.stats.get("prune_passes") == 0
-    rt.tracker.invalidate_region_caches()
 
 
 def test_prune_bounds_tracker_refs():
-    pruned = _stream(prune_every=16)
-    unpruned = _stream(prune_every=0)
+    pruned, _ = _stream(prune_every=16)
+    unpruned, _ = _stream(prune_every=0)
     # Histories themselves stay (bounded by the ring), members shrink.
     assert pruned.tracker.live_regions == unpruned.tracker.live_regions
     assert pruned.tracker.live_members <= unpruned.tracker.live_members
-    pruned.tracker.invalidate_region_caches()
-    unpruned.tracker.invalidate_region_caches()
 
 
 def _tasks_reachable(root):
@@ -228,10 +240,9 @@ def _tasks_reachable(root):
 def test_tracker_reaches_no_task(prune_every):
     """The tracker keeps gids only: neither a pruned nor an unpruned run
     leaves a Task reachable from it except through its graph."""
-    rt = _stream(prune_every=prune_every)
+    rt, _ = _stream(prune_every=prune_every)
     assert rt.tracker.live_members > 0  # there is something to walk
     assert _tasks_reachable(rt.tracker) == []
-    rt.tracker.invalidate_region_caches()
 
 
 def test_prune_rejects_per_edge_submission_model():
@@ -248,25 +259,6 @@ def test_prune_rejects_per_edge_submission_model():
         Machine(2),
         submission=SubmissionModel(base_s=1e-6, per_dep_s=0.0),
         prune_every=8,
-    )
-
-
-def test_run_scenario_invalidates_region_caches():
-    """Long-lived campaign workers must not leak tracker state through
-    interned-region caches, even across scenarios."""
-    from repro.campaign.matrix import Scenario
-    from repro.campaign.runner import run_scenario
-    from repro.core.task import _REGION_INTERN, clear_region_intern
-
-    # Start from an empty intern table so the check below sees exactly
-    # the regions this scenario interned (earlier tests may legitimately
-    # leave their own caches behind).
-    clear_region_intern()
-    record = run_scenario(Scenario("cholesky", scheduler="fifo", scale=1))
-    assert record["status"] == "ok"
-    assert len(_REGION_INTERN) > 0
-    assert all(
-        r._hist_owner is None for r in _REGION_INTERN.values()
     )
 
 
@@ -304,7 +296,6 @@ def _run_and_collect_refs(prune_every):
         rt.submit_all(tasks)
         rt.taskwait()
         del tasks
-    rt.tracker.invalidate_region_caches()
     # Keep the runtime alive: the graph/tracker must not be what frees
     # the tasks — pruning must have dropped the strong refs already.
     gc.collect()
@@ -322,6 +313,53 @@ def test_unpruned_tasks_stay_pinned():
     rt, dead, total = _run_and_collect_refs(prune_every=0)
     assert dead == 0
     del rt
+
+
+def test_dropped_run_is_collected_without_cleanup():
+    """A finished run over interned regions, dropped with no cleanup
+    call, leaves its graph unreachable."""
+    rt = Runtime(Machine(4, initial_level=2), record_trace=False)
+    rt.submit_all(make_workload("cholesky", scale=1))
+    rt.run()
+    ref = weakref.ref(rt.graph)
+    del rt
+    gc.collect()
+    assert ref() is None
+
+
+def test_plain_region_does_not_pin_a_finished_run():
+    """A caller-held, non-interned region reused by a second run keeps
+    neither run alive once that run is dropped."""
+    region = Region("x", 0, 8)
+
+    def run():
+        rt = Runtime(Machine(2, initial_level=2), record_trace=False)
+        w = rt.submit(Task.make("w", cpu_cycles=1e6, out=[region]))
+        r = rt.submit(Task.make("r", cpu_cycles=1e6, in_=[region]))
+        rt.run()
+        assert list(rt.graph.pred_ids[r.gid]) == [w.gid]
+        return weakref.ref(rt.graph)
+
+    for _ in range(2):
+        ref = run()
+        gc.collect()
+        assert ref() is None
+
+
+def test_run_scenario_leaves_no_graph_behind():
+    """Long-lived campaign workers run scenario after scenario: each
+    scenario's graph is collectible once its record is returned."""
+    from repro.campaign.matrix import Scenario
+    from repro.campaign.runner import run_scenario
+
+    def _live_graphs():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if isinstance(o, TaskGraph))
+
+    before = _live_graphs()
+    record = run_scenario(Scenario("cholesky", scheduler="fifo", scale=1))
+    assert record["status"] == "ok"
+    assert _live_graphs() == before
 
 
 def test_prune_drops_last_writer_strong_ref_but_keeps_edge():
@@ -346,7 +384,6 @@ def test_prune_drops_last_writer_strong_ref_but_keeps_edge():
     )
     assert writer_gid in rt.graph.pred_ids[reader.gid]
     rt.taskwait()
-    rt.tracker.invalidate_region_caches()
 
 
 # ----------------------------------------------------------------------
@@ -368,9 +405,8 @@ def test_fault_recovery_prune_equivalence(policy):
 
     # Size the fault window off the fault-free streaming makespan so the
     # storm lands mid-run for every prune setting.
-    probe = _stream(prune_every=0, windows=3)
+    probe, _ = _stream(prune_every=0, windows=3)
     horizon = probe.machine.sim.now
-    probe.tracker.invalidate_region_caches()
     plan = plan_runtime_faults(seed=5, n_faults=3, window=(0.0, horizon))
 
     def run(prune_every):
@@ -384,7 +420,6 @@ def test_fault_recovery_prune_equivalence(policy):
         for w in range(3):
             rt.submit_all(stream_window(w, n_buffers=16, n_tasks=64, seed=5))
             rt.taskwait()
-        rt.tracker.invalidate_region_caches()
         return {
             "makespan": rt.machine.sim.now,
             "stats": rt.stats.as_dict(),
@@ -430,7 +465,6 @@ def test_killed_task_survives_aggressive_pruning():
     assert result.tasks_reexecuted == 1
     assert rt.stats.get("tasks_retired") == 5  # fillers + retried victim
     assert victim.state.name == "FINISHED"
-    rt.tracker.invalidate_region_caches()
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +489,6 @@ def test_width_profile_between_windows_leaves_the_schedule_alone():
             rt.taskwait()
             if profile_between_windows:
                 assert sum(rt.graph.width_profile()) == len(rt.graph)
-        rt.tracker.invalidate_region_caches()
         g = rt.graph
         return rt.machine.sim.now, list(g.start_time), list(g.depth)
 

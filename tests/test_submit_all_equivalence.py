@@ -89,7 +89,6 @@ def _graph_snapshot(rt):
                 list(h.writers) if h.writers else None,
                 list(h.readers) if h.readers else None,
             )
-        members[(name, "tail")] = idx.append_tail
         members[(name, "shape")] = (
             len(idx.hists), len(idx.longs), len(idx.exact), idx.max_len
         )
@@ -103,8 +102,7 @@ def _graph_snapshot(rt):
         "n_edges": g.n_edges,
         "members": members,
         "counters": (
-            tr.scan_matches, tr.cache_hits, tr.last_matches,
-            tr.scan_probes,
+            tr.scan_matches, tr.last_matches, tr.scan_probes,
         ),
     }
 
