@@ -33,16 +33,20 @@ Histories are kept per name in two tiers:
   degrade every later scan under that name to O(history).
 
 Every access resolves the same way: ``by_name[name].exact[(start,
-stop)]``, the history of that exact extent.  The interval index is only
-scanned when that lookup misses, i.e. when a *new* extent appears.  Each
-history keeps its overlap set (``h.overlaps``, itself included, kept
-symmetric as regions are inserted), so an access is two dict hits plus an
-O(k) walk of exactly the overlapping histories, with no scan at all.  The
-overlap sets store one entry per overlapping *pair*, the same k·n total
-the queries already pay in time.  All of this state lives in the tracker:
-a :class:`~repro.core.task.Region` is a plain value, so nothing outside
-a run points into its tracker, and a dropped
-:class:`~repro.core.runtime.Runtime` is garbage with no cleanup call.
+stop)]`` is the pair ``(history, overlaps)`` of that exact extent.  The
+interval index is only scanned when that lookup misses, i.e. when a *new*
+extent appears.  ``overlaps`` lists every history whose region overlaps
+the extent, its own history included, and is kept symmetric as regions
+are inserted, so an access is two dict hits plus an O(k) walk of exactly
+the overlapping histories, with no scan at all.  The overlap lists store
+one entry per overlapping *pair*, the same k·n total the queries already
+pay in time.  They live in the name index, not on the histories: no
+history references another history (or itself), so the index holds no
+reference cycle.  All of this state lives in the tracker: a
+:class:`~repro.core.task.Region` is a plain value, so nothing outside a
+run points into its tracker, and a dropped
+:class:`~repro.core.runtime.Runtime` is freed by reference counting, with
+no cleanup call.
 
 Compaction keeps the member sets tight: an exact write *replaces* the
 region's writer set (last-writer compaction — earlier readers, writers and
@@ -81,6 +85,7 @@ releases its handle.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -110,9 +115,9 @@ class _RegionHistory:
     All three are insertion-ordered ``{gid: None}`` dicts keyed by the
     task's dense graph id.
 
-    ``overlaps`` is the cached list of histories whose region overlaps this
-    one — *including itself* — maintained symmetrically as new regions are
-    indexed.
+    The histories that overlap this one are listed next to it in
+    ``_NameIndex.exact``, not here, so a history references no other
+    history.
 
     ``ghost_w`` / ``ghost_r`` / ``ghost_c`` are the pruning ghosts: the
     maximum ``depth + 1`` over members of that kind removed by
@@ -123,7 +128,7 @@ class _RegionHistory:
     """
 
     __slots__ = (
-        "start", "stop", "writers", "readers", "concurrents", "overlaps",
+        "start", "stop", "writers", "readers", "concurrents",
         "ghost_w", "ghost_r", "ghost_c",
     )
 
@@ -141,12 +146,15 @@ class _RegionHistory:
         self.ghost_w = 0
         self.ghost_r = 0
         self.ghost_c = 0
-        # ``overlaps`` is filled by _insert_history immediately after
-        # construction (not allocated here: one fewer list per region).
 
 
 class _NameIndex:
-    """The two-tier interval index of one region name."""
+    """The two-tier interval index of one region name.
+
+    ``exact`` maps each indexed ``(start, stop)`` extent to its history
+    and the list of histories that overlap it (itself included, in the
+    order the tracker walks them).
+    """
 
     __slots__ = ("starts", "stops", "hists", "max_len", "longs", "exact")
 
@@ -156,7 +164,9 @@ class _NameIndex:
         self.hists: List[_RegionHistory] = []
         self.max_len = 0
         self.longs: List[_RegionHistory] = []
-        self.exact: Dict[Tuple[int, int], _RegionHistory] = {}
+        self.exact: Dict[
+            Tuple[int, int], Tuple[_RegionHistory, List[_RegionHistory]]
+        ] = {}
 
 
 class DependenceTracker:
@@ -206,13 +216,13 @@ class DependenceTracker:
     # ------------------------------------------------------------------
     def _insert_history(
         self, entry: _NameIndex, key: Tuple[int, int]
-    ) -> _RegionHistory:
+    ) -> Tuple[_RegionHistory, List[_RegionHistory]]:
         """Index a new exact region ``key = (start, stop)``: scan once, then
-        cache the overlap set on the new history and symmetrically on
-        everything it overlaps."""
+        record the new history's overlap list in ``entry.exact`` and add
+        the new history to the list of everything it overlaps."""
         qstart, qstop = key
         h = _RegionHistory(qstart, qstop)
-        entry.exact[key] = h
+        exact = entry.exact
         found: List[_RegionHistory] = []
         starts = entry.starts
         lo = bisect_left(starts, qstart - entry.max_len)
@@ -228,9 +238,9 @@ class DependenceTracker:
             if other.start < qstop and other.stop > qstart:
                 found.append(other)
         for other in found:
-            other.overlaps.append(h)
+            exact[other.start, other.stop][1].append(h)
         found.append(h)
-        h.overlaps = found
+        hit = exact[key] = (h, found)
         length = qstop - qstart
         if length >= _LONG_LEN:
             entry.longs.append(h)
@@ -244,7 +254,7 @@ class DependenceTracker:
             entry.hists.insert(i, h)
             if length > entry.max_len:
                 entry.max_len = length
-        return h
+        return hit
 
     # ------------------------------------------------------------------
     def register_batch(self, tasks: List[Task], now: float) -> None:
@@ -275,6 +285,10 @@ class DependenceTracker:
         state_arr = graph.state
         finished = TaskState.FINISHED
         start = graph.grow(tasks, now)
+        # One canonical weak reference per graph: the handles point back
+        # at their graph weakly, so ``graph.tasks`` stays the only strong
+        # link and a dropped run is freed by reference counting.
+        graph_ref = weakref.ref(graph)
         # Pruning cannot fire mid-batch (nothing here steps the
         # simulation), so the ghost-depth replay applies uniformly.
         apply_floor = self._pruned
@@ -289,7 +303,7 @@ class DependenceTracker:
                 # prior mapping on a duplicate).
                 if index_of.setdefault(tid, gid) != gid:
                     raise ValueError(f"task #{tid} already in graph")
-                task.graph = graph
+                task._graph = graph_ref
                 task.gid = gid
                 # Registered only after the duplicate probe and gid
                 # assignment, so a mid-batch failure leaves the tracker
@@ -367,10 +381,10 @@ class DependenceTracker:
             if entry is None:
                 entry = by_name[region.name] = _NameIndex()
             key = (region.start, region.stop)
-            h = entry.exact.get(key)
-            if h is None:
-                h = self._insert_history(entry, key)
-            overlapping = h.overlaps
+            hit = entry.exact.get(key)
+            if hit is None:
+                hit = self._insert_history(entry, key)
+            h, overlapping = hit
             matches += len(overlapping)
 
             # --- edge computation (before this access is recorded) ----

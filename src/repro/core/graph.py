@@ -34,6 +34,7 @@ run on demand.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import SPAN_GRAPH_ANALYSIS, get_active
@@ -130,7 +131,7 @@ class TaskGraph:
             raise ValueError(f"task #{tid} already in graph")
         gid = self.grow([task])
         self.index_of[tid] = gid
-        task.graph = self
+        task._graph = weakref.ref(self)
         task.gid = gid
         return gid
 
@@ -144,8 +145,9 @@ class TaskGraph:
         edges, ready count 0, depth 0, state ``CREATED``, bottom level
         0.0, not critical, and no timestamps except ``submit_time`` (when
         given).  Nothing is read off the handles but their ``task_id``.
-        The caller owns ``index_of`` and the handles' ``graph``/``gid``,
-        and rolls a failed registration back with :meth:`truncate`.
+        The caller owns ``index_of`` and the handles' graph reference and
+        ``gid``, and rolls a failed registration back with
+        :meth:`truncate`.
         """
         # Ids first: an entry that is not a task fails before any array
         # grows.
@@ -173,17 +175,17 @@ class TaskGraph:
 
         The rollback of a failed registration.  A handle in the dropped
         tail whose ``index_of`` entry points into the tail is detached
-        (mapping removed, ``graph``/``gid`` reset), so it is resubmittable
-        and its properties read the creation defaults instead of indexing
-        past the arrays — whatever the dropped slots held is gone with
-        them; a handle that maps below ``n`` (a duplicate of an earlier
-        task) keeps its mapping.
+        (mapping removed, graph reference and ``gid`` reset), so it is
+        resubmittable and its properties read the creation defaults
+        instead of indexing past the arrays — whatever the dropped slots
+        held is gone with them; a handle that maps below ``n`` (a
+        duplicate of an earlier task) keeps its mapping.
         """
         index_of = self.index_of
         for task in self.tasks[n:]:
             if task is not None and index_of.get(task.task_id, -1) >= n:
                 del index_of[task.task_id]
-                task.graph = None
+                task._graph = None
                 task.gid = -1
         for arr in (
             self.tasks, self.task_ids, self.succ_ids, self.pred_ids,

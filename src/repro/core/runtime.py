@@ -210,7 +210,7 @@ class Runtime:
         self._obs_collected = False
         self._obs_wakeups = 0
         # ``is not None``, NOT truthiness: schedulers are falsy while
-        # empty (``__bool__`` is the dispatcher's O(1) work check), so
+        # empty (``__len__`` is the dispatcher's O(1) work check), so
         # ``scheduler or FifoScheduler()`` would silently replace every
         # freshly built scheduler with FIFO — the regression that nulled
         # the scheduler axis of all campaign sweeps between PR 1 and

@@ -53,10 +53,10 @@ __all__ = [
 class Scheduler:
     """Interface: the runtime pushes ready task ids and cores pop them.
 
-    The dispatcher short-circuits on scheduler truthiness, so ``__len__``
-    (and therefore ``ready_ids`` if the O(n) fallback is inherited)
-    must be implemented and accurate: reporting empty while tasks are
-    queued would strand them forever.
+    The dispatcher short-circuits on scheduler truthiness, which Python
+    reads from ``__len__``, so ``__len__`` (and therefore ``ready_ids``
+    if the O(n) fallback is inherited) must be implemented and accurate:
+    reporting empty while tasks are queued would strand them forever.
     """
 
     #: The bound id → Task view (a TaskGraph), or None while unbound.
@@ -94,9 +94,6 @@ class Scheduler:
         :meth:`ready_ids` and is O(n).
         """
         return sum(1 for _ in self.ready_ids())
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
 
 class FifoScheduler(Scheduler):

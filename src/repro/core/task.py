@@ -22,11 +22,14 @@ index into those arrays, which are the *only* store of that state.  The
 read-only properties that index the graph's arrays; a detached task (never
 registered, or rolled back by :meth:`~repro.core.graph.TaskGraph.truncate`)
 reads the creation defaults (``CREATED``, ``False``, ``0.0``, ``0``,
-``None``).  Writers go through the arrays (``graph.state[gid] = ...``),
-as the runtime's hot paths do.  Keeping the timestamps in graph arrays
-means completion-side bookkeeping never has to resolve ``tasks[gid]``
-handles just to stamp times, and post-run analytics
-(:mod:`repro.core.analytics`) can pivot whole campaigns without
+``None``).  A handle refers to its graph weakly and the graph's ``tasks``
+array holds the handles strongly, so the two form no reference cycle: a
+dropped run is freed by reference counting, and a handle that outlives
+its graph reads the creation defaults too.  Writers go through the arrays
+(``graph.state[gid] = ...``), as the runtime's hot paths do.  Keeping the
+timestamps in graph arrays means completion-side bookkeeping never has to
+resolve ``tasks[gid]`` handles just to stamp times, and post-run
+analytics (:mod:`repro.core.analytics`) can pivot whole campaigns without
 materialising any Task collection.
 
 Region interning
@@ -56,6 +59,7 @@ tasks the right power play in Section 3.1.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
@@ -112,6 +116,10 @@ class DepKind(Enum):
     def reads(self) -> bool:
         return self in (DepKind.IN, DepKind.INOUT, DepKind.CONCURRENT, DepKind.COMMUTATIVE)
 
+
+#: The kinds :meth:`Task.make` zips with its five keyword sequences.
+_MAKE_KINDS = (DepKind.IN, DepKind.OUT, DepKind.INOUT, DepKind.CONCURRENT,
+               DepKind.COMMUTATIVE)
 
 #: Sentinel meaning "the whole object" when a region is built from a name only.
 _WHOLE = (0, 1 << 62)
@@ -225,8 +233,9 @@ class Task:
     every dispatch, so fixed slots instead of a per-instance ``__dict__``
     shave the hot-path attribute traffic the ROADMAP flags.  Graph-owned
     state and lifecycle timestamps live in the owning graph's arrays (the
-    read-only properties below index them); ad-hoc attributes can no
-    longer be attached to tasks — extend the dataclass instead.
+    read-only properties below index them, through a weak reference to
+    the graph: see :attr:`graph`); ad-hoc attributes can no longer be
+    attached to tasks — extend the dataclass instead.
 
     Parameters
     ----------
@@ -262,9 +271,11 @@ class Task:
     #: while detached; assigned on registration (``register_batch`` or
     #: :meth:`TaskGraph.add_task`).
     gid: int = -1
-    #: The owning :class:`~repro.core.graph.TaskGraph`, or ``None`` while
-    #: detached.  Set together with ``gid``.
-    graph: Optional["TaskGraph"] = None
+    #: Weak reference to the owning graph (see :attr:`graph`), or
+    #: ``None`` while detached.  Set together with ``gid``.
+    _graph: Optional["weakref.ref[TaskGraph]"] = field(
+        default=None, init=False, repr=False
+    )
 
     # bookkeeping filled in by the executor (handle-local: dispatch target
     # and the real function's return value)
@@ -292,17 +303,20 @@ class Task:
         kwargs: Optional[dict] = None,
         priority: int = 0,
     ) -> "Task":
-        """Convenience constructor turning region specs into dependences."""
+        """Convenience constructor turning region specs into dependences.
+
+        A spec that is already a :class:`Region` is used as given (builders
+        pass interned regions); anything else goes through
+        :meth:`Region.of`.
+        """
         deps: List[Dependence] = []
-        for kind, specs in (
-            (DepKind.IN, in_),
-            (DepKind.OUT, out),
-            (DepKind.INOUT, inout),
-            (DepKind.CONCURRENT, concurrent),
-            (DepKind.COMMUTATIVE, commutative),
+        for kind, specs in zip(
+            _MAKE_KINDS, (in_, out, inout, concurrent, commutative)
         ):
             for spec in specs:
-                deps.append(Dependence(kind, Region.of(spec)))
+                deps.append(Dependence(
+                    kind, spec if type(spec) is Region else Region.of(spec)
+                ))
         return cls(
             label=label,
             cpu_cycles=cpu_cycles,
@@ -318,6 +332,19 @@ class Task:
     # graph-owned state: read-only views of the owning graph's arrays
     # (creation defaults while detached)
     # ------------------------------------------------------------------
+    @property
+    def graph(self) -> Optional["TaskGraph"]:
+        """The owning :class:`~repro.core.graph.TaskGraph`, or ``None``.
+
+        ``None`` while detached, and also once the graph is gone: the
+        handle refers to its graph weakly (``TaskGraph.tasks`` is the only
+        strong link between the two), so a dropped run is freed by
+        reference counting while a caller still holds some of its tasks.
+        Such a handle reads the creation defaults, like a detached one.
+        """
+        ref = self._graph
+        return ref() if ref is not None else None
+
     @property
     def state(self) -> TaskState:
         g = self.graph
@@ -367,12 +394,16 @@ class Task:
     @property
     def predecessors(self) -> Set["Task"]:
         """Snapshot set of predecessor tasks (a fresh set, not live graph
-        state — mutate the graph through its API, not through this view)."""
+        state — mutate the graph through its API, not through this view).
+
+        Handles the graph has released (watermark pruning) are left out.
+        """
         g = self.graph
         if g is None:
             return set()
         tasks = g.tasks
-        return {tasks[i] for i in g.pred_ids[self.gid]}
+        found = (tasks[i] for i in g.pred_ids[self.gid])
+        return {t for t in found if t is not None}
 
     @property
     def successors(self) -> Set["Task"]:
@@ -381,7 +412,8 @@ class Task:
         if g is None:
             return set()
         tasks = g.tasks
-        return {tasks[i] for i in g.succ_ids[self.gid]}
+        found = (tasks[i] for i in g.succ_ids[self.gid])
+        return {t for t in found if t is not None}
 
     # ------------------------------------------------------------------
     def duration_at(self, frequency_hz: float) -> float:

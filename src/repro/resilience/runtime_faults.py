@@ -48,6 +48,7 @@ zero-fault configurations are bit-identical to fault-free runs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -335,6 +336,10 @@ class RuntimeFaultInjector:
     injector keeps all recovery-policy state (retry counts, salvaged
     work, placement bans) and schedules exactly one pending fault event
     at a time, so disarming at taskwait exit is a single cancel.
+
+    The runtime owns the injector, and the injector refers back to it
+    weakly (:attr:`runtime`), so a dropped faulted run holds no reference
+    cycle and is freed by reference counting.
     """
 
     def __init__(
@@ -343,7 +348,7 @@ class RuntimeFaultInjector:
         plan: RuntimeFaultPlan,
         policy: RuntimeRecoveryPolicy,
     ) -> None:
-        self.runtime = runtime
+        self._runtime = weakref.ref(runtime)
         self.plan = plan
         self.policy = policy
         #: gid → completion event of the attempt currently running
@@ -357,6 +362,14 @@ class RuntimeFaultInjector:
         self.saved: Dict[int, float] = {}
         self._idx = 0
         self._event: Optional[Event] = None
+
+    @property
+    def runtime(self) -> "Runtime":
+        """The runtime this injector is armed against."""
+        runtime = self._runtime()
+        if runtime is None:
+            raise ReferenceError("the runtime of this fault injector is gone")
+        return runtime
 
     # -- arming ---------------------------------------------------------
     def arm(self) -> None:

@@ -23,6 +23,11 @@ __all__ = ["Core"]
 class Core:
     """One simulated core with DVFS levels and energy integration.
 
+    Each DVFS level's busy/idle watts and frequency are read from the
+    models once, into per-level tables, so charging an interval is one
+    index plus one multiply-add.  Energy is still charged once per
+    interval, in the same order, so the sums stay bit-identical.
+
     Parameters
     ----------
     core_id:
@@ -52,6 +57,10 @@ class Core:
         #: fail-stop liveness: a dead core never accepts work again
         self.alive = True
         self.energy = EnergyAccount()
+        points = dvfs.points
+        self._busy_w = [power_model.busy_power(op) for op in points]
+        self._idle_w = [power_model.idle_power(op) for op in points]
+        self._freq_hz = [op.frequency_hz for op in points]
         self._last_update = 0.0
         #: opaque handle for whatever the runtime is executing here
         self.current_work: object = None
@@ -69,7 +78,7 @@ class Core:
 
     @property
     def frequency_hz(self) -> float:
-        return self.operating_point.frequency_hz
+        return self._freq_hz[self.level]
 
     def seconds_for_cycles(self, cycles: float) -> float:
         """Wall-clock time to execute ``cycles`` at the current level."""
@@ -89,14 +98,9 @@ class Core:
                 f"({now} < {self._last_update})"
             )
         if dt > 0:
-            op = self.operating_point
-            power = (
-                self.power_model.busy_power(op)
-                if self.busy
-                else self.power_model.idle_power(op)
-            )
-            self.energy.accumulate(power, dt)
-        self._last_update = max(self._last_update, now)
+            watts = self._busy_w if self.busy else self._idle_w
+            self.energy.joules += watts[self.level] * dt
+            self._last_update = now
 
     # ------------------------------------------------------------------
     # transitions (driven by the runtime / DVFS controller)

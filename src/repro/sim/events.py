@@ -24,12 +24,14 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, seq)``: two events at the same timestamp fire in
-    the order they were scheduled, which keeps runs reproducible.
+    Events fire in ``(time, seq)`` order: two events at the same timestamp
+    fire in the order they were scheduled, which keeps runs reproducible.
+    The heap holds ``(time, seq, event)`` tuples, so ordering is a C tuple
+    compare that never reaches the event (``(time, seq)`` is unique).
 
     ``slots=True``: events are the highest-churn allocation in the kernel
     (one per task completion, dispatch and DVFS transition), so dropping
@@ -71,7 +73,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -79,15 +81,16 @@ class EventQueue:
         return self._live
 
     def push(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        event = Event(time, next(self._counter), callback, args, _queue=self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, _queue=self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest live event, or ``None`` when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 self._live -= 1
                 event._queue = None  # fired: a late cancel() must not recount
@@ -95,9 +98,9 @@ class EventQueue:
         return None
 
     def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 class Simulator:

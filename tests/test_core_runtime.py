@@ -123,7 +123,7 @@ class TestBasicExecution:
 
 
 class TestSchedulerIsActuallyUsed:
-    """Regression: schedulers are falsy while empty (``__bool__`` is the
+    """Regression: schedulers are falsy while empty (``__len__`` is the
     dispatcher's O(1) work check), so ``scheduler or FifoScheduler()``
     silently replaced every user-provided scheduler with FIFO — nulling
     the scheduler axis of all sweeps.  The runtime must keep the exact

@@ -31,7 +31,8 @@ from repro.campaign.runner import SCHEDULERS
 from repro.core.graph import TaskGraph
 from repro.core.runtime import Runtime
 from repro.core.schedulers import BreadthFirstScheduler
-from repro.core.task import Region, Task
+from repro.core.task import Region, Task, TaskState
+from repro.resilience import plan_runtime_faults
 from repro.sim.machine import Machine
 
 PRUNE_SETTINGS = (0, 1, 17, 4096)
@@ -262,6 +263,24 @@ def test_prune_rejects_per_edge_submission_model():
     )
 
 
+def test_released_handles_leave_the_neighbour_views():
+    """``predecessors``/``successors`` list live handles only: a
+    neighbour whose handle the watermark released is left out, not
+    reported as ``None``."""
+    rt = Runtime(Machine(1), record_trace=False, prune_every=1)
+    a = rt.submit(Task.make("a", out=["x"]))
+    b = rt.submit(Task.make("b", in_=["x"]))
+    rt.machine.sim.run(max_events=2)  # a finished and was released
+    assert rt.graph.tasks[a.gid] is None
+    assert rt.graph.pred_ids[b.gid] == [a.gid]
+    assert b.predecessors == set()
+    assert a.successors == {b}
+    rt.taskwait()  # b finished and was released too
+    assert rt.graph.tasks[b.gid] is None
+    assert a.successors == set()
+    assert b.predecessors == set()
+
+
 def test_release_handles_rejects_unfinished():
     rt = Runtime(Machine(2), record_trace=False)
     task = rt.submit(Task.make("t", cpu_cycles=1e6))
@@ -315,16 +334,51 @@ def test_unpruned_tasks_stay_pinned():
     del rt
 
 
-def test_dropped_run_is_collected_without_cleanup():
-    """A finished run over interned regions, dropped with no cleanup
-    call, leaves its graph unreachable."""
-    rt = Runtime(Machine(4, initial_level=2), record_trace=False)
-    rt.submit_all(make_workload("cholesky", scale=1))
+def _finished_run(family):
+    """A finished run of a ``make_workload`` family; ``"faulted"`` is a
+    ``cholesky`` run under a fault plan that kills a core and three
+    tasks (the runtime then owns a fault injector)."""
+    kwargs = {}
+    if family == "faulted":
+        family = "cholesky"
+        kwargs = dict(
+            faults=plan_runtime_faults(
+                seed=0, n_faults=3, window=(0.0, 0.025), core_kill_p=0.5
+            ),
+            recovery="reexec-elsewhere",
+        )
+    rt = Runtime(Machine(4, initial_level=2), record_trace=False, **kwargs)
+    rt.submit_all(make_workload(family, scale=1))
     rt.run()
-    ref = weakref.ref(rt.graph)
-    del rt
+    if kwargs:
+        assert rt.stats.get("tasks_killed") == 3
+        assert rt.stats.get("cores_lost") == 1
+    return rt
+
+
+@pytest.mark.parametrize(
+    "family", ["layered", "cholesky", "lu", "fork_join", "pipeline", "faulted"]
+)
+def test_dropped_run_is_collected_without_cleanup(family):
+    """A finished run over interned regions, dropped with no cleanup
+    call, is freed by reference counting alone: with the cyclic collector
+    off, its graph dies with the runtime, the collector then finds no
+    garbage, and a task handle that outlives the run reads as detached."""
     gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        rt = _finished_run(family)
+        ref = weakref.ref(rt.graph)
+        handle = rt.graph.tasks[-1]
+        assert handle.graph is rt.graph
+        assert handle.state is TaskState.FINISHED
+        del rt
+        assert ref() is None
+        assert gc.collect() == 0
+        assert handle.graph is None
+        assert handle.state is TaskState.CREATED
+    finally:
+        gc.enable()
 
 
 def test_plain_region_does_not_pin_a_finished_run():
@@ -401,7 +455,6 @@ def test_fault_recovery_prune_equivalence(policy):
     would crash or silently diverge.  ``prune_every=1`` is the most
     hostile setting: a prune pass runs after every single completion.
     """
-    from repro.resilience import plan_runtime_faults
 
     # Size the fault window off the fault-free streaming makespan so the
     # storm lands mid-run for every prune setting.

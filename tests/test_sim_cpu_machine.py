@@ -78,6 +78,52 @@ class TestCore:
         with pytest.raises(ValueError):
             core.set_level(0.0, 99)
 
+    @pytest.mark.parametrize(
+        "dvfs, pm",
+        [
+            (DEFAULT_DVFS_TABLE, PowerModel()),
+            (
+                DvfsTable.linear(3, f_min_ghz=0.8, f_max_ghz=2.6,
+                                 v_min=0.65, v_max=1.1),
+                PowerModel(ceff_nf=1.7, leak_w_per_v=0.35,
+                           idle_fraction=0.23),
+            ),
+        ],
+    )
+    def test_energy_is_the_model_summed_per_interval(self, dvfs, pm):
+        """Exact, not approximate: the core charges every interval at the
+        power model's watts for its state and level, adding the intervals
+        in order, and reports the table's frequency at every level."""
+        top = dvfs.max_level
+        core = Core(0, dvfs, pm, level=0)
+        steps = [
+            (0.3, "begin", None), (0.7, "level", top), (1.1, "end", None),
+            (1.1, "level", top // 2), (1.9, "begin", None),
+            (2.5, "level", 0), (3.2, "level", top), (4.05, "end", None),
+            (4.6, "level", 1), (5.0, "finalize", None),
+        ]
+        expect, last, level, busy = 0.0, 0.0, 0, False
+        for now, action, new_level in steps:
+            if now > last:
+                watts = pm.busy_power if busy else pm.idle_power
+                expect += watts(dvfs[level]) * (now - last)
+                last = now
+            if action == "begin":
+                core.begin_work(now)
+                busy = True
+            elif action == "end":
+                core.end_work(now)
+                busy = False
+            elif action == "level":
+                core.set_level(now, new_level)
+                level = new_level
+            else:
+                core.finalize(now)
+            assert core.energy.joules == expect, (now, action)
+        for lvl in range(len(dvfs)):
+            core.set_level(5.0, lvl)
+            assert core.frequency_hz == dvfs[lvl].frequency_hz
+
 
 class TestMachine:
     def test_construction_defaults(self):
