@@ -27,8 +27,12 @@ compute-bound (DVFS-sensitive) or memory-bound (DVFS-insensitive).
 
 Regions are **interned** (:meth:`repro.core.task.Region.interned`): a
 tile or layer slot touched by many tasks is one canonical ``Region``
-instance, so builders allocate no duplicate region objects.  A region is
-a plain value, so sharing one across runs keeps no run alive.
+instance, so builders allocate no duplicate region objects.  Each builder
+interns its regions into a per-call table (tile grid, layer row, buffer
+ring) before its task loop, and computes every cost split that depends on
+no loop index once per call, so a task costs one table index per access
+rather than one f-string and intern lookup.  A region is a plain value,
+so sharing one across runs keeps no run alive.
 
 :func:`stream_window` is the steady-state companion: rolling windows of
 tasks over a bounded ring of buffers, the workload shape the runtime's
@@ -106,34 +110,38 @@ def random_layered(
     rng = np.random.default_rng(seed)
     k = min(fanin, width)
     tasks: List[Task] = []
+    prev: List[Region] = []
     for layer in range(n_layers):
+        row = [_R((f"L{layer}", j, j + 1)) for j in range(width)]
         for j in range(width):
+            # The jitter draw and the parent draw interleave per task.
             cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
             deps_in = []
             if layer > 0:
-                parents = rng.choice(width, size=k, replace=False)
-                deps_in = [
-                    _R((f"L{layer - 1}", int(p), int(p) + 1))
-                    for p in sorted(parents)
-                ]
+                parents = rng.choice(width, size=k, replace=False).tolist()
+                deps_in = [prev[p] for p in sorted(parents)]
             tasks.append(
                 Task.make(
                     f"l{layer}.n{j}",
                     cpu_cycles=cycles,
                     mem_seconds=mem_s,
                     in_=deps_in,
-                    out=[_R((f"L{layer}", j, j + 1))],
+                    out=[row[j]],
                 )
             )
+        prev = row
     return tasks
 
 
 # ----------------------------------------------------------------------
 # tiled dense factorisations
 # ----------------------------------------------------------------------
-def _tile(i: int, j: int, nt: int) -> Region:
-    idx = i * nt + j
-    return _R(("A", idx, idx + 1))
+def _tile_table(nt: int) -> List[List[Region]]:
+    """The interned ``A`` tiles of an ``nt × nt`` grid, indexed ``[i][j]``."""
+    return [
+        [_R(("A", idx, idx + 1)) for idx in range(i * nt, (i + 1) * nt)]
+        for i in range(nt)
+    ]
 
 
 def cholesky_tiles(
@@ -149,48 +157,48 @@ def cholesky_tiles(
     """
     if nt < 1:
         raise ValueError("need at least one tile")
+    a = _tile_table(nt)
+    potrf_c, potrf_m = _split_cost(cpu_cycles / 3.0, mem_ratio)
+    unit_c, unit_m = _split_cost(cpu_cycles, mem_ratio)  # TRSM and SYRK
+    gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
     tasks: List[Task] = []
     for k in range(nt):
-        potrf_c, potrf_m = _split_cost(cpu_cycles / 3.0, mem_ratio)
         tasks.append(
             Task.make(
                 f"potrf.{k}",
                 cpu_cycles=potrf_c,
                 mem_seconds=potrf_m,
-                inout=[_tile(k, k, nt)],
+                inout=[a[k][k]],
             )
         )
         for i in range(k + 1, nt):
-            trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"trsm.{i}.{k}",
-                    cpu_cycles=trsm_c,
-                    mem_seconds=trsm_m,
-                    in_=[_tile(k, k, nt)],
-                    inout=[_tile(i, k, nt)],
+                    cpu_cycles=unit_c,
+                    mem_seconds=unit_m,
+                    in_=[a[k][k]],
+                    inout=[a[i][k]],
                 )
             )
         for i in range(k + 1, nt):
-            syrk_c, syrk_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"syrk.{i}.{k}",
-                    cpu_cycles=syrk_c,
-                    mem_seconds=syrk_m,
-                    in_=[_tile(i, k, nt)],
-                    inout=[_tile(i, i, nt)],
+                    cpu_cycles=unit_c,
+                    mem_seconds=unit_m,
+                    in_=[a[i][k]],
+                    inout=[a[i][i]],
                 )
             )
             for j in range(k + 1, i):
-                gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
                 tasks.append(
                     Task.make(
                         f"gemm.{i}.{j}.{k}",
                         cpu_cycles=gemm_c,
                         mem_seconds=gemm_m,
-                        in_=[_tile(i, k, nt), _tile(j, k, nt)],
-                        inout=[_tile(i, j, nt)],
+                        in_=[a[i][k], a[j][k]],
+                        inout=[a[i][j]],
                     )
                 )
     return tasks
@@ -204,49 +212,49 @@ def lu_tiles(
     submatrix.  Denser than Cholesky (full trailing update each step)."""
     if nt < 1:
         raise ValueError("need at least one tile")
+    a = _tile_table(nt)
+    getrf_c, getrf_m = _split_cost(cpu_cycles / 2.0, mem_ratio)
+    trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
+    gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
     tasks: List[Task] = []
     for k in range(nt):
-        getrf_c, getrf_m = _split_cost(cpu_cycles / 2.0, mem_ratio)
         tasks.append(
             Task.make(
                 f"getrf.{k}",
                 cpu_cycles=getrf_c,
                 mem_seconds=getrf_m,
-                inout=[_tile(k, k, nt)],
+                inout=[a[k][k]],
             )
         )
         for j in range(k + 1, nt):
-            trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"trsm_r.{k}.{j}",
                     cpu_cycles=trsm_c,
                     mem_seconds=trsm_m,
-                    in_=[_tile(k, k, nt)],
-                    inout=[_tile(k, j, nt)],
+                    in_=[a[k][k]],
+                    inout=[a[k][j]],
                 )
             )
         for i in range(k + 1, nt):
-            trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"trsm_c.{i}.{k}",
                     cpu_cycles=trsm_c,
                     mem_seconds=trsm_m,
-                    in_=[_tile(k, k, nt)],
-                    inout=[_tile(i, k, nt)],
+                    in_=[a[k][k]],
+                    inout=[a[i][k]],
                 )
             )
         for i in range(k + 1, nt):
             for j in range(k + 1, nt):
-                gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
                 tasks.append(
                     Task.make(
                         f"gemm.{i}.{j}.{k}",
                         cpu_cycles=gemm_c,
                         mem_seconds=gemm_m,
-                        in_=[_tile(i, k, nt), _tile(k, j, nt)],
-                        inout=[_tile(i, j, nt)],
+                        in_=[a[i][k], a[k][j]],
+                        inout=[a[i][j]],
                     )
                 )
     return tasks
@@ -271,8 +279,11 @@ def fork_join_ladder(
     if width < 1 or depth < 1:
         raise ValueError("need positive width and depth")
     rng = np.random.default_rng(seed)
+    join_c, join_m = _split_cost(cpu_cycles / 4.0, mem_ratio)
+    rounds = [[_R(f"round{d}")] for d in range(depth + 1)]
     tasks: List[Task] = []
     for d in range(depth):
+        partial = f"partial{d}"
         for w in range(width):
             cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
             tasks.append(
@@ -280,21 +291,20 @@ def fork_join_ladder(
                     f"fork{d}.{w}",
                     cpu_cycles=cycles,
                     mem_seconds=mem_s,
-                    in_=[_R(f"round{d}")],
+                    in_=rounds[d],
                     # Per-round partial regions: forks of round d+1 must
                     # not serialise against round d's join (WAR) or each
                     # other.
-                    out=[_R((f"partial{d}", w, w + 1))],
+                    out=[_R((partial, w, w + 1))],
                 )
             )
-        join_c, join_m = _split_cost(cpu_cycles / 4.0, mem_ratio)
         tasks.append(
             Task.make(
                 f"join{d}",
                 cpu_cycles=join_c,
                 mem_seconds=join_m,
-                in_=[_R(f"partial{d}")],
-                out=[_R(f"round{d + 1}")],
+                in_=[_R(partial)],
+                out=rounds[d + 1],
             )
         )
     return tasks
@@ -317,23 +327,24 @@ def pipeline_grid(
     """
     if n_stages < 1 or n_items < 1:
         raise ValueError("need positive stage and item counts")
+    costs = [
+        _split_cost(cpu_cycles * (1.0 + stage_skew * s), mem_ratio)
+        for s in range(n_stages)
+    ]
+    states = [[_R(f"stage_state{s}")] for s in range(n_stages)]
     tasks: List[Task] = []
     for i in range(n_items):
+        item = [_R((f"item{i}", s, s + 1)) for s in range(n_stages)]
         for s in range(n_stages):
-            cycles, mem_s = _split_cost(
-                cpu_cycles * (1.0 + stage_skew * s), mem_ratio
-            )
-            deps_in = []
-            if s > 0:
-                deps_in.append(_R((f"item{i}", s - 1, s)))
+            cycles, mem_s = costs[s]
             tasks.append(
                 Task.make(
                     f"stage{s}.item{i}",
                     cpu_cycles=cycles,
                     mem_seconds=mem_s,
-                    in_=deps_in,
-                    inout=[_R(f"stage_state{s}")],
-                    out=[_R((f"item{i}", s, s + 1))],
+                    in_=[item[s - 1]] if s > 0 else [],
+                    inout=states[s],
+                    out=[item[s]],
                 )
             )
     return tasks
@@ -342,6 +353,52 @@ def pipeline_grid(
 # ----------------------------------------------------------------------
 # streaming windows
 # ----------------------------------------------------------------------
+def _choice_rows(
+    rng: np.random.Generator, pop: int, k: int, n: int
+) -> np.ndarray:
+    """The ``(n, k)`` rows that ``n`` successive
+    ``rng.choice(pop, size=k, replace=False)`` calls would return, drawn
+    with one ``rng.integers`` call.
+
+    numpy samples without replacement by Floyd's algorithm: for ``j =
+    pop-k … pop-1`` it draws ``v`` in ``[0, j]`` and takes ``j`` instead
+    when ``v`` was already picked, then shuffles the ``k`` picks
+    (Fisher–Yates, ``i = k-1 … 1``, one draw in ``[0, i]`` each).  Every
+    step is one bounded-integer draw from the same bit generator, and
+    ``rng.integers(0, highs)`` makes those same draws in the same order,
+    so tiling one call's ``2k - 1`` bounds ``n`` times replays ``n``
+    calls value for value and leaves ``rng`` in the same state.  Like
+    ``choice``, ``k == 0`` draws nothing and ``k`` outside ``[0, pop]``
+    raises.  For ``pop > 10000`` and ``k > pop // 50`` numpy shuffles a
+    tail of ``arange(pop)`` instead; that branch is not replayed and
+    raises ``ValueError``.
+    """
+    if not 0 <= k <= pop:
+        raise ValueError(f"cannot choose {k} of {pop} without replacement")
+    if pop > 10000 and k > pop // 50:
+        raise ValueError(
+            f"choosing {k} of {pop} takes numpy's tail-shuffle branch, "
+            "which is not replayed"
+        )
+    if k == 0:
+        return np.empty((n, 0), dtype=np.int64)
+    floyd_highs = np.arange(pop - k + 1, pop + 1)
+    shuffle_highs = np.arange(k, 1, -1)
+    draws = rng.integers(
+        0, np.tile(np.concatenate((floyd_highs, shuffle_highs)), n)
+    ).reshape(n, 2 * k - 1)
+    picks = draws[:, :k]  # a view: the shuffle draws sit in other columns
+    for c in range(1, k):
+        taken = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
+        picks[taken, c] = pop - k + c
+    rows = np.arange(n)
+    for i, swap in zip(range(k - 1, 0, -1), draws[:, k:].T):
+        held = picks[rows, swap]
+        picks[rows, swap] = picks[:, i]
+        picks[:, i] = held
+    return picks
+
+
 def stream_window(
     window: int,
     n_buffers: int = 64,
@@ -349,7 +406,6 @@ def stream_window(
     fanin: int = 2,
     cpu_cycles: float = 1e5,
     mem_ratio: float = 0.0,
-    jitter: float = 0.0,
     seed: int = 0,
 ) -> List[Task]:
     """One rolling window of a steady-state streaming workload.
@@ -367,30 +423,36 @@ def stream_window(
     The RNG is seeded per ``(seed, window)``: submitting windows
     ``0..k`` always produces the same task stream regardless of how runs
     interleave, keeping streaming campaigns bit-for-bit reproducible.
+    A window's only draws are its reads, one ``rng.choice(n_buffers - 1,
+    size=min(fanin, n_buffers - 1), replace=False)`` per task in task
+    order; they are taken in one batch (:func:`_choice_rows`) with
+    identical values.  A ``fanin`` below 0 raises ``ValueError``, and so
+    does one for which numpy's ``choice`` would take its tail-shuffle
+    branch (``n_buffers > 10001`` and ``fanin > (n_buffers - 1) // 50``).
     """
     if n_buffers < 2:
         raise ValueError("need at least two ring buffers")
     if n_tasks < 1:
         raise ValueError("need at least one task per window")
+    cycles, mem_s = _split_cost(cpu_cycles, mem_ratio)
+    bufs = [_R(f"buf{b}") for b in range(n_buffers)]
     rng = np.random.default_rng((seed, window))
     k = min(fanin, n_buffers - 1)
-    base = window * n_tasks
+    outs = (window * n_tasks + np.arange(n_tasks)) % n_buffers
+    # Read k distinct buffers other than the one being rewritten.
+    offsets = _choice_rows(rng, n_buffers - 1, k, n_tasks)
+    # k column lists, not n_tasks row lists: rows held alive for the whole
+    # window would count toward the cyclic GC's allocation threshold.
+    read_cols = ((offsets + outs[:, None] + 1) % n_buffers).T.tolist()
     tasks: List[Task] = []
-    for j in range(n_tasks):
-        out_buf = (base + j) % n_buffers
-        # Read k distinct buffers other than the one being rewritten.
-        reads = rng.choice(n_buffers - 1, size=k, replace=False)
-        cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
+    for j, out_buf in enumerate(outs.tolist()):
         tasks.append(
             Task.make(
                 f"w{window}.t{j}",
                 cpu_cycles=cycles,
                 mem_seconds=mem_s,
-                in_=[
-                    _R(f"buf{(int(r) + out_buf + 1) % n_buffers}")
-                    for r in reads
-                ],
-                out=[_R(f"buf{out_buf}")],
+                in_=[bufs[col[j]] for col in read_cols],
+                out=[bufs[out_buf]],
             )
         )
     return tasks

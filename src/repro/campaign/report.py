@@ -8,7 +8,8 @@ Two consumers:
   scales/seeds) are reduced by mean or geometric mean.
 * ``repro.campaign compare`` — diff two stores scenario-by-scenario and
   flag metric regressions beyond a relative tolerance: the gate a CI job
-  or a perf PR runs against a stored baseline.
+  or a perf PR runs against a stored baseline.  At tolerance 0 the diff
+  is exact: any changed metric or stat is a mismatch.
 """
 
 from __future__ import annotations
@@ -287,6 +288,15 @@ def _describe_axes(record: dict) -> str:
     return label
 
 
+def _changed_keys(base: Dict[str, Any], cand: Dict[str, Any]) -> List[str]:
+    """Sorted keys whose values differ between two ``metrics`` or
+    ``stats`` dicts; a key present on one side only differs too."""
+    return sorted(
+        key for key in base.keys() | cand.keys()
+        if key not in base or key not in cand or base[key] != cand[key]
+    )
+
+
 def compare_stores(
     baseline: ResultStore,
     candidate: ResultStore,
@@ -300,6 +310,10 @@ def compare_stores(
     flips (ok → error) and scenarios missing from the candidate are
     structural mismatches.  Scenarios only present in the candidate are
     ignored — growing a campaign is not a regression.
+
+    ``tolerance == 0`` is an exact compare: any difference in any
+    ``metrics`` key or in ``stats`` is a mismatch too, improvements
+    included, and so is a different error type between two errored rows.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -321,7 +335,13 @@ def compare_stores(
             )
             continue
         if base["status"] != "ok":
-            continue  # both errored identically: nothing to gate
+            # Both errored; an exact compare also requires the same error.
+            b_err, c_err = base["error"]["type"], cand["error"]["type"]
+            if tolerance == 0 and b_err != c_err:
+                mismatches.append(
+                    f"{rec_id} [{label}] error {b_err} -> {c_err}"
+                )
+            continue
         if base["metrics"]["n_tasks"] != cand["metrics"]["n_tasks"]:
             mismatches.append(
                 f"{rec_id} [{label}] n_tasks "
@@ -338,4 +358,12 @@ def compare_stores(
                 regressions.append(entry)
             elif entry.rel_change < -tolerance:
                 improvements.append(entry)
+        if tolerance == 0:
+            for part in ("metrics", "stats"):
+                changed = _changed_keys(base[part], cand[part])
+                if changed:
+                    mismatches.append(
+                        f"{rec_id} [{label}] {part} changed: "
+                        + ", ".join(changed)
+                    )
     return CompareResult(regressions, improvements, mismatches, n_compared)

@@ -1,8 +1,12 @@
 """Tests for the synthetic DAG workload generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.apps import dag_workloads as dw
+from repro.campaign.presets import RSU_COMPARISON_KNOBS
 from repro.core.runtime import Runtime
 from repro.core.task import Task, TaskState
 from repro.sim.machine import Machine
@@ -125,3 +129,143 @@ class TestExecution:
         assert res.makespan > 0
         assert all(t.state is TaskState.FINISHED for t in tasks)
         res.trace.validate_no_overlap()
+
+
+def stream_digest(tasks):
+    """16-hex sha256 of each task's label, both costs (``repr``, so every
+    float digit counts), priority and accesses, in stream order."""
+    h = hashlib.sha256()
+    for t in tasks:
+        accesses = tuple(
+            (d.kind.value, d.region.name, d.region.start, d.region.stop)
+            for d in t.deps
+        )
+        row = (t.label, repr(t.cpu_cycles), repr(t.mem_seconds), t.priority,
+               accesses)
+        h.update(repr(row).encode())
+    return h.hexdigest()[:16]
+
+
+def _family(name, scale, seed, knobs):
+    params = RSU_COMPARISON_KNOBS[name] if knobs == "rsu" else {}
+    kw = {k[len("wl_"):]: v for k, v in params.items()}
+    return lambda: dw.make_workload(name, scale=scale, seed=seed, **kw)
+
+
+def _windows(**kw):
+    return lambda: [t for w in range(4) for t in dw.stream_window(w, **kw)]
+
+
+BUILDS = {
+    f"{name}-x{scale}-s{seed}-{knobs}": _family(name, scale, seed, knobs)
+    for name in sorted(dw.WORKLOADS)
+    for scale in (1, 8)
+    for seed in (0, 7)
+    for knobs in ("default", "rsu")
+}
+BUILDS.update({
+    "layered-fanin1": lambda: dw.random_layered(
+        6, 8, fanin=1, mem_ratio=0.2, jitter=0.5, seed=7),
+    "layered-fanin9-width8": lambda: dw.random_layered(
+        6, 8, fanin=9, mem_ratio=0.2, jitter=0.5, seed=7),
+    "stream-b64-n1536-s1": _windows(n_buffers=64, n_tasks=1536, seed=1),
+    "stream-b16-n64-s7": _windows(n_buffers=16, n_tasks=64, seed=7),
+    "stream-b2-n8-s3": _windows(n_buffers=2, n_tasks=8, seed=3),
+    "stream-b16-n64-s7-fanin3": _windows(
+        n_buffers=16, n_tasks=64, fanin=3, seed=7),
+    "stream-b16-n64-s7-fanin0": _windows(
+        n_buffers=16, n_tasks=64, fanin=0, seed=7),
+})
+
+#: Recorded before the builders' region and cost tables were hoisted out
+#: of their loops: a change to a builder's host cost must keep each one.
+BUILDER_DIGESTS = {
+    "cholesky-x1-s0-default": "f9a60cc3c61b4694",
+    "cholesky-x1-s0-rsu": "3f8af61bebc476b9",
+    "cholesky-x1-s7-default": "f9a60cc3c61b4694",
+    "cholesky-x1-s7-rsu": "3f8af61bebc476b9",
+    "cholesky-x8-s0-default": "9654b755fdc596df",
+    "cholesky-x8-s0-rsu": "5c7322bb549e1cc7",
+    "cholesky-x8-s7-default": "9654b755fdc596df",
+    "cholesky-x8-s7-rsu": "5c7322bb549e1cc7",
+    "fork_join-x1-s0-default": "401620ed04ba4f3a",
+    "fork_join-x1-s0-rsu": "2ec051ef26dbb495",
+    "fork_join-x1-s7-default": "a35d932ee1061d80",
+    "fork_join-x1-s7-rsu": "5ed852dbee846f2b",
+    "fork_join-x8-s0-default": "8163bced0170fdad",
+    "fork_join-x8-s0-rsu": "b1feedb53ccdcb0f",
+    "fork_join-x8-s7-default": "da482a981cdb06fc",
+    "fork_join-x8-s7-rsu": "85c06ff99825bc82",
+    "layered-fanin1": "6cb24411df058179",
+    "layered-fanin9-width8": "ad94c0b9804e49b1",
+    "layered-x1-s0-default": "a202f46a9435223b",
+    "layered-x1-s0-rsu": "dfc0feb976a4dc87",
+    "layered-x1-s7-default": "6a6ee783f8c2a0a6",
+    "layered-x1-s7-rsu": "bf274d9aff48fc26",
+    "layered-x8-s0-default": "2bbc36289fd1840f",
+    "layered-x8-s0-rsu": "623c9fe2a422b7b6",
+    "layered-x8-s7-default": "73df33258ac1d5ce",
+    "layered-x8-s7-rsu": "246db84207baba57",
+    "lu-x1-s0-default": "3ed037345a127bc0",
+    "lu-x1-s0-rsu": "4c3cbe533b4b113f",
+    "lu-x1-s7-default": "3ed037345a127bc0",
+    "lu-x1-s7-rsu": "4c3cbe533b4b113f",
+    "lu-x8-s0-default": "f319d0e2e4528e25",
+    "lu-x8-s0-rsu": "d7a8955e0a6a27d0",
+    "lu-x8-s7-default": "f319d0e2e4528e25",
+    "lu-x8-s7-rsu": "d7a8955e0a6a27d0",
+    "pipeline-x1-s0-default": "66c7e5b2ede37db7",
+    "pipeline-x1-s0-rsu": "78fe8f583408719b",
+    "pipeline-x1-s7-default": "66c7e5b2ede37db7",
+    "pipeline-x1-s7-rsu": "78fe8f583408719b",
+    "pipeline-x8-s0-default": "58253ddc321a5011",
+    "pipeline-x8-s0-rsu": "14f479caa391f4b6",
+    "pipeline-x8-s7-default": "58253ddc321a5011",
+    "pipeline-x8-s7-rsu": "14f479caa391f4b6",
+    "stream-b16-n64-s7": "1bba6275e827bffa",
+    "stream-b16-n64-s7-fanin0": "f57859a2e132247f",
+    "stream-b16-n64-s7-fanin3": "e4612316a0cb3174",
+    "stream-b2-n8-s3": "956cd0de6cfa402c",
+    "stream-b64-n1536-s1": "a042963cba52892d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDS))
+def test_builder_output_is_pinned(case):
+    assert stream_digest(BUILDS[case]()) == BUILDER_DIGESTS[case]
+
+
+class TestChoiceRows:
+    """``stream_window`` draws a window's reads through ``_choice_rows``,
+    which must replay numpy's own ``choice``: a numpy release that changes
+    how ``choice`` or ``integers`` draws fails here by name, not only as a
+    moved digest."""
+
+    @staticmethod
+    def _check(seed, pop, k, n):
+        want_rng = np.random.default_rng((seed, pop, k))
+        got_rng = np.random.default_rng((seed, pop, k))
+        want = [
+            want_rng.choice(pop, size=k, replace=False).tolist()
+            for _ in range(n)
+        ]
+        assert dw._choice_rows(got_rng, pop, k, n).tolist() == want, (pop, k)
+        assert got_rng.random() == want_rng.random(), (pop, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_successive_choice_calls(self, seed):
+        for pop in range(1, 71):
+            for k in range(min(pop, 5) + 1):
+                self._check(seed, pop, k, n=40)
+
+    @pytest.mark.parametrize("pop, k", [(10000, 300), (10001, 200)])
+    def test_matches_choice_at_the_tail_shuffle_edge(self, pop, k):
+        self._check(5, pop, k, n=5)
+
+    @pytest.mark.parametrize("fanin, match", [
+        (201, "tail-shuffle"),
+        (-1, "cannot choose"),
+    ])
+    def test_stream_window_rejects_what_it_cannot_replay(self, fanin, match):
+        with pytest.raises(ValueError, match=match):
+            dw.stream_window(0, n_buffers=10002, n_tasks=1, fanin=fanin)

@@ -1,13 +1,14 @@
 """Exact replay of the checked-in campaign baselines.
 
 ``benchmarks/baselines/<preset>.jsonl`` pins every simulated number of
-four presets.  CI's ``compare --tolerance 0`` steps only flag worsened
-metrics and never read ``stats`` or the runtime-fault metrics, so this
-test is the exact gate: every scenario of each preset runs serially
-through :func:`~repro.campaign.runner.run_scenario`, and its ``status``,
+four presets.  Every scenario of each preset runs serially through
+:func:`~repro.campaign.runner.run_scenario`, and its ``status``,
 ``metrics``, ``stats`` and ``error`` must equal the checked-in row —
 including the expected error rows of ``runtime_faults_sweep`` (static
-scheduler x guaranteed core kill).
+scheduler x guaranteed core kill).  CI's ``compare --tolerance 0`` steps
+gate the same rows after a parallel run: at tolerance 0 every ``metrics``
+key, every stat and each error type must match.  This test runs in tier-1
+and also pins the error messages.
 
 A deliberate change to simulated output regenerates the affected file
 with ``python -m repro.campaign run --preset <name> --store <file>``.

@@ -1,6 +1,7 @@
 """Unit tests for the repro.campaign subsystem (matrix/store/report/CLI)."""
 
 import json
+import math
 
 import pytest
 
@@ -279,6 +280,50 @@ class TestCompare:
         result = compare_stores(base, cand)
         assert not result.ok and len(result.mismatches) == 3
 
+    def test_zero_tolerance_flags_a_one_ulp_lower_makespan(self, tmp_path):
+        def one_ulp_lower(rec):
+            m = rec["metrics"]
+            m["makespan"] = math.nextafter(m["makespan"], 0.0)
+
+        base, cand = self._two_stores(tmp_path, one_ulp_lower)
+        assert compare_stores(base, cand, tolerance=0.01).ok
+        result = compare_stores(base, cand, tolerance=0.0)
+        assert not result.ok and len(result.mismatches) == 3
+        assert all("metrics changed: makespan" in m for m in result.mismatches)
+
+    def test_zero_tolerance_flags_a_changed_stat(self, tmp_path):
+        def one_more_start(rec):
+            rec["stats"]["tasks_started"] += 1
+
+        base, cand = self._two_stores(tmp_path, one_more_start)
+        assert compare_stores(base, cand, tolerance=0.01).ok
+        result = compare_stores(base, cand, tolerance=0.0)
+        assert not result.ok and len(result.mismatches) == 3
+        assert all("stats changed: tasks_started" in m
+                   for m in result.mismatches)
+
+    @staticmethod
+    def _errored(path, source, kind):
+        """``source``'s records turned into error rows of type ``kind``."""
+        store = ResultStore(str(path))
+        for rec in source.records():
+            clone = json.loads(json.dumps(rec))
+            clone.update(status="error", metrics=None, stats=None,
+                         error={"type": kind, "message": "injected"})
+            store.append(clone)
+        return store
+
+    def test_zero_tolerance_flags_a_different_error_type(self, tmp_path):
+        base, _ = self._two_stores(tmp_path)
+        deadlock = self._errored(tmp_path / "a.jsonl", base, "DeadlockError")
+        all_dead = self._errored(tmp_path / "b.jsonl", base,
+                                 "AllCoresDeadError")
+        assert compare_stores(deadlock, deadlock, tolerance=0.0).ok
+        assert compare_stores(deadlock, all_dead, tolerance=0.01).ok
+        result = compare_stores(deadlock, all_dead, tolerance=0.0)
+        assert not result.ok and len(result.mismatches) == 3
+        assert all("DeadlockError -> AllCoresDeadError" in m
+                   for m in result.mismatches)
 
 class TestCli:
     def test_run_report_compare_round_trip(self, tmp_path, capsys):
