@@ -33,6 +33,10 @@ class CacheAccessResult:
         )
 
 
+#: The result of every hit.
+_HIT = CacheAccessResult(True, None, False)
+
+
 class SetAssocCache:
     """A ``size_bytes`` cache of ``ways``-way sets with ``line_bytes`` lines.
 
@@ -75,28 +79,31 @@ class SetAssocCache:
         """Look up ``addr``; on a miss, allocate (write-allocate policy).
 
         Returns the result including any dirty victim evicted to make room.
+        Every hit returns the same shared result object (treat it as
+        read-only).
         """
-        line = self.line_addr(addr)
-        s = self._sets[self._set_index(line)]
+        lb = self.line_bytes
+        line = addr - addr % lb
+        s = self._sets[(line // lb) % self.n_sets]
+        stats = self.stats
         if line in s:
             s.move_to_end(line)
+            stats.add("hits")
             if write:
                 s[line] = True
-            self.stats.add("hits")
-            if write:
-                self.stats.add("write_hits")
-            return CacheAccessResult(True, None, False)
+                stats.add("write_hits")
+            return _HIT
 
-        self.stats.add("misses")
+        stats.add("misses")
         if write:
-            self.stats.add("write_misses")
+            stats.add("write_misses")
         victim_addr = None
         victim_dirty = False
         if len(s) >= self.ways:
             victim_addr, victim_dirty = s.popitem(last=False)  # LRU
-            self.stats.add("evictions")
+            stats.add("evictions")
             if victim_dirty:
-                self.stats.add("dirty_evictions")
+                stats.add("dirty_evictions")
         s[line] = bool(write)
         return CacheAccessResult(False, victim_addr, victim_dirty)
 

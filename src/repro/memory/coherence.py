@@ -18,7 +18,7 @@ evictions would otherwise inflate invalidation traffic forever).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from ..sim.stats import StatSet
 
@@ -31,16 +31,28 @@ class DirectoryEntry:
     owner: Optional[int] = None  # core holding the line Modified
 
 
-@dataclass(frozen=True)
 class CoherenceOutcome:
-    """What the protocol had to do to satisfy one request.
+    """What the protocol had to do to satisfy one request (read-only).
 
-    ``invalidations`` — copies invalidated (control msg + ack each).
+    ``victims`` — the other cores whose copies must be invalidated
+    (control msg + ack each), in ascending core order.
+    ``invalidations`` — how many: ``len(victims)``.
     ``owner_forward`` — core that had the line Modified and supplied data.
     """
 
-    invalidations: int
-    owner_forward: Optional[int]
+    __slots__ = ("victims", "owner_forward")
+
+    def __init__(self, victims: Tuple[int, ...], owner_forward: Optional[int]) -> None:
+        self.victims = victims
+        self.owner_forward = owner_forward
+
+    @property
+    def invalidations(self) -> int:
+        return len(self.victims)
+
+
+#: The outcome of every request that needs no protocol action.
+_NO_ACTION = CoherenceOutcome((), None)
 
 
 class CoherenceDirectory:
@@ -64,30 +76,42 @@ class CoherenceDirectory:
     def read(self, line: int, core: int) -> CoherenceOutcome:
         """Core ``core`` read-misses on ``line``."""
         e = self.entry(line)
-        forward = None
-        if e.owner is not None and e.owner != core:
-            # Owner must write back / forward; it stays on as a sharer.
-            forward = e.owner
-            e.sharers.add(e.owner)
-            e.owner = None
-            self.stats.add("owner_forwards")
+        owner = e.owner
+        if owner is None or owner == core:
+            e.sharers.add(core)
+            return _NO_ACTION
+        # Owner must write back / forward; it stays on as a sharer.
+        e.sharers.add(owner)
+        e.owner = None
+        self.stats.add("owner_forwards")
         e.sharers.add(core)
-        return CoherenceOutcome(0, forward)
+        return CoherenceOutcome((), owner)
 
     def write(self, line: int, core: int) -> CoherenceOutcome:
-        """Core ``core`` writes ``line`` (miss or upgrade)."""
+        """Core ``core`` writes ``line`` (miss or upgrade).
+
+        Every other core with a copy, sharer or owner, is a victim; the
+        outcome lists them in ascending core order, which is the order the
+        hierarchy sends their invalidations in.  The directory is precise
+        (evictions are reported), so the victims are exactly the other L1s
+        that hold the line.
+        """
         e = self.entry(line)
+        owner = e.owner
         forward = None
-        if e.owner is not None and e.owner != core:
-            forward = e.owner
-            self.stats.add("owner_forwards")
-        victims = (e.sharers | ({e.owner} if e.owner is not None else set())) - {core}
-        n_inv = len(victims)
-        if n_inv:
-            self.stats.add("invalidations", n_inv)
+        copies = e.sharers
+        if owner is not None:
+            if owner != core:
+                forward = owner
+                self.stats.add("owner_forwards")
+            copies.add(owner)
+        copies.discard(core)
         e.sharers = set()
         e.owner = core
-        return CoherenceOutcome(n_inv, forward)
+        victims = tuple(sorted(copies))
+        if victims:
+            self.stats.add("invalidations", len(victims))
+        return CoherenceOutcome(victims, forward)
 
     def evicted(self, line: int, core: int, dirty: bool) -> None:
         """An L1 dropped its copy; keep the directory precise."""

@@ -17,11 +17,31 @@ per-core latency totals with compute cycles and a memory-level-parallelism
 divisor to obtain execution time.  Energy is accumulated in joules across
 SRAM/DRAM/DMA accesses; NoC traffic in flit-hops via
 :class:`~repro.sim.noc.MeshNoC`, which is the "NoC traffic" bar of Fig. 1.
+
+:meth:`MemoryHierarchy.access` runs once per simulated reference, so it
+builds no enum or string and searches no topology per access: counter
+names are constants (the ``accesses.<class>`` ones in a tuple indexed by
+class value), the nearest memory controller of every node is tabled at
+construction, and :meth:`MemoryHierarchy.run_batch` converts a batch's
+columns once.  The checked-in Fig. 1 baseline and the component-counter
+digests pin every number bit for bit, which fixes three rules:
+
+* Float sums keep their order and grouping.  ``energy_j``, each
+  ``energy_pj.<kind>``, the NoC's ``energy_j``, ``mem_cycles`` and each
+  latency add one term at a time, in the same order.  A NoC latency stays
+  in seconds, and paired latencies (request + data, invalidation + ack)
+  are summed in seconds before ``* core_freq_ghz * 1e9``: converting each
+  one first rounds differently (``(15 / 1e9) * 1e9 != 15``).
+* Counters keep their Python types.  The NoC's flit, flit-hop and byte
+  counters are ints, and ``1`` and ``1.0`` hash differently.
+* A write invalidates only the cores the full-map directory names, in
+  ascending core order, because the NoC's energy sum follows message
+  order.  The directory's copies of a line always equal the L1s holding
+  it; a named core whose L1 lacks the line raises ``RuntimeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.noc import MeshNoC
@@ -42,6 +62,11 @@ STREAM_REGION_BITS = 30
 
 _CTRL_BYTES = 8  # a request / ack / invalidation message
 _DATA_EXTRA = 8  # header on a data message
+
+#: The ``accesses.<class>`` counter of each reference class, by class value.
+_CLASS_COUNTERS = tuple(f"accesses.{c.name.lower()}" for c in RefClass)
+_STRIDED = RefClass.STRIDED.value
+_UNKNOWN = RefClass.RANDOM_UNKNOWN.value
 
 
 class MemoryHierarchy:
@@ -89,9 +114,15 @@ class MemoryHierarchy:
             for b in range(self.n_banks)
         ]
         self.coherence = CoherenceDirectory()
-        # Memory controllers at the mesh corners.
-        w, h = self.noc.width, self.noc.height
+        # Memory controllers at the mesh corners; the nearest one to each
+        # node (ties to the lower node) is tabled once.
+        noc = self.noc
+        w, h = noc.width, noc.height
         self.mc_nodes = sorted({0, w - 1, (h - 1) * w, h * w - 1})
+        self._nearest_mc = [
+            min(self.mc_nodes, key=lambda m: (noc.hops(node, m), m))
+            for node in range(noc.n_nodes)
+        ]
 
         if mode == "hybrid":
             self.spm = [Scratchpad(i, p.spm_bytes) for i in range(n_cores)]
@@ -111,31 +142,40 @@ class MemoryHierarchy:
     def home_bank(self, line: int) -> int:
         return (line // self.params.line_bytes) % self.n_banks
 
-    def _nearest_mc(self, node: int) -> int:
-        return min(self.mc_nodes, key=lambda m: (self.noc.hops(node, m), m))
-
     def _noc_cycles(self, latency_s: float) -> float:
         return latency_s * self.params.core_freq_ghz * 1e9
 
     # ------------------------------------------------------------------
     # energy helpers
     # ------------------------------------------------------------------
-    def _spend(self, pj: float, kind: str = "other") -> None:
+    def _spend(self, pj: float, counter: str) -> None:
+        """Charge ``pj`` to the total and to ``counter``, an
+        ``energy_pj.<kind>`` name (a constant: no string is built per
+        access)."""
         self.energy_j += pj * 1e-12
-        self.stats.add(f"energy_pj.{kind}", pj)
+        self.stats.add(counter, pj)
 
     # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
     def access(self, core: int, addr: int, write: bool, cls: int) -> float:
-        """Process one reference; returns its latency in cycles."""
-        self.stats.add("accesses")
-        cls = RefClass(cls)
-        self.stats.add(f"accesses.{cls.name.lower()}")
+        """Process one reference; returns its latency in cycles.
+
+        Raises ``ValueError``, before any counter, cache or NoC state
+        changes, for a core outside ``0..n_cores-1`` or a class that is not
+        a :class:`~repro.memory.access.RefClass` value.
+        """
+        if not 0 <= core < self.n_cores:
+            raise ValueError(f"core {core} outside 0..{self.n_cores - 1}")
+        if not 0 <= cls < len(_CLASS_COUNTERS):
+            raise ValueError(f"unknown reference class {cls!r}")
+        stats = self.stats
+        stats.add("accesses")
+        stats.add(_CLASS_COUNTERS[cls])
         if self.mode == "hybrid":
-            if cls is RefClass.STRIDED:
+            if cls == _STRIDED:
                 lat = self._spm_access(core, addr, write)
-            elif cls is RefClass.RANDOM_UNKNOWN:
+            elif cls == _UNKNOWN:
                 lat = self._unknown_access(core, addr, write)
             else:
                 lat = self._cache_access(core, addr, write)
@@ -147,12 +187,14 @@ class MemoryHierarchy:
     def run_batch(self, batch) -> None:
         """Process every record of an :class:`~repro.memory.access.AccessBatch`."""
         rec = batch.records
-        cores = rec["core"]
-        addrs = rec["addr"]
-        writes = rec["write"]
-        classes = rec["cls"]
-        for i in range(len(rec)):
-            self.access(int(cores[i]), int(addrs[i]), bool(writes[i]), int(classes[i]))
+        access = self.access
+        for core, addr, write, cls in zip(
+            rec["core"].tolist(),
+            rec["addr"].tolist(),
+            rec["write"].tolist(),
+            rec["cls"].tolist(),
+        ):
+            access(core, addr, write, cls)
 
     def finish(self) -> None:
         """End of workload: flush SPM streams, pinned ranges, dirty L1s."""
@@ -197,9 +239,6 @@ class MemoryHierarchy:
                 return entry
         return None
 
-    def _stream_key(self, core: int, addr: int) -> Tuple[int, int]:
-        return (core, addr >> STREAM_REGION_BITS)
-
     def _spm_access(self, core: int, addr: int, write: bool) -> float:
         p = self.params
         pinned = self._pinned_entry(core, addr)
@@ -207,11 +246,11 @@ class MemoryHierarchy:
             if write:
                 pinned[2] = True
             self.spm[core].access(addr, write)
-            self._spend(p.spm_access_pj, "spm")
+            self._spend(p.spm_access_pj, "energy_pj.spm")
             self.stats.add("spm_hits")
             self.stats.add("spm_pinned_hits")
             return p.spm_hit_cycles
-        key = self._stream_key(core, addr)
+        key = (core, addr >> STREAM_REGION_BITS)
         stream = self._streams.get(key)
         if stream is None:
             stream = TilingStream(self.spm[core], p)
@@ -223,7 +262,7 @@ class MemoryHierarchy:
             visible += self._account_dma(t)
         if stream.current_tile != old_tile:
             self._update_spm_mapping(core, old_tile, stream.current_tile)
-        self._spend(p.spm_access_pj, "spm")
+        self._spend(p.spm_access_pj, "energy_pj.spm")
         self.stats.add("spm_hits")
         return p.spm_hit_cycles + visible
 
@@ -242,7 +281,7 @@ class MemoryHierarchy:
     def _account_dma(self, t: DmaTransfer) -> float:
         """Charge one bulk transfer; returns *visible* latency in cycles."""
         p = self.params
-        mc = self._nearest_mc(t.core)
+        mc = self._nearest_mc[t.core]
         if t.to_spm:
             lat_s = self.noc.send(mc, t.core, t.nbytes + _DATA_EXTRA, kind="dma")
             self.stats.add("dma_fills")
@@ -250,8 +289,8 @@ class MemoryHierarchy:
             lat_s = self.noc.send(t.core, mc, t.nbytes + _DATA_EXTRA, kind="dma")
             self.stats.add("dma_writebacks")
         lines = max(1, t.nbytes // p.line_bytes)
-        self._spend(p.dram_line_pj * lines, "dram_dma")
-        self._spend(p.dma_per_line_pj * lines, "dma_engine")
+        self._spend(p.dram_line_pj * lines, "energy_pj.dram_dma")
+        self._spend(p.dma_per_line_pj * lines, "energy_pj.dma_engine")
         raw = p.dma_setup_cycles + p.dram_cycles + self._noc_cycles(lat_s)
         if not t.to_spm:
             return 0.0  # writebacks are fire-and-forget
@@ -265,7 +304,7 @@ class MemoryHierarchy:
         cycles = 0.0
         if self.use_filter:
             cycles += p.filter_cycles
-            self._spend(p.filter_pj, "filter")
+            self._spend(p.filter_pj, "energy_pj.filter")
             if not self.filters[core].maybe_mapped(addr):
                 self.stats.add("unknown_filtered")
                 return cycles + self._cache_access(core, addr, write)
@@ -273,7 +312,7 @@ class MemoryHierarchy:
         # address's home node.
         home = self.home_bank(addr)
         lat_req = self.noc.send(core, home, _CTRL_BYTES, kind="spm_dir")
-        self._spend(p.directory_pj, "spm_dir")
+        self._spend(p.directory_pj, "energy_pj.spm_dir")
         cycles += self._noc_cycles(lat_req) + p.directory_cycles
         owner = self.spm_directory.lookup(addr)
         if owner is None:
@@ -281,7 +320,7 @@ class MemoryHierarchy:
             return cycles + self._cache_access(core, addr, write)
         # Served by the owning SPM (possibly remote).
         self.stats.add("unknown_spm_served")
-        self._spend(p.spm_access_pj, "spm")
+        self._spend(p.spm_access_pj, "energy_pj.spm")
         cycles += p.spm_hit_cycles
         if owner != core:
             lat_fwd = self.noc.send(home, owner, _CTRL_BYTES, kind="spm_dir")
@@ -313,7 +352,7 @@ class MemoryHierarchy:
         p = self.params
         home = self.home_bank(line)
         self.noc.send(core, home, p.line_bytes + _DATA_EXTRA, kind="writeback")
-        self._spend(p.l2_access_pj, "l2")
+        self._spend(p.l2_access_pj, "energy_pj.l2")
         v_addr, v_dirty = self.l2[home].fill(line, dirty=True)
         self._l2_victim(home, v_addr, v_dirty)
         self.stats.add("l1_writebacks")
@@ -321,18 +360,17 @@ class MemoryHierarchy:
     def _l2_victim(self, bank: int, v_addr: Optional[int], v_dirty: bool) -> None:
         if v_addr is not None and v_dirty:
             p = self.params
-            mc = self._nearest_mc(bank)
+            mc = self._nearest_mc[bank]
             self.noc.send(bank, mc, p.line_bytes + _DATA_EXTRA, kind="writeback")
-            self._spend(p.dram_line_pj, "dram")
+            self._spend(p.dram_line_pj, "energy_pj.dram")
             self.stats.add("l2_writebacks")
 
     def _cache_access(self, core: int, addr: int, write: bool) -> float:
         p = self.params
         l1 = self.l1[core]
-        line = l1.line_addr(addr)
-        cycles = p.l1_hit_cycles
-        self._spend(p.l1_access_pj, "l1")
-        was_dirty = l1.is_dirty(addr)
+        self._spend(p.l1_access_pj, "energy_pj.l1")
+        # Only a write hit reads the line's prior dirty bit.
+        was_dirty = write and l1.is_dirty(addr)
         res = l1.access(addr, write)
 
         if res.victim_addr is not None:
@@ -344,23 +382,27 @@ class MemoryHierarchy:
             self.stats.add("l1_hits")
             if write and not was_dirty:
                 # Upgrade: the copy was Shared; invalidate other sharers.
-                cycles += self._coherent_write_upgrade(core, line)
-            return cycles
+                return p.l1_hit_cycles + self._coherent_write_upgrade(
+                    core, l1.line_addr(addr)
+                )
+            return p.l1_hit_cycles
 
         # ---- L1 miss ---------------------------------------------------
         self.stats.add("l1_misses")
+        send = self.noc.send
+        line = l1.line_addr(addr)
         home = self.home_bank(line)
-        lat_req = self.noc.send(core, home, _CTRL_BYTES, kind="control")
-        cycles += self._noc_cycles(lat_req)
+        lat_req = send(core, home, _CTRL_BYTES, kind="control")
+        cycles = p.l1_hit_cycles + self._noc_cycles(lat_req)
 
         outcome = (
             self.coherence.write(line, core)
             if write
             else self.coherence.read(line, core)
         )
-        cycles += self._coherence_cost(core, home, line, outcome)
+        cycles += self._coherence_cost(home, line, outcome)
 
-        self._spend(p.l2_access_pj, "l2")
+        self._spend(p.l2_access_pj, "energy_pj.l2")
         cycles += p.l2_hit_cycles
         l2res = self.l2[home].access(line, False)
         self._l2_victim(home, l2res.victim_addr, l2res.victim_dirty)
@@ -368,55 +410,50 @@ class MemoryHierarchy:
             self.stats.add("l2_hits")
         else:
             self.stats.add("l2_misses")
-            mc = self._nearest_mc(home)
-            lat_mreq = self.noc.send(home, mc, _CTRL_BYTES, kind="control")
-            lat_mdat = self.noc.send(
-                mc, home, p.line_bytes + _DATA_EXTRA, kind="data"
-            )
-            self._spend(p.dram_line_pj, "dram")
+            mc = self._nearest_mc[home]
+            lat_mreq = send(home, mc, _CTRL_BYTES, kind="control")
+            lat_mdat = send(mc, home, p.line_bytes + _DATA_EXTRA, kind="data")
+            self._spend(p.dram_line_pj, "energy_pj.dram")
             cycles += p.dram_cycles + self._noc_cycles(lat_mreq + lat_mdat)
 
-        lat_data = self.noc.send(home, core, p.line_bytes + _DATA_EXTRA, kind="data")
-        cycles += self._noc_cycles(lat_data)
-        return cycles
+        lat_data = send(home, core, p.line_bytes + _DATA_EXTRA, kind="data")
+        return cycles + self._noc_cycles(lat_data)
 
     def _coherent_write_upgrade(self, core: int, line: int) -> float:
         home = self.home_bank(line)
         lat = self.noc.send(core, home, _CTRL_BYTES, kind="coherence")
         outcome = self.coherence.write(line, core)
         self.stats.add("upgrades")
-        return self._noc_cycles(lat) + self._coherence_cost(
-            core, home, line, outcome
-        )
+        return self._noc_cycles(lat) + self._coherence_cost(home, line, outcome)
 
-    def _coherence_cost(self, core: int, home: int, line: int, outcome) -> float:
-        """Invalidation fan-out and owner forwarding for one request."""
+    def _coherence_cost(self, home: int, line: int, outcome) -> float:
+        """Invalidation fan-out and owner forwarding for one request.
+
+        Only the cores the directory names as victims are invalidated, in
+        ascending core order (the NoC's energy sum follows message order).
+        A victim whose L1 lacks the line means the directory and the L1s
+        disagree, and raises.
+        """
         p = self.params
+        send = self.noc.send
         cycles = 0.0
         if outcome.owner_forward is not None:
             owner = outcome.owner_forward
-            lat_f = self.noc.send(home, owner, _CTRL_BYTES, kind="coherence")
-            lat_d = self.noc.send(
-                owner, home, p.line_bytes + _DATA_EXTRA, kind="coherence"
-            )
-            self._spend(p.l1_access_pj, "l1")
+            lat_f = send(home, owner, _CTRL_BYTES, kind="coherence")
+            lat_d = send(owner, home, p.line_bytes + _DATA_EXTRA, kind="coherence")
+            self._spend(p.l1_access_pj, "energy_pj.l1")
             cycles += self._noc_cycles(lat_f + lat_d)
-        if outcome.invalidations:
+        if outcome.victims:
             # Invalidate every remote copy; the slowest ack gates completion.
             worst = 0.0
-            copies = [c for c in range(self.n_cores) if c != core]
-            victims = []
-            for c in copies:
-                if self.l1[c].invalidate(line):
-                    victims.append(c)
-            # The directory already counted precise invalidations; message
-            # costs follow the actual victims (fall back to the directory
-            # count if state diverged).
-            n = max(len(victims), outcome.invalidations)
-            for i, c in enumerate(victims or list(range(n))):
-                node = c % self.n_cores
-                lat_i = self.noc.send(home, node, _CTRL_BYTES, kind="coherence")
-                lat_a = self.noc.send(node, home, _CTRL_BYTES, kind="coherence")
+            for c in outcome.victims:
+                if not self.l1[c].invalidate(line):
+                    raise RuntimeError(
+                        f"coherence directory names core {c} for line "
+                        f"{line:#x}, but its L1 does not hold the line"
+                    )
+                lat_i = send(home, c, _CTRL_BYTES, kind="coherence")
+                lat_a = send(c, home, _CTRL_BYTES, kind="coherence")
                 worst = max(worst, self._noc_cycles(lat_i + lat_a))
             cycles += worst
         return cycles

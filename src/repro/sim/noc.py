@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .stats import StatSet
 
@@ -56,6 +56,12 @@ class MeshNoC:
         self.height = height
         self.params = params if params is not None else NocParams()
         self.stats = StatSet("noc")
+        # ``send`` runs several times per simulated memory access, so what
+        # depends only on the configuration is looked up, not rebuilt:
+        # flits per message size and the per-kind counter names fill on
+        # first use.
+        self._flits: Dict[int, int] = {}
+        self._kind_counters: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -103,21 +109,38 @@ class MeshNoC:
 
         ``kind`` partitions the traffic counters (``data``, ``control``,
         ``dma``, ``coherence`` ...) so benchmarks can attribute reductions.
+        Raises ``ValueError`` for a node outside the mesh or a negative
+        size.
+
+        The hop distance is computed inline (it is :meth:`hops`).  The
+        flit, flit-hop and byte counters stay ints and ``energy_j`` is one
+        float add per message, in message order: the callers' digests
+        depend on both.
         """
-        hops = self.hops(src, dst)
-        flits = self.flits_for_bytes(nbytes)
-        flit_hops = flits * max(hops, 1)
-        self.stats.add("messages")
-        self.stats.add("flits", flits)
-        self.stats.add("flit_hops", flit_hops)
-        self.stats.add(f"flit_hops.{kind}", flit_hops)
-        self.stats.add("bytes", nbytes)
-        energy_j = flit_hops * self.params.energy_per_flit_hop_pj * 1e-12
-        self.stats.add("energy_j", energy_j)
-        latency_cycles = (
-            hops * self.params.hop_latency_cycles + flits
-        )  # serialization at one flit/cycle
-        return latency_cycles / (self.params.frequency_ghz * 1e9)
+        w = self.width
+        n = w * self.height
+        if not 0 <= src < n:
+            raise ValueError(f"node {src} outside mesh")
+        if not 0 <= dst < n:
+            raise ValueError(f"node {dst} outside mesh")
+        hops = abs(src % w - dst % w) + abs(src // w - dst // w)
+        flits = self._flits.get(nbytes)
+        if flits is None:
+            flits = self._flits[nbytes] = self.flits_for_bytes(nbytes)
+        counter = self._kind_counters.get(kind)
+        if counter is None:
+            counter = self._kind_counters[kind] = f"flit_hops.{kind}"
+        flit_hops = flits * (hops if hops > 1 else 1)
+        p = self.params
+        add = self.stats.add
+        add("messages")
+        add("flits", flits)
+        add("flit_hops", flit_hops)
+        add(counter, flit_hops)
+        add("bytes", nbytes)
+        add("energy_j", flit_hops * p.energy_per_flit_hop_pj * 1e-12)
+        # serialization at one flit/cycle
+        return (hops * p.hop_latency_cycles + flits) / (p.frequency_ghz * 1e9)
 
     @property
     def total_flit_hops(self) -> float:

@@ -1,11 +1,13 @@
 """Exact replay of the checked-in campaign baselines.
 
 ``benchmarks/baselines/<preset>.jsonl`` pins every simulated number of
-four presets.  Every scenario of each preset runs serially through
-:func:`~repro.campaign.runner.run_scenario`, and its ``status``,
-``metrics``, ``stats`` and ``error`` must equal the checked-in row —
-including the expected error rows of ``runtime_faults_sweep`` (static
-scheduler x guaranteed core kill).  CI's ``compare --tolerance 0`` steps
+five presets, 381 rows in all.  Every scenario of each preset runs
+serially through :func:`~repro.campaign.runner.run_scenario`, and its
+``status``, ``metrics``, ``stats`` and ``error`` must equal the checked-in
+row — including the expected error rows of ``runtime_faults_sweep``
+(static scheduler x guaranteed core kill).  ``fig1_hybrid`` (12 NAS rows
+on the Fig. 1 memory hierarchy) is replayed whole, not a subset; it is
+most of this module's run time.  CI's ``compare --tolerance 0`` steps
 gate the same rows after a parallel run: at tolerance 0 every ``metrics``
 key, every stat and each error type must match.  This test runs in tier-1
 and also pins the error messages.
@@ -28,6 +30,7 @@ PRESETS = (
     "fig4_smoke",
     "fig4_resilience",
     "runtime_faults_sweep",
+    "fig1_hybrid",
 )
 
 #: The record keys that are a pure function of the scenario (``timing``,

@@ -59,6 +59,16 @@ class TestWrites:
         assert out.invalidations == 1  # only core 2
         assert d.copies_of(0) == {1}
 
+    def test_victims_are_every_other_copy_in_ascending_core_order(self):
+        d = CoherenceDirectory()
+        for c in (6, 2, 9):
+            d.read(0, c)
+        out = d.write(0, core=9)
+        assert out.victims == (2, 6)
+        assert out.invalidations == 2
+        out = d.write(0, core=0)
+        assert out.victims == (9,) and out.owner_forward == 9
+
     def test_rewrite_by_owner_is_free(self):
         d = CoherenceDirectory()
         d.write(0, 1)

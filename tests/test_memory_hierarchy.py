@@ -1,7 +1,10 @@
 """Integration tests for the cache-only and hybrid memory hierarchies."""
 
+import hashlib
+
 import pytest
 
+from repro.apps import nas
 from repro.memory.access import RefClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.params import MemoryParams
@@ -45,6 +48,15 @@ class TestCacheMode:
         assert h.coherence.stats.get("invalidations") == 3
         # Other cores lost their copies.
         assert not h.l1[1].contains(0)
+
+    def test_directory_naming_a_core_without_the_line_raises(self, params):
+        """Invalidations go only where the directory says a copy lives, so
+        a directory that disagrees with the L1s is an error, not a guess."""
+        h = MemoryHierarchy(4, mode="cache", params=params)
+        h.access(0, 0, False, RefClass.RANDOM_NOALIAS)
+        h.coherence.read(0, 2)  # core 2's L1 never held line 0
+        with pytest.raises(RuntimeError, match="core 2"):
+            h.access(0, 0, True, RefClass.RANDOM_NOALIAS)
 
     def test_dirty_eviction_writes_back(self, params):
         h = MemoryHierarchy(1, mode="cache", params=params)
@@ -144,6 +156,36 @@ class TestHybridMode:
             MemoryHierarchy(2, mode="weird")
 
 
+def _observable(h):
+    return (
+        h.stats.as_dict(), list(h.mem_cycles), h.energy_j,
+        h.noc.stats.as_dict(), [c.occupancy() for c in h.l1],
+    )
+
+
+@pytest.mark.parametrize(
+    "mode,core,addr,cls",
+    [
+        ("cache", 0, 0, 7),  # no such reference class
+        ("cache", 0, 0, -1),
+        ("cache", -1, 0, RefClass.RANDOM_NOALIAS),  # would be core 3's L1
+        ("cache", 4, 64, RefClass.RANDOM_NOALIAS),
+        ("hybrid", -1, 0, RefClass.STRIDED),
+        ("hybrid", 4, 0, RefClass.RANDOM_UNKNOWN),
+    ],
+)
+def test_rejected_access_moves_no_counter(params, mode, core, addr, cls):
+    """A core outside ``0..n_cores-1`` or an unknown class raises
+    ``ValueError`` before any counter, cache or NoC state changes."""
+    h = MemoryHierarchy(4, mode=mode, params=params)
+    h.access(2, 1 << 20, True, RefClass.RANDOM_NOALIAS)
+    before = _observable(h)
+    for _ in range(2):  # and again: the first attempt left nothing behind
+        with pytest.raises(ValueError):
+            h.access(core, addr, False, cls)
+        assert _observable(h) == before
+
+
 class TestCrossModeComparison:
     def test_streaming_writes_cost_less_noc_in_hybrid(self, params):
         """The write-allocate round trip is the core Figure 1 mechanism."""
@@ -163,3 +205,112 @@ class TestCrossModeComparison:
             strided_sweep(h, 0, 0, n, write=False)
             h.finish()
         assert hybrid.energy_j < cache.energy_j
+
+
+# ---------------------------------------------------------------------------
+# every component counter, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _nas_hierarchy(model, mode, n_cores, per_core, params, use_filter=True):
+    """``run_nas``'s set-up: filter regions, pinned streams, the trace."""
+    wl = nas.NAS_BENCHMARKS[model]
+    h = MemoryHierarchy(n_cores, mode=mode, params=params, use_filter=use_filter)
+    for base, nbytes in nas.strided_regions(wl, n_cores, per_core, params):
+        h.register_filter_region(base, nbytes)
+    if mode == "hybrid" and wl.pinned_streams:
+        chunk = nas.core_chunk_bytes(wl, per_core, params)
+        for s in range(wl.pinned_streams):
+            for c in range(n_cores):
+                h.pin_region(c, nas.stream_base(s) + c * chunk, chunk)
+    return h, list(nas.generate_trace(wl, n_cores, per_core, 0, params))
+
+
+def _state(h):
+    """Every counter of every component, with its Python type (``repr``
+    tells ``1`` from ``1.0``), plus the hierarchy's float accumulators."""
+    parts = [
+        ("hierarchy", sorted(h.stats.as_dict().items()), h.energy_j, h.mem_cycles),
+        ("noc", sorted(h.noc.stats.as_dict().items())),
+        ("coherence", sorted(h.coherence.stats.as_dict().items()),
+         h.coherence.tracked_lines),
+    ]
+    for cache in h.l1 + h.l2:
+        parts.append((cache.name, sorted(cache.stats.as_dict().items()),
+                      cache.occupancy()))
+    if h.mode == "hybrid":
+        parts.append(("spm_directory",
+                      sorted(h.spm_directory.stats.as_dict().items()),
+                      h.spm_directory.n_ranges))
+        for i, (f, spm) in enumerate(zip(h.filters, h.spm)):
+            parts.append((i, sorted(f.stats.as_dict().items()),
+                          sorted(spm.stats.as_dict().items()), spm.used_bytes))
+    return parts
+
+
+#: sha256 of ``_state`` plus every latency ``access`` returned, recorded
+#: before the hierarchy's hot path was rewritten: 16 cores x 300 accesses
+#: per core, trace seed 0.
+COMPONENT_DIGESTS = {
+    "CG-cache-default": "a55a71b5a3355df13d09ef71073c24bc047267a1f428f00e0aa553a93890c26d",
+    "CG-hybrid-default": "40b26aceb422b028d14570844227282c4942d0ed11ad430355b38cf87bfa0435",
+    "EP-cache-default": "f483b17eaa380d31bfd711f5a65454b7a3b7cc92c8b1494faeb38c475cd4caa9",
+    "EP-hybrid-default": "637f571c85f2c4c8e65aac450d55e382de57b83aed5d2f841cc132702180a20e",
+    "FT-cache-default": "dd22738c03a4f530e6efe041f37f67e215dd1b18682183353263f515ff0e05f2",
+    "FT-hybrid-default": "a00b6bd34cd2f8968e96db2375f921edd1e5a1797a145502109826fdc281633c",
+    "IS-cache-default": "48124e64648aa2f45ab5a9270c8c957122f88a5b8cc0c25c54e50f5394a970d1",
+    "IS-hybrid-default": "1f518fa32a36ac4f41e86e537a3344f5501be0605259d938d8aa9b6752059acd",
+    "MG-cache-default": "fc377b22de87de77798d9abc5ef778e9cbc7c45cac2921c336ff88d0d0218583",
+    "MG-hybrid-default": "d1372146831adb3913641a385b7e8d173a0b5690fa3a9597cb423150ab6ec97b",
+    "SP-cache-default": "cf1de959034cfeaacb867fb44ee34c945a2c9d38dd6ee478a9b178ae1946c8ce",
+    "SP-hybrid-default": "fd72402c34e51bd47936c2b038fb3b5bda01b5afd03dab62e46a6c32ec860fb9",
+    "IS-hybrid-no_filter": "7873ae30da773fda6bef4036459ac1729de1c93b5bd92bdc196a0b2b21975977",
+    "IS-hybrid-tile256": "8788206cf1d256af3e262e67c377211a850b770ce68a2363e2cfcc1666b81b32",
+}
+
+_VARIANTS = {
+    "default": ({}, True),
+    "no_filter": ({}, False),
+    "tile256": ({"tile_bytes": 256}, True),
+}
+_CASES = [
+    (model, mode, "default")
+    for model in sorted(nas.NAS_BENCHMARKS)
+    for mode in ("cache", "hybrid")
+] + [("IS", "hybrid", "no_filter"), ("IS", "hybrid", "tile256")]
+
+
+@pytest.mark.parametrize("model,mode,variant", _CASES)
+def test_component_counters_are_pinned(model, mode, variant):
+    """The NoC's per-kind flit-hops, the per-cache, coherence, SPM-directory
+    and filter counters, and each access's latency: the numbers a
+    baseline row's hierarchy summary does not carry."""
+    overrides, use_filter = _VARIANTS[variant]
+    h, batches = _nas_hierarchy(
+        model, mode, 16, 300, MemoryParams(**overrides), use_filter
+    )
+    latencies = []
+    for batch in batches:
+        rec = batch.records
+        for core, addr, write, cls in zip(
+            rec["core"].tolist(), rec["addr"].tolist(),
+            rec["write"].tolist(), rec["cls"].tolist(),
+        ):
+            latencies.append(h.access(core, addr, write, cls))
+    h.finish()
+    digest = hashlib.sha256(repr((_state(h), latencies)).encode()).hexdigest()
+    assert digest == COMPONENT_DIGESTS[f"{model}-{mode}-{variant}"]
+
+
+def test_run_batch_matches_access_by_access():
+    """``run_batch`` leaves every component as the per-access loop does."""
+    params = MemoryParams()
+    a, batches = _nas_hierarchy("CG", "hybrid", 16, 300, params)
+    b, _ = _nas_hierarchy("CG", "hybrid", 16, 300, params)
+    for batch in batches:
+        a.run_batch(batch)
+        for r in batch.records:
+            b.access(int(r["core"]), int(r["addr"]), bool(r["write"]), int(r["cls"]))
+    a.finish()
+    b.finish()
+    assert repr(_state(a)) == repr(_state(b))

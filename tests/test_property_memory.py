@@ -1,8 +1,9 @@
 """Property-based tests on the memory models (hypothesis).
 
 The cache is checked against an executable reference model (a plain dict
-of per-set LRU lists); the coherence directory against a global invariant
-(at most one modified copy, never a modified copy alongside sharers); the
+of per-set LRU lists) and against LRU's inclusion property; the coherence
+directory against a global invariant (at most one modified copy, never a
+modified copy alongside sharers) and against the L1s it tracks; the
 hierarchy against conservation-style accounting invariants.
 """
 
@@ -75,6 +76,21 @@ def test_cache_hits_plus_misses_equals_accesses(ops):
     for addr, write in ops:
         cache.access(addr, write)
     assert cache.stats.get("hits") + cache.stats.get("misses") == len(ops)
+
+
+@given(_ops, st.integers(1, 16), st.integers(1, 16))
+@settings(max_examples=80, deadline=None)
+def test_lru_misses_never_grow_with_capacity(ops, small, extra):
+    """LRU's inclusion property: a fully-associative LRU cache of ``k``
+    lines always holds the ``k`` most recently used lines, a subset of
+    what a larger one holds, so more capacity never adds a miss."""
+    misses = []
+    for ways in (small, small + extra):
+        cache = SetAssocCache(ways * 64, 64, ways)  # one set
+        for addr, write in ops:
+            cache.access(addr, write)
+        misses.append(cache.stats.get("misses"))
+    assert misses[1] <= misses[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +190,61 @@ def test_hierarchy_deterministic(seq):
         return h.energy_j, h.noc_flit_hops(), h.total_mem_cycles()
 
     assert run() == run()
+
+
+# small L1s and L2 banks, few lines: evictions, sharing and upgrades are
+# common, so the coherence paths all run
+_SMALL = MemoryParams(l1_bytes=256, l1_ways=2, l2_bank_bytes=1024, l2_ways=2,
+                      tile_bytes=256)
+_shared_seq = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # core
+        st.integers(0, 31),  # line id (scaled by 64, plus an offset)
+        st.booleans(),  # write
+        st.sampled_from(list(RefClass)),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+@given(_shared_seq, st.sampled_from(["cache", "hybrid"]))
+@settings(max_examples=60, deadline=None)
+def test_directory_copies_are_the_l1s_holding_the_line(seq, mode):
+    """After every access, the full-map directory names exactly the L1s
+    that hold each line: no L1 holds a line the directory does not list,
+    and the directory lists no core whose L1 lacks it.  Invalidation
+    relies on this, since it visits only the cores the directory names."""
+    h = MemoryHierarchy(4, mode=mode, params=_SMALL)
+    h.register_filter_region(0, 16 * 64)  # unknown accesses probe the SPM side
+    h.pin_region(1, 0, 4 * 64)
+    lines = sorted({line_id * 64 for _, line_id, _, _ in seq})
+    for core, line_id, write, cls in seq:
+        h.access(core, line_id * 64 + 8 * (line_id % 8), write, cls)
+        for line in lines:
+            holders = {c for c in range(4) if h.l1[c].contains(line)}
+            assert h.coherence.copies_of(line) == holders, line
+
+
+@given(_shared_seq, st.sampled_from(["cache", "hybrid"]))
+@settings(max_examples=60, deadline=None)
+def test_cache_levels_conserve_accesses(seq, mode):
+    """L1 hits + misses = the accesses that took the cache path, and L2
+    hits + misses = the L1 misses, in the hierarchy's counters and in the
+    caches' own."""
+    h = MemoryHierarchy(4, mode=mode, params=_SMALL)
+    h.register_filter_region(0, 16 * 64)
+    h.pin_region(1, 0, 4 * 64)
+    for core, line_id, write, cls in seq:
+        h.access(core, line_id * 64, write, cls)
+    h.finish()
+    s = h.stats
+    cache_path = s.get("accesses") - s.get("spm_hits") - s.get("unknown_spm_served")
+    l1 = s.get("l1_hits") + s.get("l1_misses")
+    assert l1 == cache_path
+    assert s.get("l2_hits") + s.get("l2_misses") == s.get("l1_misses")
+    assert sum(c.stats.get("hits") + c.stats.get("misses") for c in h.l1) == l1
+    assert (
+        sum(c.stats.get("hits") + c.stats.get("misses") for c in h.l2)
+        == s.get("l1_misses")
+    )

@@ -81,3 +81,26 @@ class TestTraffic:
         noc = MeshNoC(2, 2)
         with pytest.raises(ValueError):
             noc.flits_for_bytes(-1)
+
+    @pytest.mark.parametrize("src,dst,nbytes", [(4, 0, 8), (0, -1, 8), (0, 1, -1)])
+    def test_send_rejects_bad_nodes_and_sizes_before_counting(self, src, dst, nbytes):
+        noc = MeshNoC(2, 2)
+        noc.send(0, 3, 8)
+        before = noc.stats.as_dict()
+        with pytest.raises(ValueError):
+            noc.send(src, dst, nbytes)
+        assert noc.stats.as_dict() == before
+
+    def test_send_counters_are_ints_and_energy_adds_per_message(self):
+        """Flit, flit-hop and byte counters stay ints (digests hash them),
+        and energy is one float add per message, in message order."""
+        noc = MeshNoC(4, 4)
+        energy = 0.0
+        for src, dst, nbytes in ((0, 15, 72), (5, 5, 8), (3, 12, 72), (0, 15, 72)):
+            noc.send(src, dst, nbytes, kind="data")
+            flit_hops = noc.flits_for_bytes(nbytes) * max(noc.hops(src, dst), 1)
+            energy += flit_hops * noc.params.energy_per_flit_hop_pj * 1e-12
+        for key in ("flits", "flit_hops", "flit_hops.data", "bytes"):
+            assert type(noc.stats.get(key)) is int, key
+        assert noc.stats.get("flit_hops") == 5 * 6 + 1 + 5 * 6 + 5 * 6
+        assert noc.total_energy_j == energy
