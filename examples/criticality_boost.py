@@ -10,12 +10,14 @@ vs RSU) that motivates Figure 2's hardware support.
 Run:  python examples/criticality_boost.py
 """
 
+from repro.apps.kernels import critical_chain_with_fillers
 from repro.apps.rsu_experiment import (
-    CriticalityWorkload,
     fig2_experiment,
+    make_section31_machine,
     reconfiguration_overhead_sweep,
-    run_criticality_aware,
 )
+from repro.core import AnnotatedCriticality, CriticalityAwareScheduler, Runtime
+from repro.sim import RsuDvfsController, RsuPolicy, RuntimeSupportUnit
 
 
 def main():
@@ -29,20 +31,14 @@ def main():
           f"   (paper: 20.0%)")
 
     print("\n== A look at the boosted schedule (8 cores, small workload) ==")
-    wl = CriticalityWorkload(chain_len=4, n_fillers=24)
-    res = run_criticality_aware(wl, n_cores=8)
-    # re-run with tracing for the picture
-    from repro.apps.rsu_experiment import _machine, _submit  # noqa
-    from repro.core import AnnotatedCriticality, CriticalityAwareScheduler, Runtime
-    from repro.sim import RsuDvfsController, RsuPolicy, RuntimeSupportUnit
-
-    machine = _machine(8, budget_factor=1.0)
+    machine = make_section31_machine(8, budget_factor=1.0)
     rsu = RuntimeSupportUnit(machine, RsuDvfsController(machine),
                              RsuPolicy(efficient_level=1))
     rt = Runtime(machine, scheduler=CriticalityAwareScheduler(),
                  criticality=AnnotatedCriticality({"critical": True}),
                  rsu=rsu)
-    _submit(rt, wl)
+    rt.submit_all(critical_chain_with_fillers(chain_len=4, n_fillers=24,
+                                              jitter=0.3))
     traced = rt.run()
     print(traced.trace.gantt(64))
     boosted = [r for r in traced.trace.records if r.critical]

@@ -101,8 +101,8 @@ def _chunk_costs(
     return costs
 
 
-def build_pthreads(rt: Runtime, model: ParsecAppModel, n_threads: int) -> None:
-    """Submit the native-structure task graph.
+def build_pthreads(model: ParsecAppModel, n_threads: int) -> List[Task]:
+    """The native-structure task graph, in submission order.
 
     The main thread's serial operations (I/O, serial stages) all carry an
     ``inout`` dependence on the ``main`` region, which serialises them in
@@ -110,8 +110,9 @@ def build_pthreads(rt: Runtime, model: ParsecAppModel, n_threads: int) -> None:
     barrier semantics come from whole-region reads of each phase's output.
     """
     rng = np.random.default_rng(model.seed)
+    tasks: List[Task] = []
     for f in range(model.frames):
-        rt.submit(
+        tasks.append(
             Task.make(
                 f"{model.name}.io.{f}",
                 cpu_cycles=0.0,
@@ -126,7 +127,7 @@ def build_pthreads(rt: Runtime, model: ParsecAppModel, n_threads: int) -> None:
                 model.imbalance, rng,
             )
             for c, cost in enumerate(costs):
-                rt.submit(
+                tasks.append(
                     Task.make(
                         f"{model.name}.f{f}.p{ph}.chunk{c}",
                         cpu_cycles=0.0,
@@ -137,7 +138,7 @@ def build_pthreads(rt: Runtime, model: ParsecAppModel, n_threads: int) -> None:
                 )
             # Barrier + serial stage: the main thread reads the whole
             # phase output before anything else proceeds.
-            rt.submit(
+            tasks.append(
                 Task.make(
                     f"{model.name}.serial.{f}.{ph}",
                     cpu_cycles=0.0,
@@ -147,10 +148,11 @@ def build_pthreads(rt: Runtime, model: ParsecAppModel, n_threads: int) -> None:
                     out=[f"phase{f}.{ph}.done"],
                 )
             )
+    return tasks
 
 
-def build_ompss(rt: Runtime, model: ParsecAppModel, n_cores: int) -> None:
-    """Submit the OmpSs-port task graph.
+def build_ompss(model: ParsecAppModel, n_cores: int) -> List[Task]:
+    """The OmpSs-port task graph, in submission order.
 
     I/O tasks only depend on the I/O stream (they run ahead of the
     computation), parallel phases are decomposed into
@@ -159,8 +161,9 @@ def build_ompss(rt: Runtime, model: ParsecAppModel, n_cores: int) -> None:
     can start while frame f's serial stage still runs.
     """
     rng = np.random.default_rng(model.seed)
+    tasks: List[Task] = []
     for f in range(model.frames):
-        rt.submit(
+        tasks.append(
             Task.make(
                 f"{model.name}.io.{f}",
                 cpu_cycles=0.0,
@@ -179,7 +182,7 @@ def build_ompss(rt: Runtime, model: ParsecAppModel, n_cores: int) -> None:
             if ph == 0 and f > 0:
                 deps.append(f"state{f - 1}")  # frame-to-frame algorithmic dep
             for c, cost in enumerate(costs):
-                rt.submit(
+                tasks.append(
                     Task.make(
                         f"{model.name}.f{f}.p{ph}.chunk{c}",
                         cpu_cycles=0.0,
@@ -188,7 +191,7 @@ def build_ompss(rt: Runtime, model: ParsecAppModel, n_cores: int) -> None:
                         out=[(f"phase{f}.{ph}", c, c + 1)],
                     )
                 )
-        rt.submit(
+        tasks.append(
             Task.make(
                 f"{model.name}.serial.{f}",
                 cpu_cycles=0.0,
@@ -197,6 +200,7 @@ def build_ompss(rt: Runtime, model: ParsecAppModel, n_cores: int) -> None:
                 out=[f"state{f}"],
             )
         )
+    return tasks
 
 
 def run_app(app: str, variant: str, n_cores: int) -> float:
@@ -209,11 +213,12 @@ def run_app(app: str, variant: str, n_cores: int) -> float:
         record_trace=False,
     )
     if variant == "pthreads":
-        build_pthreads(rt, model, n_cores)
+        tasks = build_pthreads(model, n_cores)
     elif variant == "ompss":
-        build_ompss(rt, model, n_cores)
+        tasks = build_ompss(model, n_cores)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    rt.submit_all(tasks)
     return rt.run().makespan
 
 

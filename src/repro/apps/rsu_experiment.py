@@ -23,11 +23,12 @@ Two results are reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.criticality import AnnotatedCriticality
 from ..core.runtime import Runtime
 from ..core.schedulers import CriticalityAwareScheduler, FifoScheduler
+from ..core.task import Task
 from ..sim.dvfs import DvfsController, RsuDvfsController, SoftwareDvfsController
 from ..sim.machine import Machine
 from ..sim.power import DvfsTable
@@ -90,26 +91,22 @@ def make_section31_machine(
     return m
 
 
-_machine = make_section31_machine
-
-
-def _submit(rt: Runtime, wl: CriticalityWorkload) -> None:
-    for t in critical_chain_with_fillers(
+def _tasks(wl: CriticalityWorkload) -> List[Task]:
+    return critical_chain_with_fillers(
         wl.chain_len,
         wl.n_fillers,
         wl.chain_cycles,
         wl.filler_cycles,
         wl.jitter,
         wl.seed,
-    ):
-        rt.submit(t)
+    )
 
 
 def run_static(wl: CriticalityWorkload, n_cores: int = 32):
     """Baseline: static scheduling, every core at the nominal point."""
-    machine = _machine(n_cores, budget_factor=None)
+    machine = make_section31_machine(n_cores, budget_factor=None)
     rt = Runtime(machine, scheduler=FifoScheduler(), record_trace=False)
-    _submit(rt, wl)
+    rt.submit_all(_tasks(wl))
     return rt.run()
 
 
@@ -121,7 +118,7 @@ def run_criticality_aware(
     budget_factor: float = 1.0,
 ):
     """CATS scheduling + RSU frequency allocation under the power budget."""
-    machine = _machine(n_cores, budget_factor)
+    machine = make_section31_machine(n_cores, budget_factor)
     controller = controller_cls(machine)
     rsu = RuntimeSupportUnit(
         machine,
@@ -137,7 +134,7 @@ def run_criticality_aware(
         rsu=rsu,
         record_trace=False,
     )
-    _submit(rt, wl)
+    rt.submit_all(_tasks(wl))
     return rt.run()
 
 

@@ -199,17 +199,6 @@ def _run_fig4_scenario(scenario: Scenario) -> Tuple[dict, dict]:
     return metrics, stats
 
 
-class _TaskCollector:
-    """Duck-typed Runtime stand-in for the PARSEC graph builders."""
-
-    def __init__(self) -> None:
-        self.tasks: List[Task] = []
-
-    def submit(self, task: Task) -> Task:
-        self.tasks.append(task)
-        return task
-
-
 def _build_workload(scenario: Scenario) -> List[Task]:
     """Materialise the scenario's task list from its family + knobs.
 
@@ -260,14 +249,11 @@ def _build_workload(scenario: Scenario) -> List[Task]:
                 f"parsec family must be 'parsec:<app>:<variant>', got {family!r}"
             ) from None
         model = PARSEC_APPS[app]
-        collector = _TaskCollector()
         if variant == "pthreads":
-            build_pthreads(collector, model, scenario.n_cores)
-        elif variant == "ompss":
-            build_ompss(collector, model, scenario.n_cores)
-        else:
-            raise ValueError(f"unknown PARSEC variant {variant!r}")
-        return collector.tasks
+            return build_pthreads(model, scenario.n_cores)
+        if variant == "ompss":
+            return build_ompss(model, scenario.n_cores)
+        raise ValueError(f"unknown PARSEC variant {variant!r}")
     raise ValueError(
         f"unknown workload family {scenario.family!r}; choose a DAG family "
         f"{sorted(WORKLOADS)}, 'chain', 'parsec:<app>:<variant>', or "

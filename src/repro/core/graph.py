@@ -14,7 +14,12 @@ indexed by that id:
 * ``succ_ids`` / ``pred_ids`` — append-only adjacency (``List[List[int]]``);
 * ``unfinished_preds`` — ready counts the runtime decrements on completion;
 * ``depth`` / ``state`` / ``bottom_level`` / ``critical`` — per-task
-  scalars consumed by schedulers, criticality policies and the analyses.
+  scalars consumed by schedulers, criticality policies and the analyses;
+* ``submit_time`` / ``ready_time`` / ``start_time`` / ``end_time`` —
+  lifecycle timestamps;
+* ``core`` / ``dvfs_level`` — where and at which DVFS level a task ran,
+  the rest of what :meth:`~repro.sim.trace.TraceRecorder.from_graph`
+  reads to build a run's trace.
 
 Edge insertion on the submission hot path is then pure C-level list
 traffic (an ``append`` per endpoint) instead of ``set`` operations that
@@ -35,6 +40,7 @@ run on demand.
 from __future__ import annotations
 
 import weakref
+from array import array
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import SPAN_GRAPH_ANALYSIS, get_active
@@ -75,6 +81,8 @@ class TaskGraph:
         "ready_time",
         "start_time",
         "end_time",
+        "core",
+        "dvfs_level",
         "_wake_len",
     )
 
@@ -115,6 +123,12 @@ class TaskGraph:
         self.ready_time: List[Optional[float]] = []
         self.start_time: List[Optional[float]] = []
         self.end_time: List[Optional[float]] = []
+        #: gid -> core the task started on, and that core's DVFS level
+        #: after the RSU served the start's request (``-1`` until started,
+        #: and again after a kill).  Typed arrays: two small ints per
+        #: task, not two list slots.
+        self.core = array("h")
+        self.dvfs_level = array("b")
         # Per-gid length of the prefix of succ_ids[gid] known to be sorted
         # by task_id (the deterministic wake order); maintained by
         # prepare_wake_order / the runtime's completion path.
@@ -144,10 +158,10 @@ class TaskGraph:
         New slots hold the creation defaults a detached handle reads: no
         edges, ready count 0, depth 0, state ``CREATED``, bottom level
         0.0, not critical, and no timestamps except ``submit_time`` (when
-        given).  Nothing is read off the handles but their ``task_id``.
-        The caller owns ``index_of`` and the handles' graph reference and
-        ``gid``, and rolls a failed registration back with
-        :meth:`truncate`.
+        given); core and DVFS level are ``-1``.  Nothing is read off the
+        handles but their ``task_id``.  The caller owns ``index_of`` and
+        the handles' graph reference and ``gid``, and rolls a failed
+        registration back with :meth:`truncate`.
         """
         # Ids first: an entry that is not a task fails before any array
         # grows.
@@ -167,6 +181,8 @@ class TaskGraph:
         self.ready_time.extend([None] * n)
         self.start_time.extend([None] * n)
         self.end_time.extend([None] * n)
+        self.core.extend(array("h", [-1]) * n)
+        self.dvfs_level.extend(array("b", [-1]) * n)
         self._wake_len.extend([0] * n)
         return start
 
@@ -191,8 +207,8 @@ class TaskGraph:
             self.tasks, self.task_ids, self.succ_ids, self.pred_ids,
             self.unfinished_preds, self.depth, self.state,
             self.bottom_level, self.critical, self.submit_time,
-            self.ready_time, self.start_time, self.end_time,
-            self._wake_len,
+            self.ready_time, self.start_time, self.end_time, self.core,
+            self.dvfs_level, self._wake_len,
         ):
             del arr[n:]
 

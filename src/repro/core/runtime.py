@@ -32,7 +32,10 @@ the retired batch (:meth:`~repro.core.graph.TaskGraph.release_handles`).
 A runtime that submits rolling windows of tasks then holds memory
 proportional to the *live* window, not the full history — retired Task
 objects are collectible as soon as the caller's own references lapse,
-while the id-keyed arrays keep post-run analytics intact.  Off by
+while the id-keyed arrays keep post-run analytics intact.  That holds
+with the default ``record_trace=True`` too: no trace record exists
+before :meth:`Runtime.run` builds the trace, and the trace then holds
+only the finished tasks whose handles are not yet released.  Off by
 default; whole-graph object analyses (``total_work``, ``to_networkx``)
 are unavailable for released handles.
 
@@ -71,7 +74,7 @@ from ..obs.timing import now as _host_now
 from ..sim.machine import Machine
 from ..sim.rsu import RuntimeSupportUnit
 from ..sim.stats import StatSet
-from ..sim.trace import TraceRecord, TraceRecorder
+from ..sim.trace import TraceRecorder
 from .criticality import CriticalityPolicy
 from .deps import DependenceTracker
 from .graph import TaskGraph
@@ -111,6 +114,9 @@ class RunResult:
     energy_j: float
     edp: float
     n_tasks: int
+    #: Built from the graph arrays when the run returns (see
+    #: :meth:`~repro.sim.trace.TraceRecorder.from_graph`); ``None`` with
+    #: ``record_trace=False``.
     trace: Optional[TraceRecorder]
     stats: StatSet = field(default_factory=lambda: StatSet("run"))
     #: Runtime fault-injection summary (all zero on fault-free runs):
@@ -125,10 +131,6 @@ class RunResult:
     #: or None when the run executed with observability disabled.  Purely
     #: observational: never part of record identity.
     obs: Optional[Dict[str, Any]] = None
-
-    @property
-    def avg_power_w(self) -> float:
-        return self.energy_j / self.makespan if self.makespan > 0 else 0.0
 
 
 class Runtime:
@@ -147,7 +149,12 @@ class Runtime:
         Optional Runtime Support Unit (with its DVFS mechanism) that the
         runtime notifies on task start; required for DVFS experiments.
     record_trace:
-        Keep per-task execution records (memory proportional to task count).
+        Attach an execution trace to the :class:`RunResult` that
+        :meth:`run` returns.  The trace is built once, from the graph
+        arrays, when the run ends; nothing is recorded per task, so the
+        flag costs nothing while the simulation runs.  Under
+        ``prune_every`` it holds the finished tasks whose handles the
+        graph still holds (see ``TraceRecorder.skipped_released``).
     submission:
         Optional :class:`~repro.sim.tdg_accel.SubmissionModel`: dependence
         registration then takes time on the (serial) master thread, so a
@@ -221,7 +228,7 @@ class Runtime:
         self.graph = TaskGraph()
         self.tracker = DependenceTracker(self.graph)
         self.scheduler.bind(self.graph)
-        self.trace = TraceRecorder() if record_trace else None
+        self.record_trace = record_trace
         self.stats = StatSet("runtime")
         self._unfinished = 0
         self._dispatch_scheduled = False
@@ -480,7 +487,7 @@ class Runtime:
         now = machine.sim.now
         core = machine.cores[core_id]
         graph.state[gid] = TaskState.RUNNING
-        task.core_id = core_id
+        graph.core[gid] = core_id
         graph.start_time[gid] = now
         core.begin_work(now, work=task)
         critical = graph.critical[gid]
@@ -491,6 +498,7 @@ class Runtime:
             stall = result.stall_seconds
             freq_hz = machine.dvfs[result.level].frequency_hz
             self.stats.add("dvfs_stall_seconds", stall)
+        graph.dvfs_level[gid] = core.level
         mem_seconds = task.mem_seconds
         if self.prefetcher is not None:
             mem_seconds = self.prefetcher.effective_mem_seconds(task, now)
@@ -515,11 +523,9 @@ class Runtime:
     def _complete(self, gid: int) -> None:
         machine = self.machine
         graph = self.graph
-        task = graph.tasks[gid]
         now = machine.sim.now
-        core_id = task.core_id
-        core = machine.cores[core_id]
-        core.end_work(now)
+        core_id = graph.core[gid]
+        machine.cores[core_id].end_work(now)
         insort(self._idle_cores, core_id)
         ctl = self._fault_ctl
         if ctl is not None:
@@ -529,22 +535,7 @@ class Runtime:
         graph.state[gid] = TaskState.FINISHED
         self._unfinished -= 1
         self.stats.add("tasks_finished")
-        # No-trace fast path: with tracing off, no TraceRecord is ever
-        # allocated on the completion hot path (and the timestamps already
-        # live in the graph arrays — tracing is pure optional cost).
-        trace = self.trace
-        if trace is not None:
-            trace.record(
-                TraceRecord(
-                    task_id=task.task_id,
-                    task_label=task.label,
-                    core_id=core_id,
-                    start=graph.start_time[gid],
-                    end=now,
-                    frequency_ghz=core.frequency_ghz,
-                    critical=graph.critical[gid],
-                )
-            )
+        task = graph.tasks[gid]
         if task.fn is not None:
             task.result = task.fn(*task.args, **task.kwargs)
         # Deterministic wake-up order: successor lists are walked in
@@ -644,7 +635,8 @@ class Runtime:
         # _make_ready like any first-time wake-up.
         graph.start_time[gid] = None
         graph.end_time[gid] = None
-        work.core_id = None
+        graph.core[gid] = -1
+        graph.dvfs_level[gid] = -1
         self._make_ready(gid)
 
     def _fault_kill_core(self, core_id: int) -> None:
@@ -738,7 +730,11 @@ class Runtime:
             energy_j=energy,
             edp=energy * makespan,
             n_tasks=len(self.graph),
-            trace=self.trace,
+            trace=(
+                TraceRecorder.from_graph(self.graph, self.machine)
+                if self.record_trace
+                else None
+            ),
             faults_fired=int(stats.get("runtime_faults_fired")),
             tasks_reexecuted=int(stats.get("tasks_reexecuted")),
             cores_lost=int(stats.get("cores_lost")),

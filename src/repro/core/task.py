@@ -10,11 +10,11 @@ programmer never names another task.
 Task as a thin handle
 ---------------------
 A :class:`Task` owns only its *description* (label, cost, declared
-accesses, optional real function) and per-dispatch handle fields
-(``core_id``, ``result``).  All graph-structural state — adjacency, ready
-counts, depth, state, criticality — **and the per-task lifecycle
-timestamps** (``submit_time`` / ``ready_time`` / ``start_time`` /
-``end_time``) live in id-keyed arrays on the owning
+accesses, optional real function) and the real function's ``result``.
+All graph-structural state — adjacency, ready counts, depth, state,
+criticality — **and the per-task execution record** (``submit_time`` /
+``ready_time`` / ``start_time`` / ``end_time`` timestamps, and the core
+and DVFS level a task ran at) live in id-keyed arrays on the owning
 :class:`~repro.core.graph.TaskGraph`; ``task.gid`` is the task's dense
 index into those arrays, which are the *only* store of that state.  The
 ``predecessors`` / ``successors`` / ``unfinished_preds`` / ``state`` /
@@ -277,9 +277,7 @@ class Task:
         default=None, init=False, repr=False
     )
 
-    # bookkeeping filled in by the executor (handle-local: dispatch target
-    # and the real function's return value)
-    core_id: Optional[int] = None
+    #: The real function's return value, set when the task completes.
     result: Any = None
 
     def __post_init__(self) -> None:
@@ -429,9 +427,6 @@ class Task:
         and memory components combine into one number.
         """
         return self.duration_at(reference_hz)
-
-    def writes_any(self) -> bool:
-        return any(d.kind.writes for d in self.deps)
 
     def __hash__(self) -> int:
         return self.task_id

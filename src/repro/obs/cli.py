@@ -3,9 +3,11 @@
 Currently one subcommand:
 
 ``export-trace``
-    Run a workload family under an enabled metrics registry with live
-    trace recording, then write a Chrome-trace / Perfetto JSON file
-    fusing the task Gantt, runtime phase spans, and counter series.
+    Run a workload family under an enabled metrics registry, then write
+    a Chrome-trace / Perfetto JSON file fusing the run's task trace,
+    runtime phase spans, and counter series.  With ``--prune-every`` the
+    trace holds the tasks whose handles the graph still holds; the
+    released ones are counted in the ``skipped_released`` metadata.
     Open the output at https://ui.perfetto.dev or ``chrome://tracing``.
 
 Example::

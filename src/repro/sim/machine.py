@@ -73,10 +73,6 @@ class Machine:
     def idle_cores(self) -> List[Core]:
         return [c for c in self.cores if not c.busy and c.alive]
 
-    def live_cores(self) -> List[Core]:
-        """Cores that have not fail-stopped, in core-id order."""
-        return [c for c in self.cores if c.alive]
-
     @property
     def n_live_cores(self) -> int:
         return sum(1 for c in self.cores if c.alive)
@@ -124,13 +120,6 @@ class Machine:
         """Energy-Delay Product of the run so far."""
         self.finalize()
         return edp(self.total_energy_j(), self.sim.now)
-
-    def reset_time(self) -> None:
-        """Rewind the simulator (cores keep their configuration)."""
-        self.finalize()
-        self.sim.reset()
-        for core in self.cores:
-            core._last_update = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

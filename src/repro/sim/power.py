@@ -87,9 +87,6 @@ class DvfsTable:
     def max_level(self) -> int:
         return len(self.points) - 1
 
-    def level_of(self, point: OperatingPoint) -> int:
-        return self.points.index(point)
-
     @classmethod
     def linear(
         cls,

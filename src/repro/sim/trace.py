@@ -1,16 +1,16 @@
-"""Execution traces: who ran what, where, when.
+"""Execution traces: who ran what, where, when, and at which frequency.
 
-A :class:`TraceRecorder` collects per-task execution records so that examples
+A :class:`TraceRecorder` holds per-task execution records so that examples
 can print Gantt-style views (in the spirit of BSC's Paraver traces) and tests
 can assert scheduling invariants such as "no core runs two tasks at once" and
 "no task starts before its predecessors finished".
 
-Since the task lifecycle timestamps moved into :class:`TaskGraph` arrays
-(PR 5), live recording is pure *optional* cost: a run executed with
-``record_trace=False`` can still produce a trace afterwards via
-:meth:`TraceRecorder.from_graph`, which rebuilds the records from the
-graph's ``start_time``/``end_time``/``critical`` arrays and the task
-handles' dispatch bookkeeping.
+A trace is a view of the graph arrays.  The runtime stamps each task's
+timestamps, core and DVFS level into its :class:`TaskGraph` as it runs,
+and :meth:`TraceRecorder.from_graph` — the only builder — turns them into
+records once the run is over (``Runtime.run`` calls it when
+``record_trace`` is on).  Nothing is recorded per task while the
+simulation runs.
 """
 
 from __future__ import annotations
@@ -44,74 +44,66 @@ class TraceRecord:
         return self.end - self.start
 
 
+@dataclass
 class TraceRecorder:
-    """Accumulates :class:`TraceRecord` entries during a simulated run."""
+    """The :class:`TraceRecord` entries of one simulated run."""
 
-    def __init__(self) -> None:
-        self.records: List[TraceRecord] = []
-        #: Finished tasks :meth:`from_graph` could not reconstruct because
-        #: streaming mode (``prune_every``) already released their handles.
-        #: Always 0 for live-recorded traces.
-        self.skipped_released: int = 0
-
-    def record(self, record: TraceRecord) -> None:
-        self.records.append(record)
+    records: List[TraceRecord] = field(default_factory=list)
+    #: Finished tasks :meth:`from_graph` could not rebuild because
+    #: streaming mode (``prune_every``) already released their handles.
+    skipped_released: int = 0
 
     @classmethod
-    def from_graph(cls, graph, machine=None) -> "TraceRecorder":
-        """Rebuild a trace from a graph's array-native timestamps.
+    def from_graph(cls, graph, machine) -> "TraceRecorder":
+        """Build the trace of the finished tasks in ``graph``.
 
-        Produces one record per finished task whose handle is still held
-        by the graph (streaming mode releases retired handles — those
-        tasks' timestamps remain in the arrays for :mod:`repro.core.analytics`,
-        but their labels/cores are gone, so they are skipped here and
-        counted in :attr:`skipped_released`).
-        Frequencies are not part of the lifecycle arrays; with a
-        ``machine`` the *current* per-core frequency is used, otherwise
-        0.0 — live recording is authoritative for DVFS-varying runs.
-        Records are emitted in start-time order.
+        A record reads the task's start and end time, criticality and
+        core from the graph arrays, and maps the stamped DVFS level
+        through ``machine.dvfs`` to the frequency the task ran at.  The
+        level is exact: only the RSU request of the task starting on a
+        core changes that core's level, so it holds until completion.
+
+        **Released handles.** Streaming mode releases retired handles;
+        their timestamps stay in the arrays, but their labels are gone,
+        so they are skipped and counted in :attr:`skipped_released`.
+        Pruning is execution-equivalent: the full trace of a pruned run
+        is the same run's trace with ``prune_every=0``.
+
+        **Order.** Completion order, rebuilt by sorting on ``(end, start,
+        core)``: completions at one timestamp fire in the order their
+        tasks started, and a dispatch pass starts tasks in ascending core
+        order.  The one tie this cannot order is equal start and end on
+        two cores started by two dispatch passes at one timestamp, which
+        needs zero-duration tasks.  The order fixes the float sum in
+        :meth:`utilisation`.
         """
         from ..core.task import TaskState  # sim->core: runtime-only import
 
-        trace = cls()
-        start_arr = graph.start_time
-        end_arr = graph.end_time
+        freq = [op.frequency_ghz for op in machine.dvfs.points]
+        start = graph.start_time
+        end = graph.end_time
         critical = graph.critical
-        state_arr = graph.state
+        state = graph.state
+        core = graph.core
+        level = graph.dvfs_level
         finished = TaskState.FINISHED
-        tasks = graph.tasks
-        rows = []
-        for gid in range(len(tasks)):
+        trace = cls()
+        rows = trace.records
+        for gid, task in enumerate(graph.tasks):
             # end_time is stamped at dispatch, so finished-ness must come
             # from the state array, not from a non-None end time.
-            if state_arr[gid] is not finished:
+            if state[gid] is not finished:
                 continue
-            task = tasks[gid]
             if task is None:
                 trace.skipped_released += 1
                 continue
-            if task.core_id is None:
-                continue
-            start = start_arr[gid]
-            end = end_arr[gid]
-            freq = (
-                machine.cores[task.core_id].frequency_ghz
-                if machine is not None
-                else 0.0
-            )
             rows.append(
                 TraceRecord(
-                    task_id=task.task_id,
-                    task_label=task.label,
-                    core_id=task.core_id,
-                    start=start,
-                    end=end,
-                    frequency_ghz=freq,
-                    critical=critical[gid],
+                    task.task_id, task.label, core[gid], start[gid],
+                    end[gid], freq[level[gid]], critical[gid],
                 )
             )
-        rows.sort(key=lambda r: (r.start, r.core_id))
-        trace.records.extend(rows)
+        rows.sort(key=lambda r: (r.end, r.start, r.core_id))
         return trace
 
     def __len__(self) -> int:
@@ -129,9 +121,6 @@ class TraceRecorder:
         if not self.records:
             return 0.0
         return max(r.end for r in self.records) - min(r.start for r in self.records)
-
-    def core_busy_time(self, core_id: int) -> float:
-        return sum(r.duration for r in self.records if r.core_id == core_id)
 
     def utilisation(self, n_cores: int) -> float:
         """Fraction of core-time spent executing tasks over the makespan."""

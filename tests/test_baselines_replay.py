@@ -1,7 +1,7 @@
 """Exact replay of the checked-in campaign baselines.
 
 ``benchmarks/baselines/<preset>.jsonl`` pins every simulated number of
-five presets, 381 rows in all.  Every scenario of each preset runs
+all eleven presets, 642 rows in all.  Every scenario of each preset runs
 serially through :func:`~repro.campaign.runner.run_scenario`, and its
 ``status``, ``metrics``, ``stats`` and ``error`` must equal the checked-in
 row — including the expected error rows of ``runtime_faults_sweep``
@@ -31,6 +31,12 @@ PRESETS = (
     "fig4_resilience",
     "runtime_faults_sweep",
     "fig1_hybrid",
+    "rsu_comparison",
+    "fig2_rsu",
+    "fig2_overhead",
+    "fig5_parsec",
+    "resilience_sweep",
+    "smoke",
 )
 
 #: The record keys that are a pure function of the scenario (``timing``,

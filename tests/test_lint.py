@@ -11,6 +11,7 @@ Two jobs:
 """
 
 import pickle
+from array import array
 from pathlib import Path
 
 import pytest
@@ -225,7 +226,7 @@ class TestInvariantContracts:
     def test_manifest_matches_graph_arrays(self):
         g = TaskGraph()
         for name in TaskGraph._ARRAY_MANIFEST:
-            assert isinstance(getattr(g, name), list), name
+            assert isinstance(getattr(g, name), (list, array)), name
         g.add_task(Task.make(label="a"))
         g.add_task(Task.make(label="b"))
         lengths = {name: len(getattr(g, name)) for name in TaskGraph._ARRAY_MANIFEST}

@@ -252,19 +252,19 @@ def _run_cholesky_graph(**kw):
     tasks = make_workload("cholesky", scale=1, seed=0)
     rt = Runtime(Machine(4, initial_level=2), scheduler=FifoScheduler(), **kw)
     rt.submit_all(tasks)
-    return rt.run(), rt.graph
+    return rt.run(), rt
 
 
 class TestSkippedReleased:
     def test_pruned_run_counts_released_handles(self):
-        res, graph = _run_cholesky_graph(prune_every=4)
-        trace = TraceRecorder.from_graph(graph)
+        res, rt = _run_cholesky_graph(prune_every=4)
+        trace = TraceRecorder.from_graph(rt.graph, rt.machine)
         assert trace.skipped_released > 0
         assert trace.skipped_released + len(trace) == res.n_tasks
 
     def test_unpruned_run_skips_nothing(self):
-        res, graph = _run_cholesky_graph()
-        trace = TraceRecorder.from_graph(graph)
+        res, rt = _run_cholesky_graph()
+        trace = TraceRecorder.from_graph(rt.graph, rt.machine)
         assert trace.skipped_released == 0
         assert len(trace) == res.n_tasks
 
@@ -275,22 +275,25 @@ def _rec(task_id, core, start, end):
 
 class TestEpsilonTolerance:
     def test_sub_epsilon_overlap_tolerated(self):
-        trace = TraceRecorder()
-        trace.record(_rec(0, 0, 0.0, 1.0))
-        trace.record(_rec(1, 0, 1.0 - EPSILON / 2, 2.0))
+        trace = TraceRecorder([
+            _rec(0, 0, 0.0, 1.0),
+            _rec(1, 0, 1.0 - EPSILON / 2, 2.0),
+        ])
         trace.validate_no_overlap()  # must not raise
 
     def test_beyond_epsilon_overlap_rejected(self):
-        trace = TraceRecorder()
-        trace.record(_rec(0, 0, 0.0, 1.0))
-        trace.record(_rec(1, 0, 1.0 - 10 * EPSILON, 2.0))
+        trace = TraceRecorder([
+            _rec(0, 0, 0.0, 1.0),
+            _rec(1, 0, 1.0 - 10 * EPSILON, 2.0),
+        ])
         with pytest.raises(AssertionError):
             trace.validate_no_overlap()
 
     def test_exporter_fuses_sub_epsilon_overlap(self):
-        trace = TraceRecorder()
-        trace.record(_rec(0, 0, 0.0, 1.0))
-        trace.record(_rec(1, 0, 1.0 - EPSILON / 2, 2.0))
+        trace = TraceRecorder([
+            _rec(0, 0, 0.0, 1.0),
+            _rec(1, 0, 1.0 - EPSILON / 2, 2.0),
+        ])
         events = [
             e
             for e in chrome_trace(trace=trace)["traceEvents"]
@@ -301,9 +304,10 @@ class TestEpsilonTolerance:
         assert events[1]["ts"] + events[1]["dur"] == pytest.approx(2.0 * 1e6)
 
     def test_exporter_rejects_real_overlap(self):
-        trace = TraceRecorder()
-        trace.record(_rec(0, 0, 0.0, 1.0))
-        trace.record(_rec(1, 0, 0.5, 2.0))
+        trace = TraceRecorder([
+            _rec(0, 0, 0.0, 1.0),
+            _rec(1, 0, 0.5, 2.0),
+        ])
         with pytest.raises(ValueError, match="EPSILON"):
             chrome_trace(trace=trace)
 
@@ -417,14 +421,19 @@ class TestObsCli:
         assert "wrote" in capsys.readouterr().out
 
     def test_export_trace_with_prune(self, tmp_path, capsys):
+        from repro.apps.dag_workloads import make_workload
+
         out = tmp_path / "pruned.json"
         rc = obs_cli.main(
             ["export-trace", "--scale", "1", "--prune-every", "4", "--out", str(out)]
         )
         assert rc == 0
         envelope = json.loads(out.read_text(encoding="utf-8"))
-        # Live recording captures every task before its handle is
-        # released, so nothing is skipped even under pruning...
-        assert envelope["metadata"]["skipped_released"] == 0
-        # ...but the prune machinery demonstrably ran.
-        assert envelope["metadata"]["counters"]["prune_reclaimed"] > 0
+        meta = envelope["metadata"]
+        # The trace holds the tasks whose handles the graph still holds;
+        # the released ones are counted, so together they are every task.
+        n_tasks = len(make_workload("cholesky", scale=1, seed=0))
+        assert meta["skipped_released"] > 0
+        assert meta["n_task_records"] + meta["skipped_released"] == n_tasks
+        # The prune machinery demonstrably ran.
+        assert meta["counters"]["prune_reclaimed"] > 0

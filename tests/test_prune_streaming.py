@@ -34,6 +34,7 @@ from repro.core.schedulers import BreadthFirstScheduler
 from repro.core.task import Region, Task, TaskState
 from repro.resilience import plan_runtime_faults
 from repro.sim.machine import Machine
+from repro.sim.trace import TraceRecord
 
 PRUNE_SETTINGS = (0, 1, 17, 4096)
 
@@ -209,6 +210,26 @@ def test_watermark_off_by_default_keeps_handles():
     assert [drained for _, drained in handles] == [64, 128, 192, 256]
     assert rt.graph.live_handles() == 4 * 64
     assert rt.stats.get("prune_passes") == 0
+
+
+def _n_trace_records():
+    return sum(isinstance(o, TraceRecord) for o in gc.get_objects())
+
+
+def test_streaming_with_default_arguments_holds_no_trace_record():
+    """Default arguments trace the run, but no record exists before
+    ``run()`` builds the trace from the handles the graph still holds:
+    a pruned run's memory follows the live window, not the history."""
+    gc.collect()
+    before = _n_trace_records()
+    rt = Runtime(Machine(4, initial_level=2), prune_every=16)
+    for w in range(4):
+        rt.submit_all(stream_window(w, n_buffers=16, n_tasks=64, seed=5))
+        rt.taskwait()
+        assert _n_trace_records() == before, f"window {w}"
+    trace = rt.run().trace
+    assert len(trace) == rt.graph.live_handles() == 0
+    assert trace.skipped_released == 4 * 64
 
 
 def test_prune_bounds_tracker_refs():

