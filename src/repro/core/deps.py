@@ -375,8 +375,7 @@ class DependenceTracker:
         pruned = self._pruned
         by_name = self._by_name
         for dep in deps:
-            region = dep.region
-            kind = dep.kind
+            kind, region = dep
             entry = by_name.get(region.name)
             if entry is None:
                 entry = by_name[region.name] = _NameIndex()

@@ -17,10 +17,17 @@ schedulers queue dense task ids against the graph view the runtime binds
 at construction, and completion decrements ready counts by walking the
 successor id arrays — no ``Task``-set materialisation anywhere on the
 critical path of submission or wake-up.  Lifecycle timestamps live in
-graph arrays too (``graph.submit_time`` & co.), so ``_make_ready`` and
+graph arrays too (``graph.submit_time`` & co.), so ``_release`` and
 ``_complete`` run purely on gids: a handle is only resolved where the
 task's *description* is needed (dispatch cost model, trace labels, real
 function execution).
+
+One pass from completion to dispatch: ``_complete`` frees the core, runs
+the task's function, walks the successor ids once and hands the newly
+ready ones to ``_release`` (the one release rule), then arms the deferred
+dispatch pass, which pushes every released gid to the scheduler and fills
+the idle cores.  Task starts and completions are int fields, folded into
+:attr:`Runtime.stats` when it is read.
 
 Streaming mode
 --------------
@@ -90,6 +97,14 @@ __all__ = ["Runtime", "RunResult", "DeadlockError", "AllCoresDeadError"]
 #: <=2% budget the obs layer aims for (a design target: no test or CI job
 #: measures the enabled overhead).
 _OBS_DISPATCH_STRIDE = 32
+
+# An enum member lookup is a descriptor call; the hot paths read these.
+_CREATED, _READY = TaskState.CREATED, TaskState.READY
+_RUNNING, _FINISHED = TaskState.RUNNING, TaskState.FINISHED
+#: Counts kept as int fields on the hot path: (``stats`` key, field).
+_FOLDED = (("tasks_started", "_n_started"),
+           ("critical_tasks_started", "_n_critical"),
+           ("tasks_finished", "_n_finished"))
 
 
 class DeadlockError(RuntimeError):
@@ -216,12 +231,9 @@ class Runtime:
         self.obs = obs if obs is not None else get_active()
         self._obs_collected = False
         self._obs_wakeups = 0
-        # ``is not None``, NOT truthiness: schedulers are falsy while
-        # empty (``__len__`` is the dispatcher's O(1) work check), so
-        # ``scheduler or FifoScheduler()`` would silently replace every
-        # freshly built scheduler with FIFO — the regression that nulled
-        # the scheduler axis of all campaign sweeps between PR 1 and
-        # this fix.
+        # ``is not None``, NOT truthiness: an empty scheduler is falsy
+        # (``__len__``), so ``scheduler or FifoScheduler()`` would
+        # silently replace every freshly built scheduler with FIFO.
         self.scheduler = scheduler if scheduler is not None else FifoScheduler()
         self.criticality = criticality
         self.rsu = rsu
@@ -229,7 +241,8 @@ class Runtime:
         self.tracker = DependenceTracker(self.graph)
         self.scheduler.bind(self.graph)
         self.record_trace = record_trace
-        self.stats = StatSet("runtime")
+        self._stats = StatSet("runtime")
+        self._n_started = self._n_critical = self._n_finished = 0
         self._unfinished = 0
         self._dispatch_scheduled = False
         self._rr_hint = 0
@@ -256,11 +269,9 @@ class Runtime:
                 "register fewer edges and would diverge"
             )
         self.prune_every = prune_every
-        # Runtime fault injection: only a *non-empty* plan constructs the
-        # injector.  ``None`` (or an empty plan) leaves every fault hook
-        # on the hot paths a single attribute-is-None probe, and — the
-        # campaign acceptance contract — makes zero-fault configurations
-        # take literally the fault-free code path.
+        # Only a *non-empty* fault plan constructs the injector, so
+        # zero-fault configurations take literally the fault-free path
+        # (every hook is one attribute-is-None probe).
         self._fault_ctl: Optional["RuntimeFaultInjector"] = None
         if faults is not None and len(faults):
             from ..resilience.runtime_faults import (
@@ -281,6 +292,19 @@ class Runtime:
         # Gids whose deferred release (master-registration gate) is already
         # scheduled, so a second wake-up does not reschedule it.
         self._release_pending: set = set()
+
+    @property
+    def stats(self) -> StatSet:
+        """The runtime's counters, with the :data:`_FOLDED` counts folded
+        in: each of those keys exists once its count is non-zero, and
+        reads the float one ``add`` per event gave."""
+        stats = self._stats
+        for key, attr in _FOLDED:
+            n = getattr(self, attr)
+            if n:
+                stats.add(key, float(n))
+                setattr(self, attr, 0)
+        return stats
 
     # ------------------------------------------------------------------
     # submission API
@@ -330,7 +354,7 @@ class Runtime:
                     )
                     free_at = max(self._master_free_at, now) + cost
                     self._master_free_at = graph.submit_time[gid] = free_at
-                    self.stats.add("submission_seconds", cost)
+                    self._stats.add("submission_seconds", cost)
         finally:
             # Account even on a mid-batch failure (e.g. a duplicate task):
             # everything registered so far is in the graph and possibly
@@ -338,16 +362,11 @@ class Runtime:
             n_done = len(graph) - start
             if n_done:
                 self._unfinished += n_done
-                self.stats.add("tasks_submitted", n_done)
+                self._stats.add("tasks_submitted", n_done)
                 # Ascending gid is the order a one-task-at-a-time loop
-                # reaches each ready task, so _pending_ready and the
-                # release events are in that order too (_make_ready only
-                # queues: dispatch is deferred).
-                make_ready = self._make_ready
-                ready_count = graph.unfinished_preds
-                for gid in range(start, start + n_done):
-                    if not ready_count[gid]:
-                        make_ready(gid)
+                # reaches each ready task.
+                ready = graph.unfinished_preds
+                self._release([g for g in range(start, len(graph)) if not ready[g]])
         return tasks
 
     def spawn(self, label: str = "task", **kwargs: Any) -> Task:
@@ -357,48 +376,37 @@ class Runtime:
     # ------------------------------------------------------------------
     # readiness & dispatch
     # ------------------------------------------------------------------
-    def _make_ready(self, gid: int) -> None:
-        # Readiness is recorded immediately, but the scheduler push is
-        # deferred to dispatch time (inside the simulation loop) so that
-        # whole-graph criticality preparation can run before any placement
-        # decision is taken.  With a submission model, a task additionally
-        # cannot become ready before the master registered it.  Pure
-        # id-keyed: no handle is resolved on the wake-up path.
-        graph = self.graph
-        now = self.machine.sim.now
-        st = graph.submit_time[gid]
-        if st is not None and st > now:
-            # Defer release until the master registered the task.  A gate
-            # set (not clobbering submit_time) avoids rescheduling loops
-            # while preserving the registration timestamp for latency
-            # accounting.
-            pending = self._release_pending
-            if gid not in pending:
-                pending.add(gid)
-                self.machine.sim.schedule_at(st, self._make_ready, gid)
-            return
-        if self._release_pending:
-            self._release_pending.discard(gid)
-        graph.state[gid] = TaskState.READY
-        graph.ready_time[gid] = now
-        self._pending_ready.append(gid)
-        self._schedule_dispatch()
+    def _release(self, gids: Sequence[int]) -> None:
+        """The release rule: submission, completion, the kill path and
+        the deferred release itself make gids READY only through it.
 
-    def _flush_ready(self) -> None:
-        pending, self._pending_ready = self._pending_ready, []
+        A gid is released now, unless a submission model registers it
+        later (``submit_time > now``): then one release event is scheduled
+        for that time, and the ``_release_pending`` gate keeps a second
+        wake-up from scheduling another.  Released gids wait in
+        ``_pending_ready`` for the dispatch pass this arms, so whole-graph
+        criticality preparation runs before any placement decision.
+        """
         graph = self.graph
-        scheduler = self.scheduler
-        criticality = self.criticality
-        n_cores = self.machine.n_cores
-        for gid in pending:
-            if criticality is not None:
-                # Decide criticality with the information available now:
-                # the queued ready set (CATS-style online decision).
-                graph.critical[gid] = criticality.is_critical(
-                    gid, scheduler.ready_ids(), graph
-                )
-            scheduler.push(gid, hint_core=self._rr_hint)
-            self._rr_hint = (self._rr_hint + 1) % n_cores
+        sim = self.machine.sim
+        now = sim.now
+        gate = self._release_pending
+        queued = self._pending_ready
+        n_queued = len(queued)
+        for gid in gids:
+            st = graph.submit_time[gid]
+            if st is not None and st > now:
+                if gid not in gate:
+                    gate.add(gid)
+                    sim.schedule_at(st, self._release, (gid,))
+                continue
+            if gate:
+                gate.discard(gid)
+            graph.state[gid] = _READY
+            graph.ready_time[gid] = now
+            queued.append(gid)
+        if len(queued) != n_queued:
+            self._schedule_dispatch()
 
     def _schedule_dispatch(self) -> None:
         if not self._dispatch_scheduled:
@@ -433,14 +441,30 @@ class Runtime:
 
     def _dispatch_impl(self) -> None:
         self._dispatch_scheduled = False
-        self._flush_ready()
+        scheduler = self.scheduler
+        queued = self._pending_ready
+        if queued:
+            self._pending_ready = []
+            graph = self.graph
+            criticality = self.criticality
+            n_cores = self.machine.n_cores
+            hint = self._rr_hint
+            for gid in queued:
+                if criticality is not None:
+                    # Decide with what is known now, the queued ready set
+                    # (CATS-style online decision).
+                    graph.critical[gid] = criticality.is_critical(
+                        gid, scheduler.ready_ids(), graph
+                    )
+                scheduler.push(gid, hint_core=hint)
+                hint = (hint + 1) % n_cores
+            self._rr_hint = hint
         # Only idle cores are visited (ascending core id, the same order a
         # full scan produces), and an empty scheduler — O(1) to check —
         # short-circuits the wakeup entirely.
-        if not self._idle_cores or not self.scheduler:
-            return
-        scheduler = self.scheduler
         idle = self._idle_cores
+        if not idle or not scheduler:
+            return
         ctl = self._fault_ctl
         still_idle: List[int] = []
         for pos, core_id in enumerate(idle):
@@ -486,10 +510,10 @@ class Runtime:
         task = graph.tasks[gid]
         now = machine.sim.now
         core = machine.cores[core_id]
-        graph.state[gid] = TaskState.RUNNING
+        graph.state[gid] = _RUNNING
         graph.core[gid] = core_id
         graph.start_time[gid] = now
-        core.begin_work(now, work=task)
+        core.begin_work(now, task)
         critical = graph.critical[gid]
         stall = 0.0
         freq_hz = core.frequency_hz
@@ -497,12 +521,12 @@ class Runtime:
             result = self.rsu.notify_task_start(core_id, critical, now)
             stall = result.stall_seconds
             freq_hz = machine.dvfs[result.level].frequency_hz
-            self.stats.add("dvfs_stall_seconds", stall)
+            self._stats.add("dvfs_stall_seconds", stall)
         graph.dvfs_level[gid] = core.level
         mem_seconds = task.mem_seconds
         if self.prefetcher is not None:
             mem_seconds = self.prefetcher.effective_mem_seconds(task, now)
-            self.stats.add(
+            self._stats.add(
                 "prefetch_hidden_seconds", task.mem_seconds - mem_seconds
             )
         body = task.cpu_cycles / freq_hz + mem_seconds
@@ -516,25 +540,27 @@ class Runtime:
         completion = machine.sim.schedule_at(end, self._complete, gid)
         if ctl is not None:
             ctl.inflight[gid] = completion
-        self.stats.add("tasks_started")
+        self._n_started += 1
         if critical:
-            self.stats.add("critical_tasks_started")
+            self._n_critical += 1
 
     def _complete(self, gid: int) -> None:
+        """Finish ``gid``: free its core, run its function, release the
+        successors it was the last predecessor of, and re-arm dispatch."""
         machine = self.machine
         graph = self.graph
-        now = machine.sim.now
         core_id = graph.core[gid]
-        machine.cores[core_id].end_work(now)
+        machine.cores[core_id].end_work(machine.sim.now)
         insort(self._idle_cores, core_id)
         ctl = self._fault_ctl
         if ctl is not None:
             # The attempt survived to completion: drop its kill handle so
             # a later fault can never cancel a fired event.
             ctl.inflight.pop(gid, None)
-        graph.state[gid] = TaskState.FINISHED
+        state = graph.state
+        state[gid] = _FINISHED
         self._unfinished -= 1
-        self.stats.add("tasks_finished")
+        self._n_finished += 1
         task = graph.tasks[gid]
         if task.fn is not None:
             task.result = task.fn(*task.args, **task.kwargs)
@@ -548,18 +574,24 @@ class Runtime:
                 succs.sort(key=graph.task_ids.__getitem__)
                 graph._wake_len[gid] = len(succs)
             unfinished_preds = graph.unfinished_preds
-            state = graph.state
-            created = TaskState.CREATED
-            make_ready = self._make_ready
+            woken: List[int] = []
             for s in succs:
                 n = unfinished_preds[s] = unfinished_preds[s] - 1
-                if n == 0 and state[s] is created:
-                    make_ready(s)
+                if n == 0 and state[s] is _CREATED:
+                    woken.append(s)
+            if woken:
+                self._release(woken)
         if self.prune_every:
             self._retired.append(gid)
             if len(self._retired) >= self.prune_every:
                 self._run_prune()
-        self._schedule_dispatch()
+        if not self._dispatch_scheduled:
+            self._schedule_dispatch()
+        if ctl is not None and not self._unfinished:
+            # The last task (and its function) is done: faults planned
+            # beyond the makespan must not fire in the trailing drain and
+            # stretch the clock past the real finish time.
+            ctl.disarm()
 
     def _run_prune(self) -> None:
         """Watermark prune: retire the tracker's finished members and
@@ -569,8 +601,8 @@ class Runtime:
         with obs_.span(SPAN_PRUNE):
             reclaimed = self.tracker.prune_finished()
             self.graph.release_handles(retired)
-        self.stats.add("prune_passes")
-        self.stats.add("tasks_retired", len(retired))
+        self._stats.add("prune_passes")
+        self._stats.add("tasks_retired", len(retired))
         if obs_.enabled:
             obs_.counter_add("prune_reclaimed", float(reclaimed))
             obs_.gauge_sample(
@@ -588,7 +620,7 @@ class Runtime:
         The attempt's completion event is cancelled, the core is
         returned to the idle set (its elapsed busy time and energy are
         real — wasted work was still executed), and the gid re-enters
-        the ready set through the ordinary ``_make_ready`` path, so
+        the ready set through the release rule (``_release``), so
         re-dispatch happens in the same deferred batch as any other
         wake-up at this timestamp.  Streaming safety: only FINISHED
         gids are ever retired, so a killed task's graph handle is
@@ -610,11 +642,10 @@ class Runtime:
                 f"task gid={gid} is {graph.state[gid]}, not RUNNING"
             )
         completion = ctl.inflight.pop(gid, None)
-        if completion is None or not completion.pending:
+        if completion is None or not machine.sim.cancel(completion):
             raise RuntimeError(
                 f"task gid={gid} has no cancellable completion event"
             )
-        completion.cancel()
         core.end_work(now)
         insort(self._idle_cores, core_id)
         start = graph.start_time[gid]
@@ -626,18 +657,18 @@ class Runtime:
             else elapsed
         )
         saved = ctl.on_kill(gid, core_id, elapsed, planned)
-        stats = self.stats
+        stats = self._stats
         stats.add("tasks_killed")
         stats.add("tasks_reexecuted")
         stats.add("recovery_s", elapsed - saved)
         # Reset the lifecycle slots the attempt wrote; the retry's
-        # _start repopulates them.  State/ready_time are handled by
-        # _make_ready like any first-time wake-up.
+        # _start repopulates them.  State/ready_time are set by the
+        # release rule like any first-time wake-up.
         graph.start_time[gid] = None
         graph.end_time[gid] = None
         graph.core[gid] = -1
         graph.dvfs_level[gid] = -1
-        self._make_ready(gid)
+        self._release((gid,))
 
     def _fault_kill_core(self, core_id: int) -> None:
         """Fail-stop ``core_id``: kill its in-flight task, then remove
@@ -659,7 +690,7 @@ class Runtime:
         if core_id in self._idle_cores:
             self._idle_cores.remove(core_id)
         core.fail(machine.sim.now)
-        self.stats.add("cores_lost")
+        self._stats.add("cores_lost")
         if machine.n_live_cores == 0 and self._unfinished > 0:
             raise AllCoresDeadError(
                 f"all {machine.n_cores} cores fail-stopped with "
@@ -692,31 +723,27 @@ class Runtime:
         ctl = self._fault_ctl
         if ctl is not None:
             # Arm (or re-arm, for a later streaming window) the fault
-            # plan for the duration of this wait.
+            # plan; _complete disarms it when the last task finishes.
             ctl.arm()
         try:
-            while self._unfinished > 0:
-                if not sim.step():
-                    msg = (
-                        f"{self._unfinished} tasks cannot run; "
-                        "dependence cycle or missing submission"
-                    )
-                    if ctl is not None:
-                        msg += (
-                            " (runtime faults armed: "
-                            f"{int(self.stats.get('cores_lost'))} cores "
-                            f"lost, {len(ctl.banned)} placement bans "
-                            "outstanding)"
-                        )
-                    raise DeadlockError(msg)
+            sim.run()
         finally:
             if ctl is not None:
-                # Faults planned beyond the makespan must not fire in the
-                # trailing drain and stretch the clock past the real
-                # finish time.
+                # Error paths leave no fault armed either.
                 ctl.disarm()
-        # Drain any trailing zero-work events (dispatches with empty queues).
-        sim.run()
+        if self._unfinished:
+            msg = (
+                f"{self._unfinished} tasks cannot run; "
+                "dependence cycle or missing submission"
+            )
+            if ctl is not None:
+                msg += (
+                    " (runtime faults armed: "
+                    f"{int(self._stats.get('cores_lost'))} cores "
+                    f"lost, {len(ctl.banned)} placement bans "
+                    "outstanding)"
+                )
+            raise DeadlockError(msg)
 
     def run(self) -> RunResult:
         """``taskwait`` + machine finalisation, returning a summary."""
@@ -740,7 +767,7 @@ class Runtime:
             cores_lost=int(stats.get("cores_lost")),
             recovery_s=stats.get("recovery_s"),
         )
-        result.stats.merge(self.stats)
+        result.stats.merge(stats)
         if self.obs.enabled:
             result.obs = self.collect_obs()
         return result
@@ -768,18 +795,9 @@ class Runtime:
             obs_.counter_add("index_window_scans", float(tracker.scan_probes))
             obs_.counter_add("events_processed", float(sim.events_processed))
             if self._fault_ctl is not None:
-                stats = self.stats
-                obs_.counter_add(
-                    "runtime_faults_fired",
-                    stats.get("runtime_faults_fired"),
-                )
-                obs_.counter_add(
-                    "runtime_faults_noop", stats.get("runtime_faults_noop")
-                )
-                obs_.counter_add(
-                    "tasks_reexecuted", stats.get("tasks_reexecuted")
-                )
-                obs_.counter_add("cores_lost", stats.get("cores_lost"))
+                for key in ("runtime_faults_fired", "runtime_faults_noop",
+                            "tasks_reexecuted", "cores_lost"):
+                    obs_.counter_add(key, self._stats.get(key))
             obs_.gauge_sample(
                 "live_regions", float(tracker.live_regions), t=sim.now
             )

@@ -67,6 +67,7 @@ from typing import (
     Any,
     Callable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -207,9 +208,18 @@ def clear_region_intern() -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
-class Dependence:
-    """One declared access of a task: (kind, region)."""
+class Dependence(NamedTuple):
+    """One declared access of a task: the pair ``(kind, region)``.
+
+    An immutable ``tuple`` subclass (``__slots__ = ()``): building one
+    costs a tuple, where a frozen dataclass paid an ``object.__setattr__``
+    per field, and every task of every workload builds one per access.
+    ``kind`` and ``region`` read the two items, equality and hashing are
+    the pair's (so ``Dependence(k, r) == (k, r)``), and it pickles as its
+    type through ``__getnewargs__``.  It checks nothing itself:
+    :meth:`~repro.core.deps.DependenceTracker.register_preds` rejects a
+    kind or region of the wrong type, and a plain pair.
+    """
 
     kind: DepKind
     region: Region
@@ -266,7 +276,7 @@ class Task:
     priority: int = 0
 
     # identity ---------------------------------------------------------------
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    task_id: int = field(default_factory=_task_ids.__next__)
     #: Dense id in the owning graph's struct-of-arrays storage.  ``-1``
     #: while detached; assigned on registration (``register_batch`` or
     #: :meth:`TaskGraph.add_task`).
@@ -303,27 +313,24 @@ class Task:
     ) -> "Task":
         """Convenience constructor turning region specs into dependences.
 
-        A spec that is already a :class:`Region` is used as given (builders
-        pass interned regions); anything else goes through
-        :meth:`Region.of`.
+        Every workload builder constructs its tasks here, so it does only
+        what a task needs: empty keyword sequences are skipped, and the
+        :class:`Task` is built positionally.  A spec that is already a
+        :class:`Region` is used as given (builders pass interned regions);
+        anything else goes through :meth:`Region.of`.
         """
         deps: List[Dependence] = []
         for kind, specs in zip(
             _MAKE_KINDS, (in_, out, inout, concurrent, commutative)
         ):
-            for spec in specs:
-                deps.append(Dependence(
-                    kind, spec if type(spec) is Region else Region.of(spec)
-                ))
+            if specs:
+                for spec in specs:
+                    deps.append(Dependence(
+                        kind, spec if type(spec) is Region else Region.of(spec)
+                    ))
         return cls(
-            label=label,
-            cpu_cycles=cpu_cycles,
-            mem_seconds=mem_seconds,
-            deps=deps,
-            fn=fn,
-            args=args,
-            kwargs=kwargs if kwargs is not None else {},
-            priority=priority,
+            label, cpu_cycles, mem_seconds, deps, fn, args,
+            kwargs if kwargs is not None else {}, priority,
         )
 
     # ------------------------------------------------------------------

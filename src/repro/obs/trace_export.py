@@ -97,7 +97,7 @@ def _task_events(trace: TraceRecorder) -> List[Event]:
             if prev_end is not None and start < prev_end:
                 if start < prev_end - EPSILON:
                     raise ValueError(
-                        f"core {core_id}: task {rec.task_id} starts at {start} "
+                        f"core {core_id}: task gid={rec.gid} starts at {start} "
                         f"before previous task ended at {prev_end} "
                         f"(beyond EPSILON={EPSILON})"
                     )
@@ -114,7 +114,7 @@ def _task_events(trace: TraceRecorder) -> List[Event]:
                     "pid": SIM_PID,
                     "tid": core_id,
                     "args": {
-                        "task_id": rec.task_id,
+                        "gid": rec.gid,
                         "frequency_ghz": rec.frequency_ghz,
                         "critical": rec.critical,
                     },

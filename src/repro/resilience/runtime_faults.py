@@ -65,7 +65,7 @@ from typing import (
 
 import numpy as np
 
-from ..sim.events import Event
+from ..sim.events import EventHandle
 from .faults import draw_fault_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -353,7 +353,7 @@ class RuntimeFaultInjector:
         self.policy = policy
         #: gid → completion event of the attempt currently running
         #: (cancelled on kill so the stale completion never fires).
-        self.inflight: Dict[int, Event] = {}
+        self.inflight: Dict[int, EventHandle] = {}
         #: gid → core id the retry must avoid (reexec-elsewhere).
         self.banned: Dict[int, int] = {}
         #: gid → number of times this task has been killed.
@@ -361,7 +361,7 @@ class RuntimeFaultInjector:
         #: gid → seconds of salvaged work credited to the next attempt.
         self.saved: Dict[int, float] = {}
         self._idx = 0
-        self._event: Optional[Event] = None
+        self._event: Optional[EventHandle] = None
 
     @property
     def runtime(self) -> "Runtime":
@@ -373,7 +373,10 @@ class RuntimeFaultInjector:
 
     # -- arming ---------------------------------------------------------
     def arm(self) -> None:
-        """Schedule the next not-yet-past fault (one event at a time)."""
+        """Schedule the next not-yet-past fault (one event at a time),
+        but only while tasks are outstanding: the runtime disarms when
+        its last task finishes, and a fault armed over an empty wait
+        would fire in the trailing drain."""
         self._schedule_next()
 
     def disarm(self) -> None:
@@ -385,8 +388,8 @@ class RuntimeFaultInjector:
         taskwait window (streaming submission) re-arms from where the
         plan left off.
         """
-        if self._event is not None and self._event.pending:
-            self._event.cancel()
+        if self._event is not None:
+            self.runtime.machine.sim.cancel(self._event)
         self._event = None
 
     def _schedule_next(self) -> None:
@@ -400,7 +403,7 @@ class RuntimeFaultInjector:
             rt.stats.add("runtime_faults_skipped")
             idx += 1
         self._idx = idx
-        if idx < len(events):
+        if idx < len(events) and rt._unfinished:
             self._event = sim.schedule_at(events[idx].time_s, self._fire)
         else:
             self._event = None

@@ -16,7 +16,7 @@ from .dvfs import (
     RsuDvfsController,
     SoftwareDvfsController,
 )
-from .events import Event, EventQueue, SimulationError, Simulator
+from .events import EventQueue, SimulationError, Simulator
 from .machine import Machine
 from .noc import MeshNoC, NocParams
 from .power import (
@@ -45,7 +45,6 @@ __all__ = [
     "DvfsRequestResult",
     "RsuDvfsController",
     "SoftwareDvfsController",
-    "Event",
     "EventQueue",
     "SimulationError",
     "Simulator",

@@ -8,99 +8,78 @@ components that think in cycles convert through their local frequency.
 The engine is deliberately minimal — a binary heap of timestamped events with
 deterministic FIFO tie-breaking — because determinism matters more than
 throughput here: every benchmark must produce identical numbers on every run.
+
+Handles
+-------
+A scheduled event is the plain list ``[time, seq, callback, args]`` on the
+heap, and that list is the handle :meth:`Simulator.schedule` returns
+(:data:`EventHandle`): no other object is built per event.  ``seq`` is
+unique, so the heap's list compare orders by ``(time, seq)`` and never
+reaches the callback.  :meth:`Simulator.cancel` sets a pending handle's
+callback to ``None`` and the loop drops the entry when it reaches the top;
+the loop also clears the callback of an entry it fires, so a handle is
+pending exactly while its callback is set.  ``len(queue)`` is the heap
+size minus the dead entries still in it: O(1).
+
+One loop
+--------
+:meth:`Simulator.run` is the only loop that fires events.  It keeps the
+heap, the deferred batch and the clock in locals, and runs the deferred
+batch (:meth:`Simulator.defer`) once the current timestamp has drained.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["Event", "EventQueue", "Simulator", "SimulationError"]
+__all__ = ["EventHandle", "EventQueue", "Simulator", "SimulationError"]
+
+#: A scheduled event, and the handle to it: ``[time, seq, callback, args]``
+#: (``callback`` is ``None`` once the event fired or was cancelled).
+EventHandle = List[Any]
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-@dataclass(slots=True)
-class Event:
-    """A scheduled callback.
-
-    Events fire in ``(time, seq)`` order: two events at the same timestamp
-    fire in the order they were scheduled, which keeps runs reproducible.
-    The heap holds ``(time, seq, event)`` tuples, so ordering is a C tuple
-    compare that never reaches the event (``(time, seq)`` is unique).
-
-    ``slots=True``: events are the highest-churn allocation in the kernel
-    (one per task completion, dispatch and DVFS transition), so dropping
-    the per-instance ``__dict__`` measurably cuts attribute traffic and
-    memory on the hot path.
-    """
-
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    _queue: Optional["EventQueue"] = field(compare=False, default=None, repr=False)
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._queue is not None:
-                self._queue._live -= 1
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still queued (not fired, not cancelled).
-
-        The runtime's abort-in-flight path uses this to assert a task's
-        completion event is actually cancellable before killing it.
-        """
-        return not self.cancelled and self._queue is not None
-
-
 class EventQueue:
-    """Binary-heap priority queue of :class:`Event` with stable ordering.
-
-    Live-event count is tracked incrementally so ``len()`` is O(1).
-    Cancelled entries stay in the heap until they reach the top, where
-    ``pop``/``peek_time`` discard them (only fault injection cancels
-    events, a handful per run).
-    """
+    """Binary heap of :data:`EventHandle` entries in ``(time, seq)`` order.
+    ``_dead`` counts the cancelled entries still in it (only fault
+    injection cancels events, a handful per run)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._counter = itertools.count()
-        self._live = 0
+        self._heap: List[EventHandle] = []
+        self._next_seq = itertools.count().__next__
+        self._dead = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
-    def push(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        seq = next(self._counter)
-        event = Event(time, seq, callback, args, _queue=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest live event, or ``None`` when empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if not event.cancelled:
-                self._live -= 1
-                event._queue = None  # fired: a late cancel() must not recount
-                return event
-        return None
+    def push(self, time: float, callback: Callable[..., None], args: tuple) -> EventHandle:
+        entry = [time, self._next_seq(), callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        """Time of the earliest pending event, or ``None`` when empty."""
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+            self._dead -= 1
+        return heap[0][0] if heap else None
+
+    def pop(self) -> Optional[Tuple[float, Callable[..., None], tuple]]:
+        """Remove the earliest pending event and return ``(time, callback,
+        args)``, or ``None`` when empty.  Its handle counts as fired."""
+        if self.peek_time() is None:
+            return None
+        entry = heapq.heappop(self._heap)
+        time, _, callback, args = entry
+        entry[2] = None
+        return time, callback, args
 
 
 class Simulator:
@@ -116,8 +95,10 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
+        #: Events fired plus deferred batches run; counted when
+        #: :meth:`run` returns.
         self.events_processed: int = 0
-        self._deferred: list[Callable[[], None]] = []
+        self._deferred: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # scheduling
@@ -127,87 +108,88 @@ class Simulator:
 
         A deferred callback fires after every queued event whose time
         equals ``now`` (including events those events push at ``now``),
-        and before the clock advances to the next timestamp.  This is the
-        batching primitive the task runtime's dispatcher uses: N
-        same-timestamp task completions coalesce into one deferred
-        dispatch with zero event-queue traffic, where scheduling a
-        zero-delay event per wake-up would pay one heap push+pop each.
-
-        Equivalent to ``schedule(0.0, callback)`` whenever nothing else
-        schedules zero-delay work at the same timestamp after the trampoline
-        (the only runtime source of such events — zero-duration task
-        completions — is itself created by the dispatch and therefore
-        ordered identically under both mechanisms).
+        and before the clock advances.  The runtime's dispatcher batches
+        on it: N same-timestamp completions coalesce into one dispatch
+        with no heap traffic.  Equivalent to ``schedule(0.0, callback)``
+        whenever nothing else schedules zero-delay work at the timestamp
+        after it (zero-duration completions, the only runtime source, are
+        created by the dispatch itself and so ordered the same way).
         """
         self._deferred.append(callback)
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.queue.push(self.now + delay, callback, *args)
+        return self.queue.push(self.now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time} < now={self.now})"
             )
-        return self.queue.push(time, callback, *args)
+        return self.queue.push(time, callback, args)
+
+    def cancel(self, handle: EventHandle) -> bool:
+        """Cancel a pending event.  Returns ``False``, and does nothing,
+        when the event already fired or was cancelled."""
+        if handle[2] is None:
+            return False
+        handle[2] = None
+        self.queue._dead += 1
+        return True
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Process one event (or one deferred batch when the current
-        timestamp has drained).  Returns ``False`` when nothing is left."""
-        if self._deferred:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > self.now:
-                # The current timestamp has drained: flush the deferred
-                # batch before the clock may advance.
-                batch, self._deferred = self._deferred, []
-                self.events_processed += 1
-                for callback in batch:
-                    callback()
-                return True
-        event = self.queue.pop()
-        if event is None:
-            return False
-        if event.time < self.now:
-            raise SimulationError("event queue yielded an event in the past")
-        self.now = event.time
-        self.events_processed += 1
-        event.callback(*event.args)
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        ``until`` is inclusive: events exactly at ``until`` still fire.
+        ``until`` is inclusive: events exactly at ``until`` still fire.  A
+        deferred batch counts as one event.
         """
-        processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
-                return
-            if not self._deferred:
-                # Deferred callbacks are due at the *current* timestamp,
-                # so they are never beyond the horizon; only queued events
-                # can be.
-                next_time = self.queue.peek_time()
-                if next_time is None:
-                    return
-                if until is not None and next_time > until:
-                    # Advance to the horizon, but never rewind: an `until`
-                    # in the past must leave the clock where it is.
-                    if until > self.now:
-                        self.now = until
-                    return
-            self.step()
-            processed += 1
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self.queue = EventQueue()
-        self.now = 0.0
-        self.events_processed = 0
-        self._deferred = []
+        queue = self.queue
+        heap = queue._heap
+        deferred = self._deferred
+        heappop = heapq.heappop
+        now = self.now
+        stop = -1 if max_events is None else max(max_events, 0)
+        n = 0
+        try:
+            while n != stop:
+                if deferred and (not heap or heap[0][0] > now):
+                    # The current timestamp has drained: run the deferred
+                    # batch before the clock may advance.
+                    batch = deferred
+                    deferred = self._deferred = []
+                    n += 1
+                    for callback in batch:
+                        callback()
+                    continue
+                if until is not None and not deferred:
+                    # Deferred callbacks are due at the *current*
+                    # timestamp, so only queued events can lie beyond the
+                    # horizon.  An `until` in the past never rewinds.
+                    next_time = queue.peek_time()
+                    if next_time is None:
+                        break
+                    if next_time > until:
+                        if until > now:
+                            self.now = until
+                        break
+                if not heap:
+                    break
+                entry = heappop(heap)
+                time, _, callback, args = entry
+                if callback is None:
+                    queue._dead -= 1
+                    continue
+                entry[2] = None
+                if time < now:
+                    raise SimulationError("event queue yielded an event in the past")
+                self.now = now = time
+                n += 1
+                callback(*args)
+        finally:
+            self.events_processed += n

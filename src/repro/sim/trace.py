@@ -29,9 +29,14 @@ EPSILON = 1e-12
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One execution interval of one task on one core."""
+    """One execution interval of one task on one core.
 
-    task_id: int
+    ``gid`` names the task by its index in the run's graph, so two
+    identical runs in one process give equal records (``Task.task_id``
+    comes from a process-wide counter and would differ).
+    """
+
+    gid: int
     task_label: str
     core_id: int
     start: float
@@ -99,7 +104,7 @@ class TraceRecorder:
                 continue
             rows.append(
                 TraceRecord(
-                    task.task_id, task.label, core[gid], start[gid],
+                    gid, task.label, core[gid], start[gid],
                     end[gid], freq[level[gid]], critical[gid],
                 )
             )
@@ -136,8 +141,8 @@ class TraceRecorder:
             for a, b in zip(recs, recs[1:]):
                 if b.start < a.end - EPSILON:
                     raise AssertionError(
-                        f"core {core_id}: task {b.task_id} started at {b.start} "
-                        f"before task {a.task_id} ended at {a.end}"
+                        f"core {core_id}: task gid={b.gid} started at {b.start} "
+                        f"before task gid={a.gid} ended at {a.end}"
                     )
 
     def gantt(self, width: int = 72, max_cores: Optional[int] = None) -> str:

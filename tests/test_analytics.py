@@ -144,7 +144,7 @@ class TestAnalytics:
         # the RUNNING critical task's not-yet-elapsed interval is ignored
         assert critical_path_occupancy(g) == 0.0
         rebuilt = TraceRecorder.from_graph(g, Machine(2, initial_level=2))
-        assert [r.task_id for r in rebuilt.records] == [done.task_id]
+        assert [r.gid for r in rebuilt.records] == [done.gid]
 
     def test_analytics_survive_handle_release(self):
         """Streaming mode: analytics read arrays, not handles."""

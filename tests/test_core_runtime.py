@@ -253,7 +253,14 @@ class ScanDispatchRuntime(Runtime):
 
     def _dispatch(self):
         self._dispatch_scheduled = False
-        self._flush_ready()
+        released, self._pending_ready = self._pending_ready, []
+        for gid in released:
+            if self.criticality is not None:
+                self.graph.critical[gid] = self.criticality.is_critical(
+                    gid, self.scheduler.ready_ids(), self.graph
+                )
+            self.scheduler.push(gid, hint_core=self._rr_hint)
+            self._rr_hint = (self._rr_hint + 1) % self.machine.n_cores
         for core in self.machine.cores:
             if core.busy:
                 continue

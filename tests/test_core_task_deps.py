@@ -1,10 +1,12 @@
 """Unit tests for tasks, regions, and the dependence tracker."""
 
+import pickle
+
 import pytest
 
 from repro.core.deps import DependenceTracker
 from repro.core.graph import TaskGraph
-from repro.core.task import DepKind, Region, Task, TaskState
+from repro.core.task import Dependence, DepKind, Region, Task, TaskState
 from tracker_helpers import register
 
 
@@ -57,6 +59,54 @@ class TestTaskConstruction:
         assert DepKind.INOUT.reads and DepKind.INOUT.writes
         assert DepKind.CONCURRENT.reads
         assert DepKind.COMMUTATIVE.writes
+
+    def test_make_fills_every_field_in_place(self):
+        t = Task.make("t", 5.0, 0.25, in_=["a", "b"], out=(),
+                      commutative=["c"], fn=max, args=(1,),
+                      kwargs={"k": 1}, priority=3)
+        assert t.deps == [
+            Dependence(DepKind.IN, Region("a")),
+            Dependence(DepKind.IN, Region("b")),
+            Dependence(DepKind.COMMUTATIVE, Region("c")),
+        ]
+        assert (t.label, t.cpu_cycles, t.mem_seconds) == ("t", 5.0, 0.25)
+        assert (t.fn, t.args, t.kwargs, t.priority) == (max, (1,), {"k": 1}, 3)
+        assert Task.make("u").kwargs == {} and Task.make("u").deps == []
+
+
+class TestDependenceValue:
+    """``Dependence`` is an immutable ``(kind, region)`` tuple subclass."""
+
+    def test_fields_read_back(self):
+        dep = Dependence(DepKind.INOUT, Region("x", 0, 8))
+        assert dep.kind is DepKind.INOUT
+        assert dep.region == Region("x", 0, 8)
+        assert tuple(dep) == (DepKind.INOUT, Region("x", 0, 8))
+
+    def test_assignment_raises(self):
+        dep = Dependence(DepKind.IN, Region("x"))
+        with pytest.raises(AttributeError):
+            dep.kind = DepKind.OUT
+        with pytest.raises(AttributeError):
+            dep.extra = 1
+
+    def test_equal_pairs_hash_equal(self):
+        a = Dependence(DepKind.IN, Region("x"))
+        b = Dependence(DepKind.IN, Region("x"))
+        assert a == b and hash(a) == hash(b)
+        assert a != Dependence(DepKind.OUT, Region("x"))
+        assert a == (DepKind.IN, Region("x"))  # a plain pair compares equal
+
+    def test_pickle_keeps_the_type(self):
+        dep = Dependence(DepKind.CONCURRENT, Region("x", 2, 4))
+        back = pickle.loads(pickle.dumps(dep))
+        assert type(back) is Dependence and back == dep
+
+    def test_register_rejects_a_plain_pair(self):
+        tracker = DependenceTracker(TaskGraph())
+        bad = Task(label="bad", deps=[(DepKind.IN, Region("x"))])
+        with pytest.raises(TypeError):
+            register(tracker, bad)
 
 
 def edges_of(tracker, task):

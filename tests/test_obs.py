@@ -269,8 +269,8 @@ class TestSkippedReleased:
         assert len(trace) == res.n_tasks
 
 
-def _rec(task_id, core, start, end):
-    return TraceRecord(task_id, f"t{task_id}", core, start, end, 2.0, False)
+def _rec(gid, core, start, end):
+    return TraceRecord(gid, f"t{gid}", core, start, end, 2.0, False)
 
 
 class TestEpsilonTolerance:
@@ -353,6 +353,19 @@ class TestChromeTraceExport:
         )
         _validate_trace_events(envelope)
         assert json.loads(out.read_text(encoding="utf-8")) == envelope
+
+    def test_identical_runs_in_one_process_export_identical_files(self, tmp_path):
+        # Task ids come from a process-wide counter, so the second run's
+        # tasks carry other ids; a record names its task by gid instead.
+        runs = [_run_cholesky_graph() for _ in range(2)]
+        assert runs[0][1].graph.tasks[0].task_id != runs[1][1].graph.tasks[0].task_id
+        assert runs[0][0].trace.records == runs[1][0].trace.records
+        blobs = []
+        for i, (res, _) in enumerate(runs):
+            out = tmp_path / f"run{i}.json"
+            export_chrome_trace(str(out), trace=res.trace)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_task_events_on_sim_pid_spans_on_host_pid(self):
         res, registry = self._run_with_trace()

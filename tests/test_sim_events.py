@@ -6,64 +6,95 @@ from repro.sim.events import EventQueue, SimulationError, Simulator
 
 
 class TestEventQueue:
+    """Heap order and cancellation, driven through ``schedule_at``/``cancel``."""
+
     def test_pop_orders_by_time(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(3.0, fired.append, "c")
-        q.push(1.0, fired.append, "a")
-        q.push(2.0, fired.append, "b")
-        order = []
-        while (e := q.pop()) is not None:
-            order.append(e.time)
-        assert order == [1.0, 2.0, 3.0]
+        for t in (3.0, 1.0, 2.0):
+            sim.schedule_at(t, fired.append, t)
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
 
     def test_fifo_tie_break_at_same_time(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        second = q.push(1.0, lambda: None)
-        assert q.pop() is first
-        assert q.pop() is second
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "first")
+        sim.schedule_at(1.0, fired.append, "second")
+        sim.run()
+        assert fired == ["first", "second"]
 
     def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None)
-        e2 = q.push(2.0, lambda: None)
-        e1.cancel()
-        assert q.pop() is e2
-        assert q.pop() is None
+        sim = Simulator()
+        fired = []
+        e1 = sim.schedule_at(1.0, fired.append, 1)
+        sim.schedule_at(2.0, fired.append, 2)
+        assert sim.cancel(e1) is True
+        sim.run()
+        assert fired == [2]
+        assert sim.events_processed == 1
 
     def test_len_ignores_cancelled(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert len(q) == 2
-        e.cancel()
-        assert len(q) == 1
+        sim = Simulator()
+        e = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert len(sim.queue) == 2
+        sim.cancel(e)
+        assert len(sim.queue) == 1
+        sim.run()
+        assert len(sim.queue) == 0
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.push(5.0, lambda: None)
-        e.cancel()
-        assert q.peek_time() == 5.0
+        sim = Simulator()
+        e = sim.schedule_at(1.0, lambda: None)
+        last = sim.schedule_at(5.0, lambda: None)
+        sim.cancel(e)
+        assert sim.queue.peek_time() == 5.0
+        sim.cancel(last)
+        assert sim.queue.peek_time() is None
+        # A queue holding only cancelled events is drained: a horizon
+        # does not move the clock.
+        sim.run(until=3.0)
+        assert sim.now == 0.0
 
     def test_double_cancel_counts_once(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        e.cancel()
-        e.cancel()
-        assert len(q) == 1
+        sim = Simulator()
+        e = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.cancel(e) is True
+        assert sim.cancel(e) is False
+        assert len(sim.queue) == 1
 
     def test_cancel_after_pop_does_not_corrupt_count(self):
+        sim = Simulator()
+        fired = []
+        e = sim.schedule_at(1.0, fired.append, 1)
+        sim.schedule_at(2.0, fired.append, 2)
+        sim.run(max_events=1)
+        assert fired == [1]
+        assert sim.cancel(e) is False  # already fired: nothing to undo
+        assert len(sim.queue) == 1
+        sim.run()
+        assert fired == [1, 2]
+        assert len(sim.queue) == 0
+
+    def test_pop_returns_the_event_and_marks_it_fired(self):
         q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert q.pop() is e
-        e.cancel()  # already fired: must not decrement the live count
+        f = lambda *a: None  # noqa: E731
+        late = q.push(2.0, f, ("b",))
+        early = q.push(1.0, f, ("a",))
+        assert q.pop() == (1.0, f, ("a",))
+        assert early[2] is None and late[2] is f
         assert len(q) == 1
-        assert q.pop() is not None
-        assert q.pop() is None
+
+    def test_a_callback_can_cancel_an_event_at_its_own_timestamp(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(sim.cancel(victim)))
+        victim = sim.schedule_at(1.0, fired.append, "victim")
+        sim.run()
+        assert fired == [True]
+        assert sim.events_processed == 1
 
 
 class TestSimulator:
@@ -119,14 +150,6 @@ class TestSimulator:
         sim.run(max_events=4)
         assert sim.events_processed == 4
 
-    def test_reset(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.queue.pop() is None
-
     def test_run_until_in_past_does_not_rewind_clock(self):
         """Regression: run(until=t) with t < now must not move time back."""
         sim = Simulator()
@@ -146,22 +169,3 @@ class TestSimulator:
             sim.schedule(1.0, log.append, i)
         sim.run()
         assert log == [0, 1, 2, 3, 4]
-
-
-class TestEventSlots:
-    """Event is slotted (hot-path memory/attr-traffic optimisation)."""
-
-    def test_event_has_no_instance_dict(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        assert not hasattr(event, "__dict__")
-        with pytest.raises(AttributeError):
-            event.ad_hoc_attribute = 1
-
-    def test_cancel_still_works_with_slots(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, 1)
-        event.cancel()
-        sim.run()
-        assert fired == []

@@ -68,8 +68,8 @@ class TestGeometricMean:
             geometric_mean([])
 
 
-def rec(task_id, core, start, end, critical=False):
-    return TraceRecord(task_id, f"t{task_id}", core, start, end, 2.0, critical)
+def rec(gid, core, start, end, critical=False):
+    return TraceRecord(gid, f"t{gid}", core, start, end, 2.0, critical)
 
 
 class TestTraceRecorder:
@@ -136,7 +136,7 @@ class TestTraceRecorder:
             rec(0, 0, 0.0, 1.0),
         ])
         recs = tr.by_core()[0]
-        assert [r.task_id for r in recs] == [0, 1]
+        assert [r.gid for r in recs] == [0, 1]
 
 
 class TestStatSetFastPath:

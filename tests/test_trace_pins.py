@@ -5,9 +5,9 @@ Two checks run over 47 configurations:
 * **Digest.** Each run's ``RunResult.trace`` is hashed record by record in
   emitted order — gid, label, core, ``repr`` of start, end and frequency,
   criticality — together with ``repr(trace.utilisation(16))``, so record
-  order and the float sum in ``utilisation`` are pinned too.  The gid
-  stands in for ``task_id``: task ids come from a process-wide counter
-  and depend on how many tasks earlier tests built.  The digests were
+  order and the float sum in ``utilisation`` are pinned too.  A record
+  names its task by gid, not by the process-wide ``task_id``, which
+  depends on how many tasks earlier tests built.  The digests were
   recorded with a trace kept per completion; a trace built from the
   graph arrays must reproduce them.
 * **Stall oracle.** A task's interval is its DVFS stall plus
@@ -150,12 +150,11 @@ for _policy in RECOVERY_POLICIES:
         )
 
 
-def trace_digest(rt, result):
-    index_of = rt.graph.index_of
+def trace_digest(result):
     h = hashlib.sha256()
     for r in result.trace.records:
         h.update(repr((
-            index_of[r.task_id], r.task_label, r.core_id, repr(r.start),
+            r.gid, r.task_label, r.core_id, repr(r.start),
             repr(r.end), repr(r.frequency_ghz), r.critical,
         )).encode())
     h.update(repr(result.trace.utilisation(16)).encode())
@@ -219,7 +218,7 @@ def test_trace_matches_its_pinned_digest(name):
     rt = CONFIGS[name][0]()
     result = rt.run()
     assert len(result.trace) == result.n_tasks
-    assert trace_digest(rt, result) == DIGESTS[name]
+    assert trace_digest(result) == DIGESTS[name]
 
 
 @pytest.mark.parametrize(
@@ -229,10 +228,9 @@ def test_trace_durations_match_the_cost_model(name):
     rt = CONFIGS[name][0]()
     result = rt.run()
     tasks = rt.graph.tasks
-    index_of = rt.graph.index_of
     stall = 0.0
     for r in result.trace.records:
-        task = tasks[index_of[r.task_id]]
+        task = tasks[r.gid]
         stall += (
             r.duration
             - task.cpu_cycles / (r.frequency_ghz * 1e9)
