@@ -51,18 +51,19 @@ no cleanup call.
 Compaction keeps the member sets tight: an exact write *replaces* the
 region's writer set (last-writer compaction — earlier readers, writers and
 concurrents are fully ordered before it and can be forgotten), and writer
-propagation into overlapping histories deduplicates by task id, so a
+propagation into overlapping histories deduplicates by gid, so a
 multi-access writer is recorded once per region, not once per access.
 A tracker serves the one :class:`~repro.core.graph.TaskGraph` it is built
 with (``DependenceTracker(graph)``) and holds **gids only**: members are
 insertion-ordered ``{gid: None}`` dicts (ordered sets) keyed by the task's
 dense graph id, and every per-task fact the tracker needs (state, depth)
 is read from the graph's arrays — no ``Task`` is reachable from it.  The
-hot loops move data with C-level ``dict.update`` on int keys instead of
-hashing ``Task`` objects through their Python-level ``__hash__``, and
+hot loops move data with C-level ``dict.update`` on int keys, and
 :meth:`register_preds` returns the accumulated dict — a predecessor *id*
 collection — which :meth:`DependenceTracker.register_batch` inserts into
-the graph's adjacency arrays.
+the graph's adjacency arrays.  Each new gid is the largest in the graph,
+so appending it keeps every successor list ascending, which is the wake
+order.
 
 Watermark pruning (streaming mode)
 ----------------------------------
@@ -267,17 +268,19 @@ class DependenceTracker:
         :meth:`register_preds`, the edge insertion for a task that has no
         edges yet, and the pruning depth floor.
 
-        Readiness is left to the caller: the new gids run from
-        ``len(graph)`` before the call to ``len(graph)`` after it, and a
-        gid is ready when its ``unfinished_preds`` is 0.  On a mid-batch
-        failure (a duplicate task, a malformed access) the tasks
-        registered so far stay in the graph — exactly where a
-        one-task-at-a-time loop would have left graph and tracker — the
-        rest is trimmed back off with :meth:`TaskGraph.truncate`, and the
-        exception propagates.
+        A task is a duplicate when it already belongs to a live graph
+        (``task.graph is not None``): earlier in this batch, in an earlier
+        batch, or in another runtime's graph.  Readiness is left to the
+        caller: the new gids run from ``len(graph)`` before the call to
+        ``len(graph)`` after it, and a gid is ready when its
+        ``unfinished_preds`` is 0.  On a mid-batch failure (a duplicate
+        task, a malformed access) the tasks registered so far stay in the
+        graph — exactly where a one-task-at-a-time loop would have left
+        graph and tracker — the rest is trimmed back off with
+        :meth:`TaskGraph.truncate`, and the exception propagates.  An
+        entry that is not a :class:`Task` fails before the graph grows.
         """
         graph = self.graph
-        index_of = graph.index_of
         succ_ids = graph.succ_ids
         pred_ids = graph.pred_ids
         unfinished_preds = graph.unfinished_preds
@@ -298,11 +301,8 @@ class DependenceTracker:
         try:
             for task in tasks:
                 gid = start + n_done
-                tid = task.task_id
-                # One dict op for probe + insert (setdefault returns the
-                # prior mapping on a duplicate).
-                if index_of.setdefault(tid, gid) != gid:
-                    raise ValueError(f"task #{tid} already in graph")
+                if task.graph is not None:
+                    raise ValueError(f"task {task.label!r} already in graph")
                 task._graph = graph_ref
                 task.gid = gid
                 # Registered only after the duplicate probe and gid
@@ -365,7 +365,7 @@ class DependenceTracker:
                 or type(dep.region) is not Region
             ):
                 raise TypeError(
-                    f"task #{task.task_id} ({task.label!r}): {dep!r} is not "
+                    f"task gid={task.gid} ({task.label!r}): {dep!r} is not "
                     "a Dependence(DepKind, Region)"
                 )
         tid = task.gid

@@ -8,10 +8,11 @@ activities like the construction of the TDG."*
 Representation
 --------------
 Every task added to the graph receives a dense integer id (``task.gid``,
-its insertion index), and all structural state lives in parallel arrays
-indexed by that id:
+its insertion index, i.e. its place in submission order), and all
+structural state lives in parallel arrays indexed by that id:
 
-* ``succ_ids`` / ``pred_ids`` — append-only adjacency (``List[List[int]]``);
+* ``succ_ids`` / ``pred_ids`` — adjacency (``List[List[int]]``), each
+  list in ascending gid;
 * ``unfinished_preds`` — ready counts the runtime decrements on completion;
 * ``depth`` / ``state`` / ``bottom_level`` / ``critical`` — per-task
   scalars consumed by schedulers, criticality policies and the analyses;
@@ -22,13 +23,14 @@ indexed by that id:
   reads to build a run's trace.
 
 Edge insertion on the submission hot path is then pure C-level list
-traffic (an ``append`` per endpoint) instead of ``set`` operations that
-hash ``Task`` objects through their Python-level ``__hash__`` — the
-constant factor ROADMAP open item 3 targeted.  These arrays are the only
+traffic (an ``append`` per endpoint) instead of ``set`` operations on
+``Task`` objects.  These arrays are the only
 store of per-task state: :class:`~repro.core.task.Task` stays a thin
 handle whose ``predecessors``/``successors``/``state``/... properties are
 read-only views of them (creation defaults while detached), and the
-dependence tracker keeps gids, never handles.
+dependence tracker keeps gids, never handles.  The gid is the task's only
+identity: the handle itself says which graph holds it (``task.graph``),
+so a task belongs to at most one live graph.
 
 This module holds the graph itself plus the global analyses the rest of the
 system consumes — topological ordering, longest (critical) path, bottom
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
+from bisect import insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import SPAN_GRAPH_ANALYSIS, get_active
@@ -69,7 +72,6 @@ class TaskGraph:
     #: gid a valid index everywhere) — machine-checked by lint rule RL004.
     _ARRAY_MANIFEST = (
         "tasks",
-        "task_ids",
         "succ_ids",
         "pred_ids",
         "unfinished_preds",
@@ -83,19 +85,15 @@ class TaskGraph:
         "end_time",
         "core",
         "dvfs_level",
-        "_wake_len",
     )
 
     def __init__(self) -> None:
         #: gid -> Task handle (the id → Task view).  ``None`` for handles
         #: retired via :meth:`release_handles` in streaming mode.
         self.tasks: List[Optional[Task]] = []
-        #: gid -> globally unique ``task_id`` (the deterministic wake-order
-        #: sort key).
-        self.task_ids: List[int] = []
-        #: ``task_id`` -> gid (duplicate detection + object-API lookups).
-        self.index_of: Dict[int, int] = {}
-        #: gid -> successor gids, in edge-insertion order.
+        #: gid -> successor gids, ascending: the deterministic wake order
+        #: (submission order).  Submission appends each new gid, the
+        #: largest so far; :meth:`add_edge` inserts in order.
         self.succ_ids: List[List[int]] = []
         #: gid -> predecessor gids, in edge-insertion order.
         self.pred_ids: List[List[int]] = []
@@ -129,22 +127,20 @@ class TaskGraph:
         #: task, not two list slots.
         self.core = array("h")
         self.dvfs_level = array("b")
-        # Per-gid length of the prefix of succ_ids[gid] known to be sorted
-        # by task_id (the deterministic wake order); maintained by
-        # prepare_wake_order / the runtime's completion path.
-        self._wake_len: List[int] = []
         self.n_edges = 0
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> int:
-        """Register ``task``, assign its dense id and return it."""
-        tid = task.task_id
-        if tid in self.index_of:
-            raise ValueError(f"task #{tid} already in graph")
+        """Register ``task``, assign its dense id and return it.
+
+        Raises ``ValueError`` if the task already belongs to a live graph
+        (this one or another).
+        """
+        if task.graph is not None:
+            raise ValueError(f"task {task.label!r} already in graph")
         gid = self.grow([task])
-        self.index_of[tid] = gid
         task._graph = weakref.ref(self)
         task.gid = gid
         return gid
@@ -159,17 +155,17 @@ class TaskGraph:
         edges, ready count 0, depth 0, state ``CREATED``, bottom level
         0.0, not critical, and no timestamps except ``submit_time`` (when
         given); core and DVFS level are ``-1``.  Nothing is read off the
-        handles but their ``task_id``.  The caller owns ``index_of`` and
-        the handles' graph reference and ``gid``, and rolls a failed
-        registration back with :meth:`truncate`.
+        handles.  The caller owns the handles' graph reference and
+        ``gid``, and rolls a failed registration back with
+        :meth:`truncate`.  An entry that is not a :class:`Task` raises
+        ``TypeError`` before any array grows.
         """
-        # Ids first: an entry that is not a task fails before any array
-        # grows.
-        tids = [t.task_id for t in tasks]
+        for t in tasks:
+            if not isinstance(t, Task):
+                raise TypeError(f"{t!r} is not a Task")
         start = len(self.tasks)
         n = len(tasks)
         self.tasks.extend(tasks)
-        self.task_ids.extend(tids)
         self.succ_ids.extend([[] for _ in range(n)])
         self.pred_ids.extend([[] for _ in range(n)])
         self.unfinished_preds.extend([0] * n)
@@ -183,32 +179,29 @@ class TaskGraph:
         self.end_time.extend([None] * n)
         self.core.extend(array("h", [-1]) * n)
         self.dvfs_level.extend(array("b", [-1]) * n)
-        self._wake_len.extend([0] * n)
         return start
 
     def truncate(self, n: int) -> None:
         """Trim every gid array back to length ``n``.
 
         The rollback of a failed registration.  A handle in the dropped
-        tail whose ``index_of`` entry points into the tail is detached
-        (mapping removed, graph reference and ``gid`` reset), so it is
-        resubmittable and its properties read the creation defaults
-        instead of indexing past the arrays — whatever the dropped slots
-        held is gone with them; a handle that maps below ``n`` (a
-        duplicate of an earlier task) keeps its mapping.
+        tail that this graph registered into the tail is detached (graph
+        reference and ``gid`` reset), so it is resubmittable and its
+        properties read the creation defaults instead of indexing past
+        the arrays — whatever the dropped slots held is gone with them.
+        A handle registered below ``n`` (a duplicate of an earlier task)
+        or into another graph is left as it is.
         """
-        index_of = self.index_of
         for task in self.tasks[n:]:
-            if task is not None and index_of.get(task.task_id, -1) >= n:
-                del index_of[task.task_id]
+            if task is not None and task.gid >= n and task.graph is self:
                 task._graph = None
                 task.gid = -1
         for arr in (
-            self.tasks, self.task_ids, self.succ_ids, self.pred_ids,
+            self.tasks, self.succ_ids, self.pred_ids,
             self.unfinished_preds, self.depth, self.state,
             self.bottom_level, self.critical, self.submit_time,
             self.ready_time, self.start_time, self.end_time, self.core,
-            self.dvfs_level, self._wake_len,
+            self.dvfs_level,
         ):
             del arr[n:]
 
@@ -217,15 +210,17 @@ class TaskGraph:
 
         The object-handle API for building a graph by hand (tests,
         manually built graphs).  Submission inserts edges by id in
-        :meth:`~repro.core.deps.DependenceTracker.register_batch`.
+        :meth:`~repro.core.deps.DependenceTracker.register_batch`.  The
+        successor list stays ascending (the wake order), whatever order
+        the edges are added in.
         """
-        pg = self.index_of.get(pred.task_id)
-        sg = self.index_of.get(succ.task_id)
-        if pg is None or sg is None:
+        if pred.graph is not self or succ.graph is not self:
             raise ValueError("both endpoints must be in the graph")
+        pg = pred.gid
+        sg = succ.gid
         if sg in self.succ_ids[pg]:
             return False
-        self.succ_ids[pg].append(sg)
+        insort(self.succ_ids[pg], sg)
         self.pred_ids[sg].append(pg)
         if self.state[pg] is not TaskState.FINISHED:
             self.unfinished_preds[sg] += 1
@@ -318,26 +313,13 @@ class TaskGraph:
                 if g not in self.succ_ids[p]:
                     raise AssertionError("asymmetric adjacency")
 
-    # ------------------------------------------------------------------
-    # wake order
-    # ------------------------------------------------------------------
     def prepare_wake_order(self) -> None:
-        """Sort every successor list into deterministic wake order.
+        """No-op, kept for its remaining caller: the host-performance
+        benchmark in ``benchmarks/perf/`` wraps it as a traced target.
 
-        Wake order is ascending ``task_id`` (matching the pre-id-keyed
-        runtime, whose completion path sorted successor sets).  For the
-        workload builders — which submit tasks in creation order — the
-        lists are already sorted and Timsort's run detection makes this a
-        linear verification pass.  The runtime re-sorts an individual
-        list lazily (via ``_wake_len``) if edges were added later.
+        Successor lists are always in wake order (ascending gid), so
+        there is nothing to prepare.
         """
-        with get_active().span(SPAN_GRAPH_ANALYSIS):
-            key = self.task_ids.__getitem__
-            wake = self._wake_len
-            for g, lst in enumerate(self.succ_ids):
-                if len(lst) > 1:
-                    lst.sort(key=key)
-                wake[g] = len(lst)
 
     # ------------------------------------------------------------------
     # analyses (array sweeps over ids)
@@ -476,20 +458,20 @@ class TaskGraph:
 
     # ------------------------------------------------------------------
     def to_networkx(self) -> Any:
-        """Export to a :class:`networkx.DiGraph` (labels + costs as attrs)."""
+        """Export to a :class:`networkx.DiGraph` keyed by gid (labels +
+        costs as attrs)."""
         import networkx as nx
 
         g = nx.DiGraph()
         for gid, t in enumerate(self.tasks):
             g.add_node(
-                t.task_id,
+                gid,
                 label=t.label,
                 cpu_cycles=t.cpu_cycles,
                 mem_seconds=t.mem_seconds,
                 critical=self.critical[gid],
             )
-        ids = self.task_ids
         for gid, succs in enumerate(self.succ_ids):
             for s in succs:
-                g.add_edge(ids[gid], ids[s])
+                g.add_edge(gid, s)
         return g

@@ -564,15 +564,10 @@ class Runtime:
         task = graph.tasks[gid]
         if task.fn is not None:
             task.result = task.fn(*task.args, **task.kwargs)
-        # Deterministic wake-up order: successor lists are walked in
-        # ascending task_id.  prepare_wake_order sorted every list at
-        # taskwait; a length mismatch means edges were added since, so
-        # re-sort just this list.
+        # Deterministic wake-up order: successor lists are ascending gid,
+        # i.e. submission order.
         succs = graph.succ_ids[gid]
         if succs:
-            if graph._wake_len[gid] != len(succs):
-                succs.sort(key=graph.task_ids.__getitem__)
-                graph._wake_len[gid] = len(succs)
             unfinished_preds = graph.unfinished_preds
             woken: List[int] = []
             for s in succs:
@@ -716,9 +711,6 @@ class Runtime:
             # One-shot whole-graph criticality preparation (bottom levels /
             # oracle marking) before the first placement decision.
             self.prepare_criticality()
-            # Sort every successor list into wake order once, instead of
-            # sorting on every completion in the hot loop.
-            self.graph.prepare_wake_order()
             self._prepared = True
         ctl = self._fault_ctl
         if ctl is not None:

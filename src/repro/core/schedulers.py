@@ -225,25 +225,18 @@ class WorkStealingScheduler(Scheduler):
 
 
 class CriticalityAwareScheduler(Scheduler):
-    """CATS: critical tasks to fast cores, the rest to slow cores.
+    """CATS: critical tasks first, on every core.
 
     Criticality is read from the bound graph's ``critical`` array at push
-    time (the runtime's policy writes it just before pushing).
-    ``is_fast_core`` partitions the machine; by default no core is "fast"
-    and the scheduler degrades to FIFO — with a DVFS/RSU machine the
-    partition is dynamic (any core boosts when given a critical task), so
-    every core prefers the critical queue when it is non-empty.
+    time (the runtime's policy writes it just before pushing).  With a
+    DVFS/RSU machine the fast/slow partition is dynamic (any core boosts
+    when given a critical task), so every core pops the critical queue
+    while it is non-empty, then the normal one, each in FIFO order.
     """
 
-    def __init__(
-        self,
-        is_fast_core: Optional[Callable[[int], bool]] = None,
-        prefer_critical_everywhere: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         self._critical: deque[int] = deque()
         self._normal: deque[int] = deque()
-        self.is_fast_core = is_fast_core
-        self.prefer_critical_everywhere = prefer_critical_everywhere
 
     def push(self, gid: int, hint_core: Optional[int] = None) -> None:
         graph = self.graph
@@ -258,17 +251,10 @@ class CriticalityAwareScheduler(Scheduler):
             self._normal.append(gid)
 
     def pop(self, core_id: int) -> Optional[int]:
-        fast = self.is_fast_core(core_id) if self.is_fast_core else False
-        prefer_critical = fast or self.prefer_critical_everywhere
-        first, second = (
-            (self._critical, self._normal)
-            if prefer_critical
-            else (self._normal, self._critical)
-        )
-        if first:
-            return first.popleft()
-        if second:
-            return second.popleft()
+        if self._critical:
+            return self._critical.popleft()
+        if self._normal:
+            return self._normal.popleft()
         return None
 
     def ready_ids(self) -> Sequence[int]:

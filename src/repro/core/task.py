@@ -17,6 +17,11 @@ criticality — **and the per-task execution record** (``submit_time`` /
 and DVFS level a task ran at) live in id-keyed arrays on the owning
 :class:`~repro.core.graph.TaskGraph`; ``task.gid`` is the task's dense
 index into those arrays, which are the *only* store of that state.  The
+gid is also the task's only identity: it is the task's place in
+submission order, as an instruction's place in program order identifies
+it in a superscalar core.  Tasks compare and hash by object identity,
+and a task belongs to at most one live graph: registering a task whose
+:attr:`~Task.graph` is not ``None`` raises ``ValueError``.  The
 ``predecessors`` / ``successors`` / ``unfinished_preds`` / ``state`` /
 ``depth`` / ``bottom_level`` / ``critical`` / timestamp attributes are
 read-only properties that index the graph's arrays; a detached task (never
@@ -58,7 +63,6 @@ tasks the right power play in Section 3.1.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -232,10 +236,7 @@ class TaskState(Enum):
     FINISHED = "finished"
 
 
-_task_ids = itertools.count()
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Task:
     """A schedulable unit of work with declared data accesses.
 
@@ -245,7 +246,9 @@ class Task:
     state and lifecycle timestamps live in the owning graph's arrays (the
     read-only properties below index them, through a weak reference to
     the graph: see :attr:`graph`); ad-hoc attributes can no longer be
-    attached to tasks — extend the dataclass instead.
+    attached to tasks — extend the dataclass instead.  ``eq=False``: a
+    task compares and hashes by identity (two tasks with equal fields
+    are two tasks).
 
     Parameters
     ----------
@@ -276,10 +279,9 @@ class Task:
     priority: int = 0
 
     # identity ---------------------------------------------------------------
-    task_id: int = field(default_factory=_task_ids.__next__)
-    #: Dense id in the owning graph's struct-of-arrays storage.  ``-1``
-    #: while detached; assigned on registration (``register_batch`` or
-    #: :meth:`TaskGraph.add_task`).
+    #: Dense id in the owning graph's struct-of-arrays storage, i.e. the
+    #: task's submission index.  ``-1`` while detached; assigned on
+    #: registration (``register_batch`` or :meth:`TaskGraph.add_task`).
     gid: int = -1
     #: Weak reference to the owning graph (see :attr:`graph`), or
     #: ``None`` while detached.  Set together with ``gid``.
@@ -435,11 +437,5 @@ class Task:
         """
         return self.duration_at(reference_hz)
 
-    def __hash__(self) -> int:
-        return self.task_id
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Task) and other.task_id == self.task_id
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Task(#{self.task_id} {self.label!r}, {self.state.value})"
+        return f"Task({self.label!r} gid={self.gid}, {self.state.value})"

@@ -60,16 +60,6 @@ class AccessBatch:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def n_writes(self) -> int:
-        return int(self.records["write"].sum())
-
-    def class_counts(self) -> dict:
-        out = {}
-        for cls in RefClass:
-            out[cls.name.lower()] = int((self.records["cls"] == cls).sum())
-        return out
-
 
 def make_batch(cores, addrs, writes, classes) -> AccessBatch:
     """Assemble a batch from per-field arrays (broadcast scalars allowed)."""

@@ -94,7 +94,3 @@ class SpmFilter:
         if hit:
             self.stats.add("hits")
         return hit
-
-    @property
-    def n_segments(self) -> int:
-        return len(self._segments)

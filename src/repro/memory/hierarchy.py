@@ -464,9 +464,6 @@ class MemoryHierarchy:
     def total_mem_cycles(self) -> float:
         return sum(self.mem_cycles)
 
-    def max_core_mem_cycles(self) -> float:
-        return max(self.mem_cycles)
-
     def noc_flit_hops(self) -> float:
         return self.noc.total_flit_hops
 

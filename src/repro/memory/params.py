@@ -60,19 +60,3 @@ class MemoryParams:
     @property
     def l1_sets(self) -> int:
         return self.l1_bytes // (self.line_bytes * self.l1_ways)
-
-    @property
-    def l2_bank_sets(self) -> int:
-        return self.l2_bank_bytes // (self.line_bytes * self.l2_ways)
-
-    @property
-    def accesses_per_line(self) -> int:
-        return max(1, self.line_bytes // self.access_bytes)
-
-    @property
-    def accesses_per_tile(self) -> int:
-        return max(1, self.tile_bytes // self.access_bytes)
-
-    @property
-    def lines_per_tile(self) -> int:
-        return max(1, self.tile_bytes // self.line_bytes)

@@ -18,7 +18,7 @@ currently resident so the SPM directory/filter can answer alias queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..sim.stats import StatSet
 from .params import MemoryParams
@@ -71,9 +71,6 @@ class Scratchpad:
             if base <= addr < base + n:
                 return True
         return False
-
-    def resident_ranges(self) -> List[Tuple[int, int]]:
-        return [(b, n) for b, n in self._ranges.items()]
 
     def access(self, addr: int, write: bool) -> None:
         self.stats.add("accesses")

@@ -10,12 +10,12 @@ hooks the Section 4 experiments need:
 * a *recovery scheme* notified on every iteration (checkpointing) and on
   each DUE (rollback / restart / interpolation).
 
-Faults arrive either as a single hand-placed :class:`~.faults.DueEvent`
-(``due=``, the original Figure 4 shape) or as a whole
-:class:`~.faults.FaultPlan` (``faults=``, the campaign axis): events fire
-in time order at iteration boundaries, and because recovery itself
-advances the simulated clock, a later fault can land *inside* a pending
-recovery window — schemes must handle back-to-back DUEs.
+Faults arrive as ``faults=``: a :class:`~.faults.FaultPlan` (the campaign
+axis) or any sequence of :class:`~.faults.DueEvent` (``faults=[event]``
+is the original single-DUE Figure 4 shape).  Events fire in time order at
+iteration boundaries, and because recovery itself advances the simulated
+clock, a later fault can land *inside* a pending recovery window —
+schemes must handle back-to-back DUEs.
 
 The residual is tracked recursively as in production CG; after any
 recovery action the true residual ``b - Ax`` is recomputed explicitly,
@@ -108,14 +108,9 @@ class CgResult:
 
 
 def _as_events(
-    due: Optional[DueEvent],
     faults: Optional[Union[FaultPlan, Sequence[DueEvent]]],
 ) -> Tuple[DueEvent, ...]:
-    """Normalise the two fault inputs into one time-ordered tuple."""
-    if due is not None and faults is not None:
-        raise ValueError("give either due= (one event) or faults= (a plan)")
-    if due is not None:
-        return (due,)
+    """Normalise the fault input into one time-ordered tuple."""
     if faults is None:
         return ()
     if isinstance(faults, FaultPlan):
@@ -127,7 +122,6 @@ def run_cg(
     a: sp.csr_matrix,
     b: np.ndarray,
     scheme,
-    due: Optional[DueEvent] = None,
     tol: float = 1e-8,
     max_iterations: int = 20000,
     timing: Optional[CgTiming] = None,
@@ -148,7 +142,7 @@ def run_cg(
     fail to converge — nothing here silently repairs a bad scheme.
     """
     timing = timing if timing is not None else CgTiming()
-    events = _as_events(due, faults)
+    events = _as_events(faults)
     n = a.shape[0]
     x = np.zeros(n) if x0 is None else x0.astype(float).copy()
     r = b - a @ x

@@ -31,9 +31,9 @@ EPSILON = 1e-12
 class TraceRecord:
     """One execution interval of one task on one core.
 
-    ``gid`` names the task by its index in the run's graph, so two
-    identical runs in one process give equal records (``Task.task_id``
-    comes from a process-wide counter and would differ).
+    ``gid`` names the task by its index in the run's graph (its
+    submission index, the task's only identity), so two identical runs
+    in one process give equal records.
     """
 
     gid: int

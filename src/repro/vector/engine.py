@@ -118,12 +118,6 @@ class VectorEngine:
         self._issue("MEM", vl * self.params.mem_unit_beat / self.lanes)
         return np.array(mem[start : start + vl])
 
-    def vstore(self, mem: np.ndarray, start: int, values: np.ndarray) -> None:
-        """Unit-stride store."""
-        self._check_vl(len(values))
-        self._issue("MEM", len(values) * self.params.mem_unit_beat / self.lanes)
-        mem[start : start + len(values)] = values
-
     def vgather(self, table: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Indexed load (one element per cycle, lane-independent)."""
         self._check_vl(len(idx))
@@ -154,12 +148,6 @@ class VectorEngine:
         self._check_vl(vl)
         self._issue("ALU", n_ops * vl * self.params.alu_beat / self.lanes)
         return fn(*operands)
-
-    def vcompress(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Compress active elements to the front (vector compress unit)."""
-        self._check_vl(len(values))
-        self._issue("ALU", len(values) * self.params.alu_beat / self.lanes)
-        return values[mask]
 
     # ------------------------------------------------------------------
     # the new instructions

@@ -3,7 +3,7 @@
 
 def wake_all(sim, waiting):
     ready = {t for t in waiting if t.ready}
-    for task in sorted(ready, key=lambda t: t.task_id):
+    for task in sorted(ready, key=lambda t: t.gid):
         sim.schedule(0.0, task.run)
 
 

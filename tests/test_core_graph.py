@@ -58,10 +58,10 @@ class TestStructure:
     def test_topological_order_respects_edges(self):
         g, tasks = diamond()
         order = g.topological_order()
-        pos = {t.task_id: i for i, t in enumerate(order)}
+        pos = {t: i for i, t in enumerate(order)}
         for t in tasks:
             for s in t.successors:
-                assert pos[t.task_id] < pos[s.task_id]
+                assert pos[t] < pos[s]
 
     def test_cycle_detection(self):
         g = TaskGraph()
@@ -108,7 +108,7 @@ class TestStructure:
         assert len(g) == 1
         assert {len(getattr(g, name)) for name in TaskGraph._ARRAY_MANIFEST} == {1}
         assert kept.graph is g and kept.gid == 0
-        assert g.index_of == {kept.task_id: 0}
+        assert g.tasks == [kept]
         assert dropped.graph is None and dropped.gid == -1
         g.add_task(dropped)  # resubmittable after the rollback
         assert dropped.gid == 1
@@ -177,5 +177,6 @@ class TestAnalyses:
         nxg = g.to_networkx()
         assert nxg.number_of_nodes() == 4
         assert nxg.number_of_edges() == 4
-        assert nxg.has_edge(a.task_id, d.task_id) is False
-        assert nxg.has_edge(a.task_id, b.task_id)
+        assert nxg.has_edge(a.gid, d.gid) is False
+        assert nxg.has_edge(a.gid, b.gid)
+        assert nxg.nodes[b.gid]["label"] == "b"

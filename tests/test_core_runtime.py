@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.dag_workloads import make_workload
 from repro.core import (
     BottomLevelHeuristic,
     CriticalPathOracle,
@@ -10,6 +11,7 @@ from repro.core import (
     FifoScheduler,
     Region,
     Runtime,
+    RuntimePrefetcher,
     Task,
     TaskState,
     WorkStealingScheduler,
@@ -500,3 +502,82 @@ class TestMalformedAccessRollback:
         rt.submit_all([Task.make("r1", in_=["x"]), Task.make("r2", in_=["x"])])
         assert len(rt.graph) == 2
         assert rt.graph.n_edges == 0
+
+
+class TestOneTaskIdentity:
+    """A task's one identity is its gid, in the one live graph that holds
+    it; successors wake in ascending gid, which is submission order."""
+
+    def test_task_of_a_live_runtime_is_rejected_by_another(self):
+        """Runtime B refuses runtime A's tasks and leaves A's run exactly
+        as it is with no B: A's handles keep reading A's arrays."""
+
+        def prefetching_runtime():
+            return Runtime(Machine(2), prefetcher=RuntimePrefetcher())
+
+        alone = prefetching_runtime()
+        alone.submit_all(make_workload("cholesky", scale=1, seed=0))
+        expected = alone.run()
+
+        tasks = make_workload("cholesky", scale=1, seed=0)
+        a = prefetching_runtime()
+        a.submit_all(tasks)
+        b = Runtime(Machine(2))
+        with pytest.raises(ValueError, match="already in graph"):
+            b.submit_all(tasks)
+        assert len(b.graph) == 0 and b._unfinished == 0
+        assert all(t.graph is a.graph for t in tasks)
+        res = a.run()
+        hidden = res.stats.get("prefetch_hidden_seconds")
+        assert res.makespan == expected.makespan
+        assert hidden == expected.stats.get("prefetch_hidden_seconds")
+        assert res.makespan == pytest.approx(0.02676)
+        assert hidden == pytest.approx(0.0113, abs=1e-4)
+
+    def test_task_of_a_dropped_runtime_can_be_resubmitted(self):
+        tasks = make_workload("fork_join", scale=1, seed=0)
+        first = Runtime(Machine(2))
+        first.submit_all(tasks)
+        makespan = first.run().makespan
+        del first  # freed by reference counting: the handles detach
+        assert all(t.graph is None for t in tasks)
+        second = Runtime(Machine(2))
+        second.submit_all(tasks)
+        assert [t.gid for t in tasks] == list(range(len(tasks)))
+        assert second.run().makespan == makespan
+
+    def test_successors_wake_in_submission_order(self):
+        """``b`` is created before ``a`` but submitted after it, so ``a``
+        wakes, and starts on the one core, first."""
+        b = Task.make("b", in_=["x"])
+        a = Task.make("a", in_=["x"])
+        p = Task.make("p", out=["x"])
+        rt = Runtime(Machine(1), scheduler=FifoScheduler())
+        rt.submit_all([p, a, b])
+        rt.run()
+        assert a.start_time == p.end_time
+        assert b.start_time == a.end_time
+
+    def test_entry_that_is_not_a_task_fails_before_the_graph_grows(self):
+        rt = Runtime(Machine(2))
+        a = Task.make("a")
+        with pytest.raises(TypeError):
+            rt.submit_all([a, "oops"])
+        assert len(rt.graph) == 0 and rt._unfinished == 0
+        assert {len(getattr(rt.graph, name))
+                for name in rt.graph._ARRAY_MANIFEST} == {0}
+        assert a.graph is None and a.gid == -1
+        rt.submit(a)
+        assert rt.run().n_tasks == 1
+
+    def test_duplicate_in_one_batch_keeps_first_occurrence_attached(self):
+        rt = Runtime(Machine(2), record_trace=False)
+        t1 = Task.make("t1", out=["x"])
+        t2 = Task.make("t2", in_=["x"])
+        with pytest.raises(ValueError, match="already in graph"):
+            rt.submit_all([t1, t2, t1])
+        assert rt.graph.tasks == [t1, t2]
+        assert t1.graph is rt.graph and t1.gid == 0
+        assert t2.graph is rt.graph and t2.gid == 1
+        rt.run()
+        assert t1.state is TaskState.FINISHED and t2.state is TaskState.FINISHED

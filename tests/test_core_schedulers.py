@@ -130,30 +130,6 @@ class TestCriticalityAware:
         assert s.pop(0) == crit
         assert s.pop(0) == normal
 
-    def test_slow_cores_prefer_normal_queue(self):
-        g, (normal, crit) = make_view("n", "c")
-        g.critical[crit] = True
-        s = bound(
-            CriticalityAwareScheduler(
-                is_fast_core=lambda c: c == 0, prefer_critical_everywhere=False
-            ),
-            g,
-        )
-        s.push(normal)
-        s.push(crit)
-        assert s.pop(1) == normal  # slow core
-        assert s.pop(0) == crit  # fast core
-
-    def test_fast_core_falls_back_to_normal(self):
-        g, (n,) = make_view("n")
-        s = bound(
-            CriticalityAwareScheduler(is_fast_core=lambda c: True,
-                                      prefer_critical_everywhere=False),
-            g,
-        )
-        s.push(n)
-        assert s.pop(0) == n
-
     def test_ready_ids_sees_both_queues(self):
         g, (a, b) = make_view("a", "b")
         g.critical[b] = True

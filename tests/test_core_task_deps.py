@@ -51,7 +51,11 @@ class TestTaskConstruction:
             Task.make("t", cpu_cycles=-1)
 
     def test_unique_ids(self):
-        assert Task.make("a").task_id != Task.make("b").task_id
+        """Tasks compare by identity: equal fields make two tasks."""
+        a, b = Task.make("a", out=["x"]), Task.make("a", out=["x"])
+        assert (a.label, a.cpu_cycles, a.deps) == (b.label, b.cpu_cycles, b.deps)
+        assert a != b and a == a
+        assert len({a, b}) == 2
 
     def test_kind_read_write_flags(self):
         assert DepKind.IN.reads and not DepKind.IN.writes
@@ -244,11 +248,13 @@ class TestTaskSlots:
         t = Task.make("t", cpu_cycles=2e6, mem_seconds=1e-3,
                       in_=["a"], out=["b"], priority=3)
         clone = pickle.loads(pickle.dumps(t))
-        assert clone.task_id == t.task_id
         assert clone.label == "t"
         assert clone.cpu_cycles == t.cpu_cycles
+        assert clone.mem_seconds == t.mem_seconds
+        assert clone.priority == t.priority
         assert clone.deps == t.deps
-        assert clone == t and hash(clone) == hash(t)
+        # Equal fields, distinct task: tasks compare by identity.
+        assert clone is not t and clone != t
 
     def test_pickled_clone_submits_with_same_edges(self):
         import pickle
@@ -336,5 +342,5 @@ class TestGraphOwnedState:
         with pytest.raises(TypeError):
             rt.submit_all([good, bad])
         assert len(rt.graph) == 1 and good.gid == 0
-        assert bad.task_id not in rt.graph.index_of
+        assert rt.graph.tasks == [good]
         assert_detached(bad)

@@ -10,8 +10,8 @@ RSU, faults or submission model, and with the documented tie rules:
   order;
 * completions at one timestamp are handled in the order their tasks
   started;
-* each completion releases its newly ready successors in ascending
-  ``task_id``;
+* each completion releases its newly ready successors in ascending gid
+  (submission order);
 * each timestamp has one dispatch, over the idle cores in ascending id.
 
 Every task's ``(core, start, end)`` and the makespan must equal the

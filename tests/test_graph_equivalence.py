@@ -26,12 +26,12 @@ from repro.core.task import Task, TaskState
 # reference implementation (seed semantics: object sets, per-task scalars)
 # ----------------------------------------------------------------------
 class ReferenceGraph:
-    """The pre-refactor graph, keyed by ``task_id`` in plain dicts."""
+    """The pre-refactor graph, keyed by the ``Task`` object (tasks hash by
+    identity) in plain dicts."""
 
     def __init__(self):
-        self.order = []  # task_ids in insertion order
-        self.tasks = {}  # task_id -> Task
-        self.preds = {}  # task_id -> set of task_ids
+        self.order = []  # tasks in insertion order
+        self.preds = {}  # task -> set of tasks
         self.succs = {}
         self.unfinished = {}
         self.depth = {}
@@ -41,27 +41,25 @@ class ReferenceGraph:
         self.n_edges = 0
 
     def add_task(self, task):
-        tid = task.task_id
-        assert tid not in self.tasks
-        self.order.append(tid)
-        self.tasks[tid] = task
-        self.preds[tid] = set()
-        self.succs[tid] = set()
-        self.unfinished[tid] = 0
-        self.depth[tid] = 0
-        self.state[tid] = TaskState.CREATED
-        self.bottom[tid] = 0.0
-        self.critical[tid] = False
+        assert task not in self.preds
+        self.order.append(task)
+        self.preds[task] = set()
+        self.succs[task] = set()
+        self.unfinished[task] = 0
+        self.depth[task] = 0
+        self.state[task] = TaskState.CREATED
+        self.bottom[task] = 0.0
+        self.critical[task] = False
 
-    def add_edge(self, pred_tid, succ_tid):
-        if succ_tid in self.succs[pred_tid]:
+    def add_edge(self, pred, succ):
+        if succ in self.succs[pred]:
             return False
-        self.succs[pred_tid].add(succ_tid)
-        self.preds[succ_tid].add(pred_tid)
-        if self.state[pred_tid] is not TaskState.FINISHED:
-            self.unfinished[succ_tid] += 1
-        self.depth[succ_tid] = max(
-            self.depth[succ_tid], self.depth[pred_tid] + 1
+        self.succs[pred].add(succ)
+        self.preds[succ].add(pred)
+        if self.state[pred] is not TaskState.FINISHED:
+            self.unfinished[succ] += 1
+        self.depth[succ] = max(
+            self.depth[succ], self.depth[pred] + 1
         )
         self.n_edges += 1
         return True
@@ -88,32 +86,30 @@ class ReferenceGraph:
         return out
 
     def compute_bottom_levels(self):
-        for tid in reversed(self.topological_ids()):
+        for t in reversed(self.topological_ids()):
             below = max(
-                (self.bottom[s] for s in self.succs[tid]), default=0.0
+                (self.bottom[s] for s in self.succs[t]), default=0.0
             )
-            t = self.tasks[tid]
-            self.bottom[tid] = t.cpu_cycles / 1e9 + t.mem_seconds + below
+            self.bottom[t] = t.cpu_cycles / 1e9 + t.mem_seconds + below
         return max(self.bottom.values(), default=0.0)
 
     def mark_critical(self, tolerance=1e-9):
         length = self.compute_bottom_levels()
         top = {}
-        for tid in self.topological_ids():
-            top[tid] = max(
+        for t in self.topological_ids():
+            top[t] = max(
                 (
-                    top[p] + self.tasks[p].cpu_cycles / 1e9
-                    + self.tasks[p].mem_seconds
-                    for p in self.preds[tid]
+                    top[p] + p.cpu_cycles / 1e9 + p.mem_seconds
+                    for p in self.preds[t]
                 ),
                 default=0.0,
             )
         n = 0
-        for tid in self.order:
-            self.critical[tid] = (
-                top[tid] + self.bottom[tid] >= length - tolerance
+        for t in self.order:
+            self.critical[t] = (
+                top[t] + self.bottom[t] >= length - tolerance
             )
-            n += self.critical[tid]
+            n += self.critical[t]
         return n
 
 
@@ -138,55 +134,57 @@ def build_both(tasks, finish_every=0):
         gid = task.gid
         ref.add_task(task)
         for p in g.pred_ids[gid]:
-            ref.add_edge(g.task_ids[p], task.task_id)
+            ref.add_edge(g.tasks[p], task)
         submitted.append(task)
         # Ready counts must agree after every single insertion.
-        assert g.unfinished_preds[gid] == ref.unfinished[task.task_id], (
+        assert g.unfinished_preds[gid] == ref.unfinished[task], (
             f"ready count diverges at {task.label}"
         )
         if finish_every and i % finish_every == finish_every - 1:
             victim = submitted[(i * 7919) % len(submitted)]
             g.state[victim.gid] = TaskState.FINISHED
-            ref.state[victim.task_id] = TaskState.FINISHED
+            ref.state[victim] = TaskState.FINISHED
     return g, ref
 
 
 def assert_same_structure(g: TaskGraph, ref: ReferenceGraph):
-    ids = g.task_ids
+    tasks = g.tasks
     # Node set and insertion order.
-    assert ids == ref.order
+    assert tasks == ref.order
     # Edge sets (order-free) and counts.
     edges = {
-        (ids[p], ids[s])
-        for p in range(len(ids))
+        (tasks[p], tasks[s])
+        for p in range(len(tasks))
         for s in g.succ_ids[p]
     }
     assert edges == ref.edge_set()
     assert g.n_edges == ref.n_edges
-    # No duplicate adjacency entries.
-    for p in range(len(ids)):
+    # No duplicate adjacency entries, and successor lists ascending (the
+    # wake order), however the edges were added.
+    for p in range(len(tasks)):
         assert len(g.succ_ids[p]) == len(set(g.succ_ids[p]))
         assert len(g.pred_ids[p]) == len(set(g.pred_ids[p]))
+        assert g.succ_ids[p] == sorted(g.succ_ids[p])
     # Per-task scalars.
-    for gid, tid in enumerate(ids):
-        assert g.depth[gid] == ref.depth[tid], f"depth diverges at #{tid}"
-        assert g.unfinished_preds[gid] == ref.unfinished[tid]
+    for gid, t in enumerate(tasks):
+        assert g.depth[gid] == ref.depth[t], f"depth diverges at {t.label}"
+        assert g.unfinished_preds[gid] == ref.unfinished[t]
     # Topological order: valid and complete (the id-keyed order may be a
     # different linearisation, but must respect every reference edge).
     topo = g.topo_ids()
-    assert sorted(topo) == list(range(len(ids)))
-    pos = {ids[gid]: i for i, gid in enumerate(topo)}
+    assert sorted(topo) == list(range(len(tasks)))
+    pos = {tasks[gid]: i for i, gid in enumerate(topo)}
     for p, s in ref.edge_set():
         assert pos[p] < pos[s]
     # Bottom levels and critical marks, bit for bit.
     g_len = g.compute_bottom_levels()
     r_len = ref.compute_bottom_levels()
     assert g_len == r_len
-    for gid, tid in enumerate(ids):
-        assert g.bottom_level[gid] == ref.bottom[tid]
+    for gid, t in enumerate(tasks):
+        assert g.bottom_level[gid] == ref.bottom[t]
     assert g.mark_critical_tasks() == ref.mark_critical()
-    for gid, tid in enumerate(ids):
-        assert g.critical[gid] == ref.critical[tid]
+    for gid, t in enumerate(tasks):
+        assert g.critical[gid] == ref.critical[t]
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +265,7 @@ class TestObjectApiEquivalence:
             if i == j:
                 continue
             a = g.add_edge(tasks[i], tasks[j])
-            b = ref.add_edge(tasks[i].task_id, tasks[j].task_id)
+            b = ref.add_edge(tasks[i], tasks[j])
             assert a == b  # duplicate detection agrees
         assert_same_structure(g, ref)
 
@@ -275,7 +273,7 @@ class TestObjectApiEquivalence:
         tasks = make_workload("fork_join", scale=1, seed=3)
         g, ref = build_both(tasks)
         for t in tasks:
-            assert {p.task_id for p in t.predecessors} == ref.preds[t.task_id]
-            assert {s.task_id for s in t.successors} == ref.succs[t.task_id]
-            assert t.unfinished_preds == ref.unfinished[t.task_id]
-            assert t.depth == ref.depth[t.task_id]
+            assert t.predecessors == ref.preds[t]
+            assert t.successors == ref.succs[t]
+            assert t.unfinished_preds == ref.unfinished[t]
+            assert t.depth == ref.depth[t]

@@ -355,10 +355,12 @@ class TestChromeTraceExport:
         assert json.loads(out.read_text(encoding="utf-8")) == envelope
 
     def test_identical_runs_in_one_process_export_identical_files(self, tmp_path):
-        # Task ids come from a process-wide counter, so the second run's
-        # tasks carry other ids; a record names its task by gid instead.
+        # Each run builds its own task handles (distinct objects, equal
+        # fields); a record names its task by gid, which both runs share.
         runs = [_run_cholesky_graph() for _ in range(2)]
-        assert runs[0][1].graph.tasks[0].task_id != runs[1][1].graph.tasks[0].task_id
+        first, second = (rt.graph.tasks[0] for _, rt in runs)
+        assert first != second and first.label == second.label
+        assert first.gid == second.gid == 0
         assert runs[0][0].trace.records == runs[1][0].trace.records
         blobs = []
         for i, (res, _) in enumerate(runs):

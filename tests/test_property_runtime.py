@@ -81,10 +81,10 @@ def test_edges_only_point_forward_in_submission_order(tasks):
     """Dataflow edges derived at submission can only point from an earlier
     submission to a later one (the tracker never invents back-edges)."""
     graph = build_graph(tasks)
-    pos = {t.task_id: i for i, t in enumerate(tasks)}
+    pos = {t: i for i, t in enumerate(tasks)}
     for t in graph.tasks:
         for s in t.successors:
-            assert pos[t.task_id] < pos[s.task_id]
+            assert pos[t] < pos[s]
 
 
 @given(random_program())

@@ -94,12 +94,6 @@ class TestMultiDue:
         )
         assert result.fault_times == (3.0, 6.0)
 
-    def test_due_and_faults_are_mutually_exclusive(self, system):
-        a, b = system
-        event = DueEvent(3.0, "x", 0, 48)
-        with pytest.raises(ValueError):
-            run_cg(a, b, FeirScheme(), due=event, faults=[event])
-
     def test_generated_plan_end_to_end(self, system):
         a, b = system
         plan = plan_faults(

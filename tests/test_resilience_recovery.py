@@ -98,14 +98,14 @@ class TestSchemes:
             FeirScheme(),
             AfeirScheme(),
         ):
-            res = run_cg(a, b, scheme, due=self.make_due(), tol=1e-9)
+            res = run_cg(a, b, scheme, faults=[self.make_due()], tol=1e-9)
             assert res.converged, scheme.name
             assert np.linalg.norm(res.x - x_true) / np.linalg.norm(x_true) < 1e-5
 
     def test_ideal_scheme_refuses_faults(self, system):
         a, _, b = system
         with pytest.raises(RuntimeError):
-            run_cg(a, b, IdealScheme(), due=self.make_due(), tol=1e-9)
+            run_cg(a, b, IdealScheme(), faults=[self.make_due()], tol=1e-9)
 
     def test_checkpoint_pays_overhead_without_faults(self, system):
         a, _, b = system
@@ -116,7 +116,7 @@ class TestSchemes:
 
     def test_checkpoint_rolls_back_iterations(self, system):
         a, _, b = system
-        res = run_cg(a, b, CheckpointScheme(40), due=self.make_due(), tol=1e-9)
+        res = run_cg(a, b, CheckpointScheme(40), faults=[self.make_due()], tol=1e-9)
         iters = [r.iteration for r in res.records]
         assert any(b < a for a, b in zip(iters, iters[1:]))  # rollback visible
 
@@ -124,13 +124,13 @@ class TestSchemes:
         """Exact recovery: same iteration count as the ideal run."""
         a, _, b = system
         ideal = run_cg(a, b, IdealScheme(), tol=1e-9)
-        feir = run_cg(a, b, FeirScheme(), due=self.make_due(), tol=1e-9)
+        feir = run_cg(a, b, FeirScheme(), faults=[self.make_due()], tol=1e-9)
         assert abs(feir.iterations - ideal.iterations) <= 1
 
     def test_lossy_restart_needs_more_iterations(self, system):
         a, _, b = system
         ideal = run_cg(a, b, IdealScheme(), tol=1e-9)
-        lossy = run_cg(a, b, LossyRestartScheme(), due=self.make_due(), tol=1e-9)
+        lossy = run_cg(a, b, LossyRestartScheme(), faults=[self.make_due()], tol=1e-9)
         assert lossy.iterations > ideal.iterations
 
     def test_invalid_checkpoint_interval(self):

@@ -80,7 +80,6 @@ def _build_tasks(specs):
 def _graph_snapshot(rt):
     """Order-sensitive structural state of the graph + tracker members."""
     g = rt.graph
-    base = g.task_ids[0] if g.task_ids else 0
     tr = rt.tracker
     members = {}
     for name, idx in tr._by_name.items():
@@ -93,7 +92,7 @@ def _graph_snapshot(rt):
             len(idx.hists), len(idx.longs), len(idx.exact), idx.max_len
         )
     return {
-        "task_ids": [t - base for t in g.task_ids],
+        "labels": [t.label for t in g.tasks],
         "preds": list(g.pred_ids),
         "succs": list(g.succ_ids),
         "depth": list(g.depth),

@@ -6,7 +6,7 @@ Two checks run over 47 configurations:
   emitted order — gid, label, core, ``repr`` of start, end and frequency,
   criticality — together with ``repr(trace.utilisation(16))``, so record
   order and the float sum in ``utilisation`` are pinned too.  A record
-  names its task by gid, not by the process-wide ``task_id``, which
+  names its task by gid, its index in the run's graph, so no digest
   depends on how many tasks earlier tests built.  The digests were
   recorded with a trace kept per completion; a trace built from the
   graph arrays must reproduce them.

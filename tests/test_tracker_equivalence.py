@@ -142,15 +142,13 @@ def random_tasks(seed, n_tasks=120, n_names=2, p_whole=0.15, max_coord=40):
     return tasks
 
 
-def edge_ids(pairs):
-    return {(p.task_id, s.task_id) for p, s in pairs}
-
-
 def assert_equivalent(tasks):
     ref, new = ReferenceTracker(), DependenceTracker(TaskGraph())
     for task in tasks:
-        expected = edge_ids(ref.register(task))
-        actual = edge_ids(register(new, task))
+        # Both sides return ``(predecessor, task)`` pairs of the same
+        # handles, which compare by identity.
+        expected = ref.register(task)
+        actual = register(new, task)
         assert actual == expected, (
             f"edge sets diverge at {task.label}: "
             f"extra={actual - expected}, missing={expected - actual}"
