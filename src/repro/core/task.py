@@ -30,7 +30,9 @@ reads the creation defaults (``CREATED``, ``False``, ``0.0``, ``0``,
 ``None``).  A handle refers to its graph weakly and the graph's ``tasks``
 array holds the handles strongly, so the two form no reference cycle: a
 dropped run is freed by reference counting, and a handle that outlives
-its graph reads the creation defaults too.  Writers go through the arrays
+its graph reads the creation defaults too.  Pickling or copying a task
+(``copy.copy``, ``copy.deepcopy``) yields a detached task with the same
+description, which any runtime can register.  Writers go through the arrays
 (``graph.state[gid] = ...``), as the runtime's hot paths do.  Keeping the
 timestamps in graph arrays means completion-side bookkeeping never has to
 resolve ``tasks[gid]`` handles just to stamp times, and post-run
@@ -295,6 +297,21 @@ class Task:
     def __post_init__(self) -> None:
         if self.cpu_cycles < 0 or self.mem_seconds < 0:
             raise ValueError("task cost components must be non-negative")
+
+    # pickling and copying: a clone is detached ------------------------------
+    def __getstate__(self) -> Tuple[Any, ...]:
+        """The task's description and ``result``, without its graph
+        membership: ``pickle``, ``copy.copy`` and ``copy.deepcopy`` all
+        yield a detached task (``gid == -1``, ``graph is None``) that any
+        runtime can register."""
+        return (self.label, self.cpu_cycles, self.mem_seconds, self.deps,
+                self.fn, self.args, self.kwargs, self.priority, self.result)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        (self.label, self.cpu_cycles, self.mem_seconds, self.deps, self.fn,
+         self.args, self.kwargs, self.priority, self.result) = state
+        self.gid = -1
+        self._graph = None
 
     # ------------------------------------------------------------------
     @classmethod

@@ -57,7 +57,15 @@ class SetAssocCache:
         self.n_sets = size_bytes // (line_bytes * ways)
         self.name = name
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.n_sets)]
-        self.stats = StatSet(name)
+        # Counters (floats, as the pinned snapshots hold them); ``stats``
+        # reads them.
+        self.hits = 0.0
+        self.write_hits = 0.0
+        self.misses = 0.0
+        self.write_misses = 0.0
+        self.evictions = 0.0
+        self.dirty_evictions = 0.0
+        self.invalidations = 0.0
 
     # ------------------------------------------------------------------
     def line_addr(self, addr: int) -> int:
@@ -85,25 +93,24 @@ class SetAssocCache:
         lb = self.line_bytes
         line = addr - addr % lb
         s = self._sets[(line // lb) % self.n_sets]
-        stats = self.stats
         if line in s:
             s.move_to_end(line)
-            stats.add("hits")
+            self.hits += 1.0
             if write:
                 s[line] = True
-                stats.add("write_hits")
+                self.write_hits += 1.0
             return _HIT
 
-        stats.add("misses")
+        self.misses += 1.0
         if write:
-            stats.add("write_misses")
+            self.write_misses += 1.0
         victim_addr = None
         victim_dirty = False
         if len(s) >= self.ways:
             victim_addr, victim_dirty = s.popitem(last=False)  # LRU
-            stats.add("evictions")
+            self.evictions += 1.0
             if victim_dirty:
-                stats.add("dirty_evictions")
+                self.dirty_evictions += 1.0
         s[line] = bool(write)
         return CacheAccessResult(False, victim_addr, victim_dirty)
 
@@ -130,7 +137,7 @@ class SetAssocCache:
         s = self._sets[self._set_index(line)]
         if line in s:
             del s[line]
-            self.stats.add("invalidations")
+            self.invalidations += 1.0
             return True
         return False
 
@@ -146,9 +153,21 @@ class SetAssocCache:
 
     # ------------------------------------------------------------------
     @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters; a zero count has no key."""
+        return StatSet.of_counts(self.name, (
+            ("hits", self.hits),
+            ("write_hits", self.write_hits),
+            ("misses", self.misses),
+            ("write_misses", self.write_misses),
+            ("evictions", self.evictions),
+            ("dirty_evictions", self.dirty_evictions),
+            ("invalidations", self.invalidations),
+        ))
+
+    @property
     def hit_rate(self) -> float:
-        h = self.stats.get("hits")
-        m = self.stats.get("misses")
+        h, m = self.hits, self.misses
         return h / (h + m) if h + m else 0.0
 
     def occupancy(self) -> int:

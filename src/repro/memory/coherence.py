@@ -60,7 +60,11 @@ class CoherenceDirectory:
 
     def __init__(self) -> None:
         self._entries: Dict[int, DirectoryEntry] = {}
-        self.stats = StatSet("coherence")
+        # Counters; ``stats`` reads them.  ``invalidations`` sums
+        # ``len(victims)``, so it is an int.
+        self.owner_forwards = 0.0
+        self.invalidations = 0
+        self.dirty_writebacks = 0.0
 
     def entry(self, line: int) -> DirectoryEntry:
         e = self._entries.get(line)
@@ -83,7 +87,7 @@ class CoherenceDirectory:
         # Owner must write back / forward; it stays on as a sharer.
         e.sharers.add(owner)
         e.owner = None
-        self.stats.add("owner_forwards")
+        self.owner_forwards += 1.0
         e.sharers.add(core)
         return CoherenceOutcome((), owner)
 
@@ -103,14 +107,14 @@ class CoherenceDirectory:
         if owner is not None:
             if owner != core:
                 forward = owner
-                self.stats.add("owner_forwards")
+                self.owner_forwards += 1.0
             copies.add(owner)
         copies.discard(core)
         e.sharers = set()
         e.owner = core
         victims = tuple(sorted(copies))
         if victims:
-            self.stats.add("invalidations", len(victims))
+            self.invalidations += len(victims)
         return CoherenceOutcome(victims, forward)
 
     def evicted(self, line: int, core: int, dirty: bool) -> None:
@@ -122,7 +126,7 @@ class CoherenceDirectory:
         if e.owner == core:
             e.owner = None
             if dirty:
-                self.stats.add("dirty_writebacks")
+                self.dirty_writebacks += 1.0
         if not e.sharers and e.owner is None:
             del self._entries[line]
 
@@ -135,6 +139,15 @@ class CoherenceDirectory:
         if e.owner is not None:
             out.add(e.owner)
         return out
+
+    @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters; a zero count has no key."""
+        return StatSet.of_counts("coherence", (
+            ("owner_forwards", self.owner_forwards),
+            ("invalidations", self.invalidations),
+            ("dirty_writebacks", self.dirty_writebacks),
+        ))
 
     @property
     def tracked_lines(self) -> int:

@@ -34,23 +34,35 @@ class SpmDirectory:
 
     def __init__(self) -> None:
         self._ranges: Dict[Tuple[int, int], int] = {}  # (base, nbytes) -> core
-        self.stats = StatSet("spm_directory")
+        # Counters (floats); ``stats`` reads them.
+        self.inserts = 0.0
+        self.removes = 0.0
+        self.lookups = 0.0
 
     def insert(self, base: int, nbytes: int, core: int) -> None:
         self._ranges[(base, nbytes)] = core
-        self.stats.add("inserts")
+        self.inserts += 1.0
 
     def remove(self, base: int, nbytes: int) -> None:
         self._ranges.pop((base, nbytes), None)
-        self.stats.add("removes")
+        self.removes += 1.0
 
     def lookup(self, addr: int) -> Optional[int]:
         """Owning core of ``addr``, or ``None`` if not SPM-mapped."""
-        self.stats.add("lookups")
+        self.lookups += 1.0
         for (base, nbytes), core in self._ranges.items():
             if base <= addr < base + nbytes:
                 return core
         return None
+
+    @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters; a zero count has no key."""
+        return StatSet.of_counts("spm_directory", (
+            ("inserts", self.inserts),
+            ("removes", self.removes),
+            ("lookups", self.lookups),
+        ))
 
     @property
     def n_ranges(self) -> int:
@@ -71,7 +83,9 @@ class SpmFilter:
             raise ValueError("segment size must be positive")
         self.segment_bytes = segment_bytes
         self._segments: Dict[int, int] = {}  # segment -> refcount
-        self.stats = StatSet("spm_filter")
+        # Counters (floats); ``stats`` reads them.
+        self.probes = 0.0
+        self.hits = 0.0
 
     def _segment(self, addr: int) -> int:
         return addr // self.segment_bytes
@@ -89,8 +103,15 @@ class SpmFilter:
                 self._segments[seg] = c
 
     def maybe_mapped(self, addr: int) -> bool:
-        self.stats.add("probes")
+        self.probes += 1.0
         hit = self._segment(addr) in self._segments
         if hit:
-            self.stats.add("hits")
+            self.hits += 1.0
         return hit
+
+    @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters; a zero count has no key."""
+        return StatSet.of_counts(
+            "spm_filter", (("probes", self.probes), ("hits", self.hits))
+        )

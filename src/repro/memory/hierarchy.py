@@ -19,21 +19,32 @@ SRAM/DRAM/DMA accesses; NoC traffic in flit-hops via
 :class:`~repro.sim.noc.MeshNoC`, which is the "NoC traffic" bar of Fig. 1.
 
 :meth:`MemoryHierarchy.access` runs once per simulated reference, so it
-builds no enum or string and searches no topology per access: counter
-names are constants (the ``accesses.<class>`` ones in a tuple indexed by
-class value), the nearest memory controller of every node is tabled at
-construction, and :meth:`MemoryHierarchy.run_batch` converts a batch's
-columns once.  The checked-in Fig. 1 baseline and the component-counter
-digests pin every number bit for bit, which fixes three rules:
+builds no enum or string and searches no topology per access: every
+counter of the hierarchy, its caches, coherence directory, SPM directory,
+filters, SPMs and NoC is a plain numeric field updated with ``+=``
+(accesses are counted per class value), the nearest memory controller of
+every node is tabled at construction, and :meth:`MemoryHierarchy.run_batch`
+converts a batch's columns once.  Each component's ``stats`` is a
+read-only property that builds a fresh :class:`~repro.sim.stats.StatSet`
+from those fields, so a ``StatSet`` read earlier does not follow later
+accesses.  The checked-in Fig. 1 baseline and the component-counter
+digests pin every number bit for bit, which fixes these rules:
 
+* Key presence.  A count's key exists iff the count is non-zero.  An
+  ``energy_pj.<kind>`` key exists iff an event that spends that kind has
+  happened, even at 0.0 pJ; :attr:`MemoryHierarchy.stats` tells that from
+  the event counts.  Reading a key that was never created returns
+  ``0.0``.
+* Counters keep their Python types.  Counts are floats; the NoC's flit,
+  flit-hop and byte counters and the coherence ``invalidations`` are
+  ints, and ``1`` and ``1.0`` hash differently.
 * Float sums keep their order and grouping.  ``energy_j``, each
   ``energy_pj.<kind>``, the NoC's ``energy_j``, ``mem_cycles`` and each
-  latency add one term at a time, in the same order.  A NoC latency stays
-  in seconds, and paired latencies (request + data, invalidation + ack)
-  are summed in seconds before ``* core_freq_ghz * 1e9``: converting each
-  one first rounds differently (``(15 / 1e9) * 1e9 != 15``).
-* Counters keep their Python types.  The NoC's flit, flit-hop and byte
-  counters are ints, and ``1`` and ``1.0`` hash differently.
+  latency add one term at a time, in the same order.  A NoC latency
+  stays in seconds and converts as ``lat * core_freq_ghz * 1e9``, left to
+  right; paired latencies (request + data, invalidation + ack) are summed
+  in seconds before that: converting each one first rounds differently
+  (``(15 / 1e9) * 1e9 != 15``).
 * A write invalidates only the cores the full-map directory names, in
   ascending core order, because the NoC's energy sum follows message
   order.  The directory's copies of a line always equal the L1s holding
@@ -132,28 +143,42 @@ class MemoryHierarchy:
             # core -> list of (base, nbytes, dirty) pinned SPM ranges
             self._pinned: Dict[int, List[list]] = {i: [] for i in range(n_cores)}
 
-        self.stats = StatSet(f"hierarchy.{mode}")
         self.energy_j = 0.0
         self.mem_cycles = [0.0] * n_cores
+        # Counters, read through ``stats``.  Counts are floats because the
+        # pinned snapshots hold floats; accesses are counted per class value.
+        self.accesses_by_class = [0.0] * len(_CLASS_COUNTERS)
+        self.pinned_regions = 0.0
+        self.spm_hits = 0.0
+        self.spm_pinned_hits = 0.0
+        self.dma_fills = 0.0
+        self.dma_writebacks = 0.0
+        self.unknown_filtered = 0.0
+        self.unknown_dir_miss = 0.0
+        self.unknown_spm_served = 0.0
+        self.l1_hits = 0.0
+        self.l1_misses = 0.0
+        self.l2_hits = 0.0
+        self.l2_misses = 0.0
+        self.l1_writebacks = 0.0
+        self.l2_writebacks = 0.0
+        self.upgrades = 0.0
+        # pJ spent per kind (``energy_pj.<kind>``), each also added to
+        # ``energy_j``.
+        self.pj_l1 = 0.0
+        self.pj_l2 = 0.0
+        self.pj_dram = 0.0
+        self.pj_spm = 0.0
+        self.pj_dram_dma = 0.0
+        self.pj_dma_engine = 0.0
+        self.pj_filter = 0.0
+        self.pj_spm_dir = 0.0
 
     # ------------------------------------------------------------------
     # topology helpers
     # ------------------------------------------------------------------
     def home_bank(self, line: int) -> int:
         return (line // self.params.line_bytes) % self.n_banks
-
-    def _noc_cycles(self, latency_s: float) -> float:
-        return latency_s * self.params.core_freq_ghz * 1e9
-
-    # ------------------------------------------------------------------
-    # energy helpers
-    # ------------------------------------------------------------------
-    def _spend(self, pj: float, counter: str) -> None:
-        """Charge ``pj`` to the total and to ``counter``, an
-        ``energy_pj.<kind>`` name (a constant: no string is built per
-        access)."""
-        self.energy_j += pj * 1e-12
-        self.stats.add(counter, pj)
 
     # ------------------------------------------------------------------
     # public entry point
@@ -169,9 +194,7 @@ class MemoryHierarchy:
             raise ValueError(f"core {core} outside 0..{self.n_cores - 1}")
         if not 0 <= cls < len(_CLASS_COUNTERS):
             raise ValueError(f"unknown reference class {cls!r}")
-        stats = self.stats
-        stats.add("accesses")
-        stats.add(_CLASS_COUNTERS[cls])
+        self.accesses_by_class[cls] += 1.0
         if self.mode == "hybrid":
             if cls == _STRIDED:
                 lat = self._spm_access(core, addr, write)
@@ -231,7 +254,7 @@ class MemoryHierarchy:
             f.insert(base, nbytes)
         self._account_dma(DmaTransfer(core, base, nbytes, to_spm=True))
         self._pinned[core].append([base, nbytes, False])
-        self.stats.add("pinned_regions")
+        self.pinned_regions += 1.0
 
     def _pinned_entry(self, core: int, addr: int):
         for entry in self._pinned[core]:
@@ -246,9 +269,10 @@ class MemoryHierarchy:
             if write:
                 pinned[2] = True
             self.spm[core].access(addr, write)
-            self._spend(p.spm_access_pj, "energy_pj.spm")
-            self.stats.add("spm_hits")
-            self.stats.add("spm_pinned_hits")
+            self.energy_j += p.spm_access_pj * 1e-12
+            self.pj_spm += p.spm_access_pj
+            self.spm_hits += 1.0
+            self.spm_pinned_hits += 1.0
             return p.spm_hit_cycles
         key = (core, addr >> STREAM_REGION_BITS)
         stream = self._streams.get(key)
@@ -262,8 +286,9 @@ class MemoryHierarchy:
             visible += self._account_dma(t)
         if stream.current_tile != old_tile:
             self._update_spm_mapping(core, old_tile, stream.current_tile)
-        self._spend(p.spm_access_pj, "energy_pj.spm")
-        self.stats.add("spm_hits")
+        self.energy_j += p.spm_access_pj * 1e-12
+        self.pj_spm += p.spm_access_pj
+        self.spm_hits += 1.0
         return p.spm_hit_cycles + visible
 
     def _update_spm_mapping(
@@ -284,14 +309,18 @@ class MemoryHierarchy:
         mc = self._nearest_mc[t.core]
         if t.to_spm:
             lat_s = self.noc.send(mc, t.core, t.nbytes + _DATA_EXTRA, kind="dma")
-            self.stats.add("dma_fills")
+            self.dma_fills += 1.0
         else:
             lat_s = self.noc.send(t.core, mc, t.nbytes + _DATA_EXTRA, kind="dma")
-            self.stats.add("dma_writebacks")
+            self.dma_writebacks += 1.0
         lines = max(1, t.nbytes // p.line_bytes)
-        self._spend(p.dram_line_pj * lines, "energy_pj.dram_dma")
-        self._spend(p.dma_per_line_pj * lines, "energy_pj.dma_engine")
-        raw = p.dma_setup_cycles + p.dram_cycles + self._noc_cycles(lat_s)
+        pj = p.dram_line_pj * lines
+        self.energy_j += pj * 1e-12
+        self.pj_dram_dma += pj
+        pj = p.dma_per_line_pj * lines
+        self.energy_j += pj * 1e-12
+        self.pj_dma_engine += pj
+        raw = p.dma_setup_cycles + p.dram_cycles + lat_s * p.core_freq_ghz * 1e9
         if not t.to_spm:
             return 0.0  # writebacks are fire-and-forget
         return raw * (1.0 - p.dma_hidden_fraction)
@@ -304,30 +333,33 @@ class MemoryHierarchy:
         cycles = 0.0
         if self.use_filter:
             cycles += p.filter_cycles
-            self._spend(p.filter_pj, "energy_pj.filter")
+            self.energy_j += p.filter_pj * 1e-12
+            self.pj_filter += p.filter_pj
             if not self.filters[core].maybe_mapped(addr):
-                self.stats.add("unknown_filtered")
+                self.unknown_filtered += 1.0
                 return cycles + self._cache_access(core, addr, write)
         # Possibly SPM-mapped: consult the distributed directory at the
         # address's home node.
         home = self.home_bank(addr)
         lat_req = self.noc.send(core, home, _CTRL_BYTES, kind="spm_dir")
-        self._spend(p.directory_pj, "energy_pj.spm_dir")
-        cycles += self._noc_cycles(lat_req) + p.directory_cycles
+        self.energy_j += p.directory_pj * 1e-12
+        self.pj_spm_dir += p.directory_pj
+        cycles += lat_req * p.core_freq_ghz * 1e9 + p.directory_cycles
         owner = self.spm_directory.lookup(addr)
         if owner is None:
-            self.stats.add("unknown_dir_miss")
+            self.unknown_dir_miss += 1.0
             return cycles + self._cache_access(core, addr, write)
         # Served by the owning SPM (possibly remote).
-        self.stats.add("unknown_spm_served")
-        self._spend(p.spm_access_pj, "energy_pj.spm")
+        self.unknown_spm_served += 1.0
+        self.energy_j += p.spm_access_pj * 1e-12
+        self.pj_spm += p.spm_access_pj
         cycles += p.spm_hit_cycles
         if owner != core:
             lat_fwd = self.noc.send(home, owner, _CTRL_BYTES, kind="spm_dir")
             lat_data = self.noc.send(
                 owner, core, p.access_bytes + _DATA_EXTRA, kind="data"
             )
-            cycles += self._noc_cycles(lat_fwd + lat_data)
+            cycles += (lat_fwd + lat_data) * p.core_freq_ghz * 1e9
         if write:
             self.spm[owner].access(addr, True)
             entry = self._pinned_entry(owner, addr)
@@ -352,23 +384,26 @@ class MemoryHierarchy:
         p = self.params
         home = self.home_bank(line)
         self.noc.send(core, home, p.line_bytes + _DATA_EXTRA, kind="writeback")
-        self._spend(p.l2_access_pj, "energy_pj.l2")
+        self.energy_j += p.l2_access_pj * 1e-12
+        self.pj_l2 += p.l2_access_pj
         v_addr, v_dirty = self.l2[home].fill(line, dirty=True)
         self._l2_victim(home, v_addr, v_dirty)
-        self.stats.add("l1_writebacks")
+        self.l1_writebacks += 1.0
 
     def _l2_victim(self, bank: int, v_addr: Optional[int], v_dirty: bool) -> None:
         if v_addr is not None and v_dirty:
             p = self.params
             mc = self._nearest_mc[bank]
             self.noc.send(bank, mc, p.line_bytes + _DATA_EXTRA, kind="writeback")
-            self._spend(p.dram_line_pj, "energy_pj.dram")
-            self.stats.add("l2_writebacks")
+            self.energy_j += p.dram_line_pj * 1e-12
+            self.pj_dram += p.dram_line_pj
+            self.l2_writebacks += 1.0
 
     def _cache_access(self, core: int, addr: int, write: bool) -> float:
         p = self.params
         l1 = self.l1[core]
-        self._spend(p.l1_access_pj, "energy_pj.l1")
+        self.energy_j += p.l1_access_pj * 1e-12
+        self.pj_l1 += p.l1_access_pj
         # Only a write hit reads the line's prior dirty bit.
         was_dirty = write and l1.is_dirty(addr)
         res = l1.access(addr, write)
@@ -379,7 +414,7 @@ class MemoryHierarchy:
                 self._writeback_l1_line(core, res.victim_addr)
 
         if res.hit:
-            self.stats.add("l1_hits")
+            self.l1_hits += 1.0
             if write and not was_dirty:
                 # Upgrade: the copy was Shared; invalidate other sharers.
                 return p.l1_hit_cycles + self._coherent_write_upgrade(
@@ -388,12 +423,12 @@ class MemoryHierarchy:
             return p.l1_hit_cycles
 
         # ---- L1 miss ---------------------------------------------------
-        self.stats.add("l1_misses")
+        self.l1_misses += 1.0
         send = self.noc.send
         line = l1.line_addr(addr)
         home = self.home_bank(line)
         lat_req = send(core, home, _CTRL_BYTES, kind="control")
-        cycles = p.l1_hit_cycles + self._noc_cycles(lat_req)
+        cycles = p.l1_hit_cycles + lat_req * p.core_freq_ghz * 1e9
 
         outcome = (
             self.coherence.write(line, core)
@@ -402,29 +437,34 @@ class MemoryHierarchy:
         )
         cycles += self._coherence_cost(home, line, outcome)
 
-        self._spend(p.l2_access_pj, "energy_pj.l2")
+        self.energy_j += p.l2_access_pj * 1e-12
+        self.pj_l2 += p.l2_access_pj
         cycles += p.l2_hit_cycles
         l2res = self.l2[home].access(line, False)
         self._l2_victim(home, l2res.victim_addr, l2res.victim_dirty)
         if l2res.hit or outcome.owner_forward is not None:
-            self.stats.add("l2_hits")
+            self.l2_hits += 1.0
         else:
-            self.stats.add("l2_misses")
+            self.l2_misses += 1.0
             mc = self._nearest_mc[home]
             lat_mreq = send(home, mc, _CTRL_BYTES, kind="control")
             lat_mdat = send(mc, home, p.line_bytes + _DATA_EXTRA, kind="data")
-            self._spend(p.dram_line_pj, "energy_pj.dram")
-            cycles += p.dram_cycles + self._noc_cycles(lat_mreq + lat_mdat)
+            self.energy_j += p.dram_line_pj * 1e-12
+            self.pj_dram += p.dram_line_pj
+            cycles += p.dram_cycles + (lat_mreq + lat_mdat) * p.core_freq_ghz * 1e9
 
         lat_data = send(home, core, p.line_bytes + _DATA_EXTRA, kind="data")
-        return cycles + self._noc_cycles(lat_data)
+        return cycles + lat_data * p.core_freq_ghz * 1e9
 
     def _coherent_write_upgrade(self, core: int, line: int) -> float:
         home = self.home_bank(line)
         lat = self.noc.send(core, home, _CTRL_BYTES, kind="coherence")
         outcome = self.coherence.write(line, core)
-        self.stats.add("upgrades")
-        return self._noc_cycles(lat) + self._coherence_cost(home, line, outcome)
+        self.upgrades += 1.0
+        return (
+            lat * self.params.core_freq_ghz * 1e9
+            + self._coherence_cost(home, line, outcome)
+        )
 
     def _coherence_cost(self, home: int, line: int, outcome) -> float:
         """Invalidation fan-out and owner forwarding for one request.
@@ -441,8 +481,9 @@ class MemoryHierarchy:
             owner = outcome.owner_forward
             lat_f = send(home, owner, _CTRL_BYTES, kind="coherence")
             lat_d = send(owner, home, p.line_bytes + _DATA_EXTRA, kind="coherence")
-            self._spend(p.l1_access_pj, "energy_pj.l1")
-            cycles += self._noc_cycles(lat_f + lat_d)
+            self.energy_j += p.l1_access_pj * 1e-12
+            self.pj_l1 += p.l1_access_pj
+            cycles += (lat_f + lat_d) * p.core_freq_ghz * 1e9
         if outcome.victims:
             # Invalidate every remote copy; the slowest ack gates completion.
             worst = 0.0
@@ -454,7 +495,7 @@ class MemoryHierarchy:
                     )
                 lat_i = send(home, c, _CTRL_BYTES, kind="coherence")
                 lat_a = send(c, home, _CTRL_BYTES, kind="coherence")
-                worst = max(worst, self._noc_cycles(lat_i + lat_a))
+                worst = max(worst, (lat_i + lat_a) * p.core_freq_ghz * 1e9)
             cycles += worst
         return cycles
 
@@ -466,6 +507,55 @@ class MemoryHierarchy:
 
     def noc_flit_hops(self) -> float:
         return self.noc.total_flit_hops
+
+    @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters, named ``hierarchy.<mode>``.
+
+        A count's key exists iff the count is non-zero.  An
+        ``energy_pj.<kind>`` key exists iff an event that spends that kind
+        has happened, even at 0.0 pJ: the event counts below say so.
+        """
+        by_class = self.accesses_by_class
+        out = StatSet.of_counts(f"hierarchy.{self.mode}", (
+            ("accesses", sum(by_class)),
+            *zip(_CLASS_COUNTERS, by_class),
+            ("pinned_regions", self.pinned_regions),
+            ("spm_hits", self.spm_hits),
+            ("spm_pinned_hits", self.spm_pinned_hits),
+            ("dma_fills", self.dma_fills),
+            ("dma_writebacks", self.dma_writebacks),
+            ("unknown_filtered", self.unknown_filtered),
+            ("unknown_dir_miss", self.unknown_dir_miss),
+            ("unknown_spm_served", self.unknown_spm_served),
+            ("l1_hits", self.l1_hits),
+            ("l1_misses", self.l1_misses),
+            ("l2_hits", self.l2_hits),
+            ("l2_misses", self.l2_misses),
+            ("l1_writebacks", self.l1_writebacks),
+            ("l2_writebacks", self.l2_writebacks),
+            ("upgrades", self.upgrades),
+        ))
+        dma = self.dma_fills + self.dma_writebacks
+        dir_consults = self.unknown_dir_miss + self.unknown_spm_served
+        filter_probes = (
+            by_class[_UNKNOWN] if self.mode == "hybrid" and self.use_filter else 0
+        )
+        out.add_many(
+            (key, pj)
+            for key, pj, events in (
+                ("energy_pj.l1", self.pj_l1, self.l1_hits + self.l1_misses),
+                ("energy_pj.l2", self.pj_l2, self.l1_misses + self.l1_writebacks),
+                ("energy_pj.dram", self.pj_dram, self.l2_misses + self.l2_writebacks),
+                ("energy_pj.spm", self.pj_spm, self.spm_hits + self.unknown_spm_served),
+                ("energy_pj.dram_dma", self.pj_dram_dma, dma),
+                ("energy_pj.dma_engine", self.pj_dma_engine, dma),
+                ("energy_pj.filter", self.pj_filter, filter_probes),
+                ("energy_pj.spm_dir", self.pj_spm_dir, dir_consults),
+            )
+            if events
+        )
+        return out
 
     def summary(self) -> Dict[str, float]:
         out = dict(self.stats.as_dict())

@@ -45,7 +45,11 @@ class Scratchpad:
         self.core_id = core_id
         self.size_bytes = size_bytes
         self._ranges: Dict[int, int] = {}  # base -> nbytes
-        self.stats = StatSet(f"spm{core_id}")
+        # Counters (floats); ``stats`` reads them.
+        self.maps = 0.0
+        self.unmaps = 0.0
+        self.accesses = 0.0
+        self.writes = 0.0
 
     @property
     def used_bytes(self) -> int:
@@ -60,11 +64,11 @@ class Scratchpad:
                 f"> {self.size_bytes}"
             )
         self._ranges[base] = nbytes
-        self.stats.add("maps")
+        self.maps += 1.0
 
     def unmap_range(self, base: int) -> None:
         self._ranges.pop(base, None)
-        self.stats.add("unmaps")
+        self.unmaps += 1.0
 
     def holds(self, addr: int) -> bool:
         for base, n in self._ranges.items():
@@ -73,9 +77,19 @@ class Scratchpad:
         return False
 
     def access(self, addr: int, write: bool) -> None:
-        self.stats.add("accesses")
+        self.accesses += 1.0
         if write:
-            self.stats.add("writes")
+            self.writes += 1.0
+
+    @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters; a zero count has no key."""
+        return StatSet.of_counts(f"spm{self.core_id}", (
+            ("maps", self.maps),
+            ("unmaps", self.unmaps),
+            ("accesses", self.accesses),
+            ("writes", self.writes),
+        ))
 
 
 class TilingStream:

@@ -55,13 +55,16 @@ class MeshNoC:
         self.width = width
         self.height = height
         self.params = params if params is not None else NocParams()
-        self.stats = StatSet("noc")
-        # ``send`` runs several times per simulated memory access, so what
-        # depends only on the configuration is looked up, not rebuilt:
-        # flits per message size and the per-kind counter names fill on
-        # first use.
+        # ``send`` runs several times per simulated memory access, so its
+        # counters are fields (``stats`` builds a snapshot from them) and
+        # the flits of each message size are looked up, not recomputed.
+        self.messages = 0.0
+        self.flits = 0
+        self.flit_hops = 0
+        self.bytes = 0
+        self.energy_j = 0.0
+        self.flit_hops_by_kind: Dict[str, int] = {}
         self._flits: Dict[int, int] = {}
-        self._kind_counters: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -124,28 +127,52 @@ class MeshNoC:
         if not 0 <= dst < n:
             raise ValueError(f"node {dst} outside mesh")
         hops = abs(src % w - dst % w) + abs(src // w - dst // w)
-        flits = self._flits.get(nbytes)
-        if flits is None:
+        try:
+            flits = self._flits[nbytes]
+        except KeyError:
             flits = self._flits[nbytes] = self.flits_for_bytes(nbytes)
-        counter = self._kind_counters.get(kind)
-        if counter is None:
-            counter = self._kind_counters[kind] = f"flit_hops.{kind}"
         flit_hops = flits * (hops if hops > 1 else 1)
         p = self.params
-        add = self.stats.add
-        add("messages")
-        add("flits", flits)
-        add("flit_hops", flit_hops)
-        add(counter, flit_hops)
-        add("bytes", nbytes)
-        add("energy_j", flit_hops * p.energy_per_flit_hop_pj * 1e-12)
+        self.messages += 1.0
+        self.flits += flits
+        self.flit_hops += flit_hops
+        by_kind = self.flit_hops_by_kind
+        try:
+            by_kind[kind] += flit_hops
+        except KeyError:
+            by_kind[kind] = flit_hops
+        self.bytes += nbytes
+        self.energy_j += flit_hops * p.energy_per_flit_hop_pj * 1e-12
         # serialization at one flit/cycle
         return (hops * p.hop_latency_cycles + flits) / (p.frequency_ghz * 1e9)
 
     @property
+    def stats(self) -> StatSet:
+        """A fresh snapshot of the counters.
+
+        Every message creates all of them, so before the first message the
+        set is empty; ``flit_hops.<kind>`` exists for each kind sent.
+        """
+        out = StatSet("noc")
+        if self.messages:
+            out.add_many((
+                ("messages", self.messages),
+                ("flits", self.flits),
+                ("flit_hops", self.flit_hops),
+                ("bytes", self.bytes),
+                ("energy_j", self.energy_j),
+            ))
+            out.add_many(
+                (f"flit_hops.{kind}", hops)
+                for kind, hops in self.flit_hops_by_kind.items()
+            )
+        return out
+
+    @property
     def total_flit_hops(self) -> float:
-        return self.stats.get("flit_hops")
+        """All flit-hops sent so far (an int), or ``0.0`` before any."""
+        return self.flit_hops if self.messages else 0.0
 
     @property
     def total_energy_j(self) -> float:
-        return self.stats.get("energy_j")
+        return self.energy_j

@@ -16,13 +16,15 @@ class StatSet:
     """A named bag of additive counters.
 
     Counters are created on first use and always default to zero, so model
-    code can ``stats.add("l1.hits")`` without registration boilerplate.
+    code can ``stats.add("budget_denials")`` without registration
+    boilerplate.  Components on a per-access or per-task hot path keep
+    their counters as plain numeric fields instead and build a
+    :class:`StatSet` only when ``stats`` is read (:meth:`of_counts`); this
+    class serves cold code, read-side snapshots and campaign aggregation.
 
-    :meth:`add` sits on the simulator's per-task hot path (the runtime's
-    start/finish counters), so the counters live in a plain dict with an
-    EAFP increment — the hit case is a single dict store, with no
-    ``defaultdict.__missing__`` machinery — and bulk transfers go through
-    :meth:`add_many`, which skips the per-call overhead entirely.
+    The counters live in a plain dict with an EAFP increment (the hit case
+    is a single dict store), and bulk transfers go through
+    :meth:`add_many`, which skips the per-call overhead.
     """
 
     __slots__ = ("name", "_counters")
@@ -30,6 +32,18 @@ class StatSet:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._counters: Dict[str, float] = {}
+
+    @classmethod
+    def of_counts(cls, name: str, counts: Iterable[Tuple[str, float]]) -> "StatSet":
+        """A fresh set holding every non-zero ``(key, count)`` pair as given.
+
+        The snapshot a component with counter fields returns from
+        ``stats``: a count that ``add`` would never have touched is zero,
+        so its key is absent, and each value keeps its Python type.
+        """
+        out = cls(name)
+        out._counters = {key: count for key, count in counts if count}
+        return out
 
     def add(self, key: str, value: float = 1.0) -> None:
         counters = self._counters
@@ -70,15 +84,6 @@ class StatSet:
     def merge(self, other: "StatSet") -> None:
         """Add every counter of ``other`` into this set."""
         self.add_many(other._counters)
-
-    def scaled(self, factor: float) -> "StatSet":
-        out = StatSet(self.name)
-        for key, value in self._counters.items():
-            out._counters[key] = value * factor
-        return out
-
-    def reset(self) -> None:
-        self._counters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))

@@ -1,5 +1,6 @@
 """Unit tests for tasks, regions, and the dependence tracker."""
 
+import copy
 import pickle
 
 import pytest
@@ -275,6 +276,43 @@ class TestTaskSlots:
         clones = pickle.loads(pickle.dumps(tasks))
         assert all(c.graph is None and c.gid == -1 for c in clones)
         assert edges(clones) == edges(tasks) == [[1], [2], []]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda t: pickle.loads(pickle.dumps(t)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_clone_of_a_submitted_task_is_detached(self, clone):
+        """Pickling or copying a submitted (here: finished) task yields a
+        detached task with equal fields, which a second runtime can run."""
+        from repro.core.runtime import Runtime
+        from repro.sim.machine import Machine
+
+        rt = Runtime(Machine(1), record_trace=False)
+        t = Task.make("t", cpu_cycles=5e5, mem_seconds=1e-4, in_=["a"],
+                      out=[("b", 0, 8)], priority=2)
+        rt.submit(t)
+        rt.run()
+        assert t.state is TaskState.FINISHED and t.gid == 0
+
+        c = clone(t)
+        assert c is not t and c.gid == -1 and c.graph is None
+        assert c.state is TaskState.CREATED and c.end_time is None
+        for name in ("label", "cpu_cycles", "mem_seconds", "deps", "fn",
+                     "args", "kwargs", "priority", "result"):
+            assert getattr(c, name) == getattr(t, name)
+        assert all(x is not c for x in rt.graph.tasks)
+
+        other = Runtime(Machine(1), record_trace=False)
+        other.submit(c)
+        other.run()
+        assert c.graph is other.graph and c.state is TaskState.FINISHED
+        assert c.end_time == t.end_time
+        assert t.graph is rt.graph and t.gid == 0  # the original stays put
 
     def test_graph_owned_fields_delegate_once_attached(self):
         g = TaskGraph()

@@ -1,5 +1,6 @@
 """Integration tests for the cache-only and hybrid memory hierarchies."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -266,25 +267,40 @@ COMPONENT_DIGESTS = {
     "SP-hybrid-default": "fd72402c34e51bd47936c2b038fb3b5bda01b5afd03dab62e46a6c32ec860fb9",
     "IS-hybrid-no_filter": "7873ae30da773fda6bef4036459ac1729de1c93b5bd92bdc196a0b2b21975977",
     "IS-hybrid-tile256": "8788206cf1d256af3e262e67c377211a850b770ce68a2363e2cfcc1666b81b32",
+    # recorded while every counter was still a string-keyed ``StatSet.add``
+    "IS-cache-zero_pj": "a1a6049c297c64a4b79b875de97276feee7a5e710831c53295ac5d844a9423c9",
+    "IS-hybrid-zero_pj": "f7d317590524e5580ae2fab38d34d54206216d2990ff0e5382ba2b2d1147c7be",
+    "IS-hybrid-zero_pj_no_filter": "3e15f19991d4580db6a63009ac59c8599217bf6d08a13a283c01fe1959ba5feb",
+    "EP-hybrid-zero_pj": "6775377ed463e222ee889ff6352db5a8aa49c7f2693f98feed856eec1d1db05e",
+}
+
+#: Every energy cost 0.0: an ``energy_pj.<kind>`` key must still appear
+#: once an event that spends it has happened.
+_ZERO_PJ = {
+    f.name: 0.0 for f in dataclasses.fields(MemoryParams) if f.name.endswith("_pj")
 }
 
 _VARIANTS = {
     "default": ({}, True),
     "no_filter": ({}, False),
     "tile256": ({"tile_bytes": 256}, True),
+    "zero_pj": (_ZERO_PJ, True),
+    "zero_pj_no_filter": (_ZERO_PJ, False),
 }
 _CASES = [
     (model, mode, "default")
     for model in sorted(nas.NAS_BENCHMARKS)
     for mode in ("cache", "hybrid")
-] + [("IS", "hybrid", "no_filter"), ("IS", "hybrid", "tile256")]
+] + [("IS", "hybrid", "no_filter"), ("IS", "hybrid", "tile256")] + [
+    ("IS", "cache", "zero_pj"),
+    ("IS", "hybrid", "zero_pj"),
+    ("IS", "hybrid", "zero_pj_no_filter"),
+    ("EP", "hybrid", "zero_pj"),
+]
 
 
-@pytest.mark.parametrize("model,mode,variant", _CASES)
-def test_component_counters_are_pinned(model, mode, variant):
-    """The NoC's per-kind flit-hops, the per-cache, coherence, SPM-directory
-    and filter counters, and each access's latency: the numbers a
-    baseline row's hierarchy summary does not carry."""
+def _replay(model, mode, variant, after_access=None):
+    """Run a pinned case access by access; returns its digest."""
     overrides, use_filter = _VARIANTS[variant]
     h, batches = _nas_hierarchy(
         model, mode, 16, 300, MemoryParams(**overrides), use_filter
@@ -297,9 +313,64 @@ def test_component_counters_are_pinned(model, mode, variant):
             rec["write"].tolist(), rec["cls"].tolist(),
         ):
             latencies.append(h.access(core, addr, write, cls))
+            if after_access is not None:
+                after_access(h)
     h.finish()
-    digest = hashlib.sha256(repr((_state(h), latencies)).encode()).hexdigest()
+    return h, hashlib.sha256(repr((_state(h), latencies)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model,mode,variant", _CASES)
+def test_component_counters_are_pinned(model, mode, variant):
+    """The NoC's per-kind flit-hops, the per-cache, coherence, SPM-directory
+    and filter counters, and each access's latency: the numbers a
+    baseline row's hierarchy summary does not carry."""
+    _, digest = _replay(model, mode, variant)
     assert digest == COMPONENT_DIGESTS[f"{model}-{mode}-{variant}"]
+
+
+def _read_every_counter(h):
+    """Read ``stats`` of every component, and the summary."""
+    readers = [h, h.noc, h.coherence] + h.l1 + h.l2
+    if h.mode == "hybrid":
+        readers += [h.spm_directory] + h.filters + h.spm
+    for component in readers:
+        component.stats.as_dict()
+    h.summary()
+
+
+@pytest.mark.parametrize("case", ["CG-hybrid-default", "IS-cache-default"])
+def test_reading_stats_changes_nothing(case):
+    """Reading counters after every access moves no counter, latency or
+    float sum: the pinned digest still holds."""
+    model, mode, variant = case.split("-")
+    _, digest = _replay(model, mode, variant, after_access=_read_every_counter)
+    assert digest == COMPONENT_DIGESTS[case]
+
+
+_ENERGY_KINDS = {"l1", "l2", "dram", "spm", "dram_dma", "dma_engine", "filter", "spm_dir"}
+
+
+@pytest.mark.parametrize(
+    "model,mode,variant,absent",
+    [
+        ("IS", "cache", "zero_pj",
+         {"spm", "dram_dma", "dma_engine", "filter", "spm_dir"}),
+        ("IS", "hybrid", "zero_pj", set()),
+        ("IS", "hybrid", "zero_pj_no_filter", {"filter"}),
+        ("EP", "hybrid", "zero_pj", {"filter", "spm_dir"}),  # no unknown alias
+    ],
+)
+def test_zero_cost_energy_keys_follow_events(model, mode, variant, absent):
+    """An ``energy_pj.<kind>`` key exists once an event that spends it has
+    happened, even at 0.0 pJ, and not before."""
+    h, _ = _replay(model, mode, variant)
+    energy = {
+        k.split(".", 1)[1]: v
+        for k, v in h.stats.as_dict().items() if k.startswith("energy_pj.")
+    }
+    assert set(energy) == _ENERGY_KINDS - absent
+    assert all(v == 0.0 and type(v) is float for v in energy.values())
+    assert h.energy_j == 0.0
 
 
 def test_run_batch_matches_access_by_access():

@@ -27,24 +27,23 @@ class TestStatSet:
         b.add("y", 3)
         a.merge(b)
         assert a["x"] == 3 and a["y"] == 3
-        half = a.scaled(0.5)
-        assert half["x"] == 1.5
-
-    def test_reset(self):
-        s = StatSet()
-        s.add("x")
-        s.reset()
-        assert s.get("x") == 0.0
 
     def test_empty_set_report(self):
         """An untouched StatSet reports cleanly from every accessor."""
         s = StatSet("empty")
         assert s.as_dict() == {}
         assert list(s.keys()) == []
-        assert s.scaled(2.0).as_dict() == {}
         target = StatSet()
         target.merge(s)  # merging an empty set is a no-op
         assert target.as_dict() == {}
+
+    def test_of_counts_keeps_nonzero_counts_as_given(self):
+        """A snapshot carries a key iff its count is non-zero, with the
+        count's own type (``1`` and ``1.0`` serialise differently)."""
+        s = StatSet.of_counts("c", [("a", 2.0), ("b", 0.0), ("n", 3), ("z", 0)])
+        assert s.name == "c" and s.as_dict() == {"a": 2.0, "n": 3}
+        assert type(s["a"]) is float and type(s["n"]) is int
+        assert "b" not in s and s.get("b") == 0.0
 
     def test_add_many_equivalent_to_add_loop(self):
         """Bulk and per-key accumulation must land on identical totals,
