@@ -18,7 +18,15 @@ through the region-based dependence API, so submitting them to a
 :class:`~repro.core.runtime.Runtime` *derives* the intended graph rather
 than hard-wiring edges.  All randomness flows through a seeded
 ``numpy`` generator: the same arguments always produce the same workload,
-which keeps simulated runs bit-for-bit reproducible.
+which keeps simulated runs bit-for-bit reproducible.  Each task's stream
+is defined by per-task calls (a ``random()`` for its cost jitter, a
+``choice(..., replace=False)`` for its reads), but a builder makes no
+numpy call per task: a graph (or a stream window) draws in one or two
+calls that replay those per-task calls value for value and leave the
+generator in the same state.  :func:`_choice_rows` is the one replay
+helper; in its ``rng.integers`` bounds, a full-range ``uint64`` slot is
+one ``random()``.  A ``|jitter| > 2`` could make a cost negative, so it
+raises before any draw.
 
 Costs follow the paper's first-order model: a ``mem_ratio`` knob splits
 each task's reference-time budget between frequency-scaling compute cycles
@@ -41,7 +49,7 @@ watermark pruning (``prune_every``) is designed for.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -64,25 +72,114 @@ _R = Region.interned
 #: interchangeable (matches Task.reference_work).
 REFERENCE_HZ = 1e9
 
+#: One task's reference-cycle budget, or a float array of them.
+_Budget = TypeVar("_Budget", float, np.ndarray)
+
 
 def _split_cost(
-    total_cycles: float,
-    mem_ratio: float,
-    rng: Optional[np.random.Generator] = None,
-    jitter: float = 0.0,
-) -> Tuple[float, float]:
+    total_cycles: _Budget, mem_ratio: float
+) -> Tuple[_Budget, _Budget]:
     """Split a reference-cycle budget into (cpu_cycles, mem_seconds).
 
     ``mem_ratio`` of the task's reference-frequency duration becomes
-    memory time; optional ``jitter`` scales the whole budget by a
-    deterministic pseudo-random factor in ``[1 - j/2, 1 + j/2]``.
+    memory time.  A float array of budgets is split element by element,
+    by the same float operations in the same order as one float.
     """
     if not 0.0 <= mem_ratio < 1.0:
         raise ValueError(f"mem_ratio must be in [0, 1), got {mem_ratio}")
-    if jitter and rng is not None:
-        total_cycles *= 1.0 + jitter * (rng.random() - 0.5)
     mem_seconds = mem_ratio * total_cycles / REFERENCE_HZ
     return (1.0 - mem_ratio) * total_cycles, mem_seconds
+
+
+def _jitter_draws(jitter: float) -> bool:
+    """Whether a jittered builder draws one ``random()`` per task: it does
+    for any non-zero ``jitter``, a negative one included.
+
+    A task's budget is scaled by ``1 + jitter * (u - 0.5)`` for its draw
+    ``u`` in ``[0, 1)``, a factor that stays non-negative for every ``u``
+    only while ``|jitter| <= 2``.  A wider ``jitter`` raises here, before
+    any draw, so whether a build succeeds never depends on its seed.
+    """
+    if abs(jitter) > 2.0:
+        raise ValueError(
+            f"jitter must be in [-2, 2], got {jitter}: the cost factor "
+            "1 + jitter * (u - 0.5) would be negative for some draws"
+        )
+    return bool(jitter)
+
+
+def _task_costs(
+    total_cycles: float,
+    mem_ratio: float,
+    jitter: float,
+    u: Optional[np.ndarray],
+    n: int,
+) -> Tuple[List[float], List[float]]:
+    """The ``(cpu_cycles, mem_seconds)`` lists of ``n`` tasks: the one split
+    of ``total_cycles`` when ``u`` is ``None``, else the split of each
+    task's budget scaled by ``1 + jitter * (u[i] - 0.5)``."""
+    if u is None:
+        cycles, mem_s = _split_cost(total_cycles, mem_ratio)
+        return [cycles] * n, [mem_s] * n
+    cycles_a, mem_a = _split_cost(
+        total_cycles * (1.0 + jitter * (u - 0.5)), mem_ratio
+    )
+    return cycles_a.tolist(), mem_a.tolist()
+
+
+def _choice_rows(
+    rng: np.random.Generator, pop: int, k: int, n: int, uniform: bool = False
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The ``(n, k)`` rows that ``n`` successive
+    ``rng.choice(pop, size=k, replace=False)`` calls would return, and with
+    ``uniform`` the ``n`` values of an ``rng.random()`` call made before
+    each (else ``None``), drawn with one ``rng.integers`` call.
+
+    numpy samples without replacement by Floyd's algorithm: for ``j =
+    pop-k … pop-1`` it draws ``v`` in ``[0, j]`` and takes ``j`` instead
+    when ``v`` was already picked, then shuffles the ``k`` picks
+    (Fisher–Yates, ``i = k-1 … 1``, one draw in ``[0, i]`` each).  Every
+    step is one bounded-integer draw from the same bit generator, and
+    ``rng.integers(0, bounds, dtype=np.uint64, endpoint=True)`` makes
+    those same draws in the same order.  A bound of ``2**64 - 1`` takes
+    numpy's full-range branch, one raw 64-bit draw that leaves the 32-bit
+    buffer the small bounds share untouched: exactly what ``random()``
+    takes, as ``(raw >> 11) * 2**-53``.  So tiling one task's bounds (the
+    ``random()`` slot, then ``2k - 1`` for ``choice``) ``n`` times replays
+    ``n`` tasks' calls value for value and leaves ``rng`` in the same
+    state.  Like ``choice``, ``k == 0`` draws nothing and ``k`` outside
+    ``[0, pop]`` raises.  For ``pop > 10000`` and ``k > pop // 50`` numpy
+    shuffles a tail of ``arange(pop)`` instead; that branch is not
+    replayed and raises ``ValueError``.
+    """
+    if not 0 <= k <= pop:
+        raise ValueError(f"cannot choose {k} of {pop} without replacement")
+    if pop > 10000 and k > pop // 50:
+        raise ValueError(
+            f"choosing {k} of {pop} takes numpy's tail-shuffle branch, "
+            "which is not replayed"
+        )
+    lead = int(uniform)
+    bounds = np.concatenate((
+        np.full(lead, 2**64 - 1, dtype=np.uint64),
+        np.arange(pop - k, pop, dtype=np.uint64),  # Floyd
+        np.arange(k - 1, 0, -1, dtype=np.uint64),  # shuffle
+    ))
+    draws = rng.integers(
+        0, np.tile(bounds, n), dtype=np.uint64, endpoint=True
+    ).reshape(n, len(bounds))
+    u = (draws[:, 0] >> np.uint64(11)) * 2.0**-53 if uniform else None
+    small = draws[:, lead:].astype(np.int64)
+    picks = small[:, :k]  # a view: the shuffle draws sit in other columns
+    for c in range(1, k):
+        taken = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
+        picks[taken, c] = pop - k + c
+    rows = np.arange(n)
+    for i, swap in zip(range(k - 1, 0, -1), small[:, k:].T):
+        held = picks[rows, swap]
+        picks[rows, swap] = picks[:, i]
+        picks[:, i] = held
+    return picks, u
 
 
 # ----------------------------------------------------------------------
@@ -102,30 +199,51 @@ def random_layered(
     Every node in layer ``l > 0`` reads ``min(fanin, width)`` distinct
     random nodes of layer ``l - 1`` and writes its own output region, so
     depth equals ``n_layers`` and each layer is fully parallel.
+
+    Task by task, the stream draws one ``rng.random()`` for the cost
+    jitter (for any non-zero ``jitter``) and then, from layer 1 on, one
+    ``rng.choice(width, size=min(fanin, width), replace=False)`` for the
+    parents, sorted.  Layer 0's uniforms are one ``rng.random(width)``
+    call and every later task's draws one :func:`_choice_rows` call, with
+    identical values.  ``|jitter| > 2`` raises ``ValueError``, and so
+    does a ``width`` and ``fanin`` for which numpy's ``choice`` would take
+    its tail-shuffle branch (``width > 10000`` and ``fanin > width //
+    50``).
     """
     if n_layers < 1 or width < 1:
         raise ValueError("need at least one layer and one node per layer")
     if fanin < 1:
         raise ValueError("fanin must be at least 1")
-    rng = np.random.default_rng(seed)
     k = min(fanin, width)
+    _split_cost(cpu_cycles, mem_ratio)  # checks mem_ratio before any draw
+    jittered = _jitter_draws(jitter)
+    rng = np.random.default_rng(seed)
+    u = rng.random(width) if jittered else None
+    # k column lists of sorted parents, one entry per task of layer >= 1.
+    parent_cols: List[List[int]] = []
+    if n_layers > 1:
+        picks, u_rest = _choice_rows(
+            rng, width, k, (n_layers - 1) * width, uniform=jittered
+        )
+        parent_cols = np.sort(picks, axis=1).T.tolist()
+        if u is not None and u_rest is not None:
+            u = np.concatenate((u, u_rest))
+    cycles, mem_s = _task_costs(
+        cpu_cycles, mem_ratio, jitter, u, n_layers * width
+    )
     tasks: List[Task] = []
     prev: List[Region] = []
     for layer in range(n_layers):
         row = [_R((f"L{layer}", j, j + 1)) for j in range(width)]
+        cols = parent_cols if layer else []
         for j in range(width):
-            # The jitter draw and the parent draw interleave per task.
-            cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
-            deps_in = []
-            if layer > 0:
-                parents = rng.choice(width, size=k, replace=False).tolist()
-                deps_in = [prev[p] for p in sorted(parents)]
+            i = layer * width + j
             tasks.append(
                 Task.make(
                     f"l{layer}.n{j}",
-                    cpu_cycles=cycles,
-                    mem_seconds=mem_s,
-                    in_=deps_in,
+                    cpu_cycles=cycles[i],
+                    mem_seconds=mem_s[i],
+                    in_=[prev[col[i - width]] for col in cols],
                     out=[row[j]],
                 )
             )
@@ -274,23 +392,29 @@ def fork_join_ladder(
     """``depth`` rounds of: fork ``width`` jittered tasks, join, repeat.
 
     With ``jitter > 0`` the rounds are load-imbalanced, which is what
-    separates work stealing from static round-robin assignment.
+    separates work stealing from static round-robin assignment.  The
+    forks' uniforms, one ``rng.random()`` per fork in task order for any
+    non-zero ``jitter``, are one ``rng.random(width * depth)`` call;
+    ``|jitter| > 2`` raises ``ValueError``.
     """
     if width < 1 or depth < 1:
         raise ValueError("need positive width and depth")
-    rng = np.random.default_rng(seed)
     join_c, join_m = _split_cost(cpu_cycles / 4.0, mem_ratio)
+    n_forks = width * depth
+    jittered = _jitter_draws(jitter)
+    u = np.random.default_rng(seed).random(n_forks) if jittered else None
+    cycles, mem_s = _task_costs(cpu_cycles, mem_ratio, jitter, u, n_forks)
     rounds = [[_R(f"round{d}")] for d in range(depth + 1)]
     tasks: List[Task] = []
     for d in range(depth):
         partial = f"partial{d}"
         for w in range(width):
-            cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
+            i = d * width + w
             tasks.append(
                 Task.make(
                     f"fork{d}.{w}",
-                    cpu_cycles=cycles,
-                    mem_seconds=mem_s,
+                    cpu_cycles=cycles[i],
+                    mem_seconds=mem_s[i],
                     in_=rounds[d],
                     # Per-round partial regions: forks of round d+1 must
                     # not serialise against round d's join (WAR) or each
@@ -353,52 +477,6 @@ def pipeline_grid(
 # ----------------------------------------------------------------------
 # streaming windows
 # ----------------------------------------------------------------------
-def _choice_rows(
-    rng: np.random.Generator, pop: int, k: int, n: int
-) -> np.ndarray:
-    """The ``(n, k)`` rows that ``n`` successive
-    ``rng.choice(pop, size=k, replace=False)`` calls would return, drawn
-    with one ``rng.integers`` call.
-
-    numpy samples without replacement by Floyd's algorithm: for ``j =
-    pop-k … pop-1`` it draws ``v`` in ``[0, j]`` and takes ``j`` instead
-    when ``v`` was already picked, then shuffles the ``k`` picks
-    (Fisher–Yates, ``i = k-1 … 1``, one draw in ``[0, i]`` each).  Every
-    step is one bounded-integer draw from the same bit generator, and
-    ``rng.integers(0, highs)`` makes those same draws in the same order,
-    so tiling one call's ``2k - 1`` bounds ``n`` times replays ``n``
-    calls value for value and leaves ``rng`` in the same state.  Like
-    ``choice``, ``k == 0`` draws nothing and ``k`` outside ``[0, pop]``
-    raises.  For ``pop > 10000`` and ``k > pop // 50`` numpy shuffles a
-    tail of ``arange(pop)`` instead; that branch is not replayed and
-    raises ``ValueError``.
-    """
-    if not 0 <= k <= pop:
-        raise ValueError(f"cannot choose {k} of {pop} without replacement")
-    if pop > 10000 and k > pop // 50:
-        raise ValueError(
-            f"choosing {k} of {pop} takes numpy's tail-shuffle branch, "
-            "which is not replayed"
-        )
-    if k == 0:
-        return np.empty((n, 0), dtype=np.int64)
-    floyd_highs = np.arange(pop - k + 1, pop + 1)
-    shuffle_highs = np.arange(k, 1, -1)
-    draws = rng.integers(
-        0, np.tile(np.concatenate((floyd_highs, shuffle_highs)), n)
-    ).reshape(n, 2 * k - 1)
-    picks = draws[:, :k]  # a view: the shuffle draws sit in other columns
-    for c in range(1, k):
-        taken = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
-        picks[taken, c] = pop - k + c
-    rows = np.arange(n)
-    for i, swap in zip(range(k - 1, 0, -1), draws[:, k:].T):
-        held = picks[rows, swap]
-        picks[rows, swap] = picks[:, i]
-        picks[:, i] = held
-    return picks
-
-
 def stream_window(
     window: int,
     n_buffers: int = 64,
@@ -440,7 +518,7 @@ def stream_window(
     k = min(fanin, n_buffers - 1)
     outs = (window * n_tasks + np.arange(n_tasks)) % n_buffers
     # Read k distinct buffers other than the one being rewritten.
-    offsets = _choice_rows(rng, n_buffers - 1, k, n_tasks)
+    offsets, _ = _choice_rows(rng, n_buffers - 1, k, n_tasks)
     # k column lists, not n_tasks row lists: rows held alive for the whole
     # window would count toward the cyclic GC's allocation threshold.
     read_cols = ((offsets + outs[:, None] + 1) % n_buffers).T.tolist()

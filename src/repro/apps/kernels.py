@@ -15,6 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.task import Region, Task
+from .dag_workloads import _jitter_draws, _task_costs
 
 _R = Region.interned
 
@@ -155,13 +156,22 @@ def critical_chain_with_fillers(
 ) -> List[Task]:
     """The Section 3.1 workload shape: one long serial chain (the critical
     path) plus a sea of short independent tasks.  Criticality-aware
-    scheduling/DVFS wins by boosting the chain."""
-    rng = np.random.default_rng(seed)
+    scheduling/DVFS wins by boosting the chain.
+
+    Filler ``i`` costs ``filler_cycles * (1 + jitter * (u[i] - 0.5))``,
+    where ``u`` is one ``rng.random(n_fillers)`` call, the values
+    ``n_fillers`` successive ``rng.random()`` calls return.  A zero
+    ``jitter`` draws nothing (every factor would be exactly 1), and
+    ``|jitter| > 2`` raises ``ValueError``.
+    """
     tasks = [
         Task.make("critical", cpu_cycles=chain_cycles, inout=[_R("chain")])
         for _ in range(chain_len)
     ]
-    for i in range(n_fillers):
-        cost = filler_cycles * (1 + jitter * (rng.random() - 0.5))
+    n = max(n_fillers, 0)  # like range(n_fillers): no fillers below 0
+    jittered = _jitter_draws(jitter)
+    u = np.random.default_rng(seed).random(n) if jittered else None
+    costs, _ = _task_costs(filler_cycles, 0.0, jitter, u, n)
+    for i, cost in enumerate(costs):
         tasks.append(Task.make(f"filler{i}", cpu_cycles=cost))
     return tasks

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps import dag_workloads as dw
+from repro.apps.kernels import critical_chain_with_fillers
 from repro.campaign.presets import RSU_COMPARISON_KNOBS
 from repro.core.runtime import Runtime
 from repro.core.task import Task, TaskState
@@ -168,6 +169,23 @@ BUILDS.update({
         6, 8, fanin=1, mem_ratio=0.2, jitter=0.5, seed=7),
     "layered-fanin9-width8": lambda: dw.random_layered(
         6, 8, fanin=9, mem_ratio=0.2, jitter=0.5, seed=7),
+    # No random() slot per task.
+    "layered-jitter0": lambda: dw.random_layered(
+        6, 8, fanin=3, jitter=0.0, seed=7),
+    # At width 1, choice draws nothing: only the random() slots draw.
+    "layered-width1": lambda: dw.random_layered(
+        4, 1, fanin=2, jitter=0.5, seed=3),
+    # A negative jitter is truthy, so it draws.
+    "layered-jitter-neg0.5": lambda: dw.random_layered(
+        4, 6, fanin=2, jitter=-0.5, seed=3),
+    "fork_join-w5-d3-jitter0": lambda: dw.fork_join_ladder(
+        5, 3, jitter=0.0, seed=7),
+    "fork_join-w5-d3-jitter0.7": lambda: dw.fork_join_ladder(
+        5, 3, jitter=0.7, seed=7),
+    "chain-fillers-jitter0.3": lambda: critical_chain_with_fillers(
+        3, 40, jitter=0.3, seed=5),
+    "chain-fillers-jitter0": lambda: critical_chain_with_fillers(
+        3, 40, jitter=0.0, seed=5),
     "stream-b64-n1536-s1": _windows(n_buffers=64, n_tasks=1536, seed=1),
     "stream-b16-n64-s7": _windows(n_buffers=16, n_tasks=64, seed=7),
     "stream-b2-n8-s3": _windows(n_buffers=2, n_tasks=8, seed=3),
@@ -178,8 +196,12 @@ BUILDS.update({
 })
 
 #: Recorded before the builders' region and cost tables were hoisted out
-#: of their loops: a change to a builder's host cost must keep each one.
+#: of their loops, and the ``jitter``/``width1``/``chain-fillers`` cases
+#: before the per-task draws were batched: a change to a builder's host
+#: cost must keep each one.
 BUILDER_DIGESTS = {
+    "chain-fillers-jitter0": "88a84c4e30169e27",
+    "chain-fillers-jitter0.3": "9f1d7824c29647e2",
     "cholesky-x1-s0-default": "f9a60cc3c61b4694",
     "cholesky-x1-s0-rsu": "3f8af61bebc476b9",
     "cholesky-x1-s7-default": "f9a60cc3c61b4694",
@@ -196,8 +218,13 @@ BUILDER_DIGESTS = {
     "fork_join-x8-s0-rsu": "b1feedb53ccdcb0f",
     "fork_join-x8-s7-default": "da482a981cdb06fc",
     "fork_join-x8-s7-rsu": "85c06ff99825bc82",
+    "fork_join-w5-d3-jitter0": "35473a2563695079",
+    "fork_join-w5-d3-jitter0.7": "56448cc7ea5d25df",
     "layered-fanin1": "6cb24411df058179",
     "layered-fanin9-width8": "ad94c0b9804e49b1",
+    "layered-jitter-neg0.5": "77eb3140fa0a11b1",
+    "layered-jitter0": "3c6b2d59ab4864e2",
+    "layered-width1": "df136de9c812ca1d",
     "layered-x1-s0-default": "a202f46a9435223b",
     "layered-x1-s0-rsu": "dfc0feb976a4dc87",
     "layered-x1-s7-default": "6a6ee783f8c2a0a6",
@@ -236,31 +263,39 @@ def test_builder_output_is_pinned(case):
 
 
 class TestChoiceRows:
-    """``stream_window`` draws a window's reads through ``_choice_rows``,
-    which must replay numpy's own ``choice``: a numpy release that changes
-    how ``choice`` or ``integers`` draws fails here by name, not only as a
-    moved digest."""
+    """``stream_window`` and ``random_layered`` draw through
+    ``_choice_rows``, which must replay numpy's own ``random()`` and
+    ``choice``: a numpy release that changes how ``random``, ``choice`` or
+    ``integers`` draws fails here by name, not only as a moved digest."""
 
     @staticmethod
-    def _check(seed, pop, k, n):
+    def _check(seed, pop, k, n, uniform=False):
         want_rng = np.random.default_rng((seed, pop, k))
         got_rng = np.random.default_rng((seed, pop, k))
-        want = [
-            want_rng.choice(pop, size=k, replace=False).tolist()
-            for _ in range(n)
-        ]
-        assert dw._choice_rows(got_rng, pop, k, n).tolist() == want, (pop, k)
-        assert got_rng.random() == want_rng.random(), (pop, k)
+        want_u, want = [], []
+        for _ in range(n):
+            if uniform:
+                want_u.append(want_rng.random())
+            want.append(want_rng.choice(pop, size=k, replace=False).tolist())
+        picks, u = dw._choice_rows(got_rng, pop, k, n, uniform=uniform)
+        assert picks.tolist() == want, (pop, k, uniform)
+        if uniform:
+            assert u.tolist() == want_u, (pop, k)
+        else:
+            assert u is None
+        assert got_rng.random() == want_rng.random(), (pop, k, uniform)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_successive_choice_calls(self, seed):
         for pop in range(1, 71):
             for k in range(min(pop, 5) + 1):
-                self._check(seed, pop, k, n=40)
+                for uniform in (False, True):
+                    self._check(seed, pop, k, n=40, uniform=uniform)
 
     @pytest.mark.parametrize("pop, k", [(10000, 300), (10001, 200)])
     def test_matches_choice_at_the_tail_shuffle_edge(self, pop, k):
         self._check(5, pop, k, n=5)
+        self._check(5, pop, k, n=5, uniform=True)
 
     @pytest.mark.parametrize("fanin, match", [
         (201, "tail-shuffle"),
@@ -269,3 +304,38 @@ class TestChoiceRows:
     def test_stream_window_rejects_what_it_cannot_replay(self, fanin, match):
         with pytest.raises(ValueError, match=match):
             dw.stream_window(0, n_buffers=10002, n_tasks=1, fanin=fanin)
+
+    def test_random_layered_rejects_the_tail_shuffle_branch(self):
+        # 201 > 10001 // 50: numpy's choice would shuffle a tail of
+        # arange(10001) rather than run Floyd's algorithm.
+        with pytest.raises(ValueError, match="tail-shuffle"):
+            dw.random_layered(2, 10001, fanin=201, jitter=0.5)
+
+
+class TestJitterRange:
+    """A cost factor ``1 + jitter * (u - 0.5)`` is negative for some draws
+    once ``|jitter| > 2``, so such a ``jitter`` must fail for every seed,
+    not only for the seeds that draw a negative factor, and ``|jitter| ==
+    2`` must build for every seed."""
+
+    BUILDERS = {
+        "layered": lambda jitter, seed: dw.random_layered(
+            1, 1, jitter=jitter, seed=seed),
+        "fork_join": lambda jitter, seed: dw.fork_join_ladder(
+            1, 1, jitter=jitter, seed=seed),
+        "chain_fillers": lambda jitter, seed: critical_chain_with_fillers(
+            1, 1, jitter=jitter, seed=seed),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("jitter", [2.5, 3.0, -2.5])
+    def test_beyond_two_is_rejected_for_every_seed(self, builder, jitter):
+        for seed in range(100):
+            with pytest.raises(ValueError, match="jitter"):
+                self.BUILDERS[builder](jitter, seed)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("jitter", [2.0, -2.0])
+    def test_two_builds_for_every_seed(self, builder, jitter):
+        for seed in range(100):
+            assert self.BUILDERS[builder](jitter, seed)
