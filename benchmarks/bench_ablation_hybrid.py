@@ -1,4 +1,4 @@
-"""Ablations on the hybrid memory hierarchy (DESIGN.md E7).
+"""Ablations on the hybrid memory hierarchy (E7 in README's figure table).
 
 * **filters** — Section 2 adds per-core filters in front of the SPM
   directory; removing them forces every unknown-alias access to consult

@@ -1,4 +1,4 @@
-"""Ablations on the RSU design choices (DESIGN.md E6).
+"""Ablations on the RSU design choices (E6 in README's figure table).
 
 Two knobs of the Section 3.1 mechanism are isolated:
 
@@ -10,13 +10,6 @@ Two knobs of the Section 3.1 mechanism are isolated:
   allocator find tighter fits; a 2-point table degrades EDP.
 """
 
-import pytest
-
-from repro.apps.rsu_experiment import (
-    CriticalityWorkload,
-    run_criticality_aware,
-    run_static,
-)
 from repro.core import AnnotatedCriticality, CriticalityAwareScheduler, Runtime
 from repro.apps.kernels import critical_chain_with_fillers
 from repro.sim import (
@@ -28,8 +21,6 @@ from repro.sim import (
 )
 
 from conftest import banner, table
-
-WL = CriticalityWorkload(n_fillers=300)
 
 
 def run_with(policy_kwargs, n_levels=5, n_cores=32, budget_factor=1.0):
@@ -49,13 +40,9 @@ def run_with(policy_kwargs, n_levels=5, n_cores=32, budget_factor=1.0):
         rsu=rsu,
         record_trace=False,
     )
-    for t in critical_chain_with_fillers(
-        WL.chain_len, WL.n_fillers, WL.chain_cycles, WL.filler_cycles,
-        WL.jitter, WL.seed,
-    ):
+    for t in critical_chain_with_fillers(8, 300, 4e9, 1e9, 0.3, 0):
         rt.submit(t)
     res = rt.run()
-    peak = machine.chip_power()
     return res, rsu
 
 

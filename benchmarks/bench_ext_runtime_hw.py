@@ -1,5 +1,5 @@
-"""Extension experiments (DESIGN.md E8): the co-design agenda beyond the
-paper's own figures.
+"""Extension experiments (E8 in README's figure table): the co-design
+agenda beyond the paper's own figures.
 
 1. **Hardware TDG construction** — the paper's Section 1 names *"the
    construction of the TDG"* as an activity the architecture should

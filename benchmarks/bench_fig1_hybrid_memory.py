@@ -6,121 +6,38 @@ improvements reach 14.7%, 18.5% and 31.2%, respectively. [...] Even for
 benchmarks with minimal accesses to the SPM (as in the case of EP),
 performance, energy consumption and NoC traffic are not degraded."*
 
-The experiment executes through the ``fig1_hybrid`` campaign preset —
-one record per (benchmark, hierarchy mode) — so the figure's raw numbers
-live in the same result-store/compare pipeline as every other figure
-(ROADMAP open item: every paper figure behind one store).  The speedup
-bars are derived from the records exactly as :func:`repro.apps.nas.fig1_speedups`
-derives them from direct runs; a small-scale equivalence test pins the
-two paths against each other bit for bit.
+Times one run of the ``fig1_hybrid`` campaign preset (one record per
+benchmark × hierarchy mode) and prints the bars that
+:func:`repro.campaign.figures.fig1_speedups` folds from its records.
+The paper bands are asserted in tier-1, on the checked-in baseline
+(``tests/test_campaign_figures.py``).
 """
 
-import numpy as np
-import pytest
-
-from repro.apps.nas import NAS_BENCHMARKS, fig1_speedups
 from repro.campaign import build_preset, run_campaign
+from repro.campaign.figures import fig1_speedups
 
 from conftest import banner, table
-
-N_CORES = 64
-ACCESSES_PER_CORE = 1200
 
 PAPER_AVG = {"time": 1.147, "energy": 1.185, "noc": 1.312}
 
 
-def speedups_from_records(records):
-    """Fold (bench, mode) campaign records into Figure 1's speedup bars.
-
-    Mirrors :func:`repro.apps.nas.fig1_speedups` arithmetic exactly:
-    cache-over-hybrid ratios per metric, NoC guarded against a zero
-    denominator, and an arithmetic-mean AVG row.
-    """
-    by_key = {}
-    for rec in records:
-        assert rec["status"] == "ok", rec.get("error")
-        scen = rec["scenario"]
-        bench = scen["family"].split(":", 1)[1]
-        by_key[(bench, scen["params"]["mode"])] = rec["metrics"]
-    benches = sorted({b for b, _ in by_key})
-    out = {}
-    for b in benches:
-        base = by_key[(b, "cache")]
-        hyb = by_key[(b, "hybrid")]
-        out[b] = {
-            "time": base["makespan"] / hyb["makespan"],
-            "energy": base["energy_j"] / hyb["energy_j"],
-            "noc": base["noc_flit_hops"] / max(hyb["noc_flit_hops"], 1.0),
-        }
-    out["AVG"] = {
-        k: float(np.mean([out[b][k] for b in benches]))
-        for k in ("time", "energy", "noc")
-    }
-    return out
-
-
-@pytest.fixture(scope="module")
-def speedups():
-    summary = run_campaign(build_preset("fig1_hybrid"))
-    assert summary.n_errors == 0
-    return speedups_from_records(summary.records)
-
-
-def test_fig1_campaign_family_matches_direct_path():
-    """The ``nas:`` campaign family must reproduce the direct
-    ``fig1_speedups`` numbers bit for bit (small scale for speed)."""
-    direct = fig1_speedups(
-        benchmarks=["CG", "EP"], n_cores=16, accesses_per_core=300
+def test_fig1_hybrid_memory(benchmark):
+    matrix = build_preset("fig1_hybrid")
+    summary = benchmark.pedantic(
+        run_campaign, args=(matrix,), rounds=1, iterations=1
     )
-    summary = run_campaign(
-        build_preset("fig1_hybrid", n_cores=16, accesses_per_core=300)
-    )
-    derived = speedups_from_records(
-        [
-            r
-            for r in summary.records
-            if r["scenario"]["family"] in ("nas:CG", "nas:EP")
-        ]
-    )
-    for bench in ("CG", "EP"):
-        for metric in ("time", "energy", "noc"):
-            assert derived[bench][metric] == direct[bench][metric], (
-                bench, metric,
-            )
-
-
-def test_fig1_hybrid_memory(benchmark, speedups):
-    benchmark.pedantic(
-        fig1_speedups,
-        kwargs=dict(n_cores=16, accesses_per_core=600),
-        rounds=1,
-        iterations=1,
-    )
+    speedups = fig1_speedups(summary.records)
 
     banner(
         f"Figure 1 — hybrid memory hierarchy speedups over cache-only "
-        f"({N_CORES} cores)"
+        f"({matrix.scenarios[0].n_cores} cores)"
     )
-    rows = []
-    for b in list(NAS_BENCHMARKS) + ["AVG"]:
-        v = speedups[b]
-        rows.append(
-            [b, f"{v['time']:.3f}", f"{v['energy']:.3f}", f"{v['noc']:.3f}"]
-        )
+    rows = [
+        [b, f"{v['time']:.3f}", f"{v['energy']:.3f}", f"{v['noc']:.3f}"]
+        for b, v in speedups.items()
+    ]
     rows.append(
         ["paper AVG", f"{PAPER_AVG['time']:.3f}", f"{PAPER_AVG['energy']:.3f}",
          f"{PAPER_AVG['noc']:.3f}"]
     )
     table(["benchmark", "exec time", "energy", "NoC traffic"], rows)
-
-    avg = speedups["AVG"]
-    # Shape assertions: hybrid wins all three on average, NoC the most,
-    # EP neutral, no benchmark degraded.
-    assert avg["time"] > 1.08
-    assert avg["energy"] > 1.08
-    assert avg["noc"] > 1.20
-    assert avg["noc"] == max(avg.values())
-    assert speedups["EP"]["time"] == pytest.approx(1.0, abs=0.1)
-    for b in NAS_BENCHMARKS:
-        for metric in ("time", "energy", "noc"):
-            assert speedups[b][metric] >= 0.95, (b, metric)

@@ -6,71 +6,32 @@ applications improve significantly their scalability over the original
 code, reaching a scaling factor of 12 and 10, respectively, when running
 with 16 cores."*
 
-The app × variant × thread-count sweep is the campaign engine's
-``fig5_parsec`` preset; speedup curves are folded out of its records, so
+Times one run of the ``fig5_parsec`` campaign preset (app × variant ×
+thread count) and prints the speedup curves that
+:func:`repro.campaign.figures.fig5_curves` folds from its records, so
 this bench and ``python -m repro.campaign run --preset fig5_parsec``
-measure exactly the same simulations.
+measure exactly the same simulations.  The paper bands are asserted in
+tier-1, on the checked-in baseline (``tests/test_campaign_figures.py``).
 """
 
-import pytest
-
-from repro.campaign import Matrix, Scenario, build_preset, run_campaign
+from repro.campaign import build_preset, run_campaign
+from repro.campaign.figures import fig5_curves
 
 from conftest import banner, table
 
-THREADS = (1, 2, 4, 8, 12, 16)
 PAPER_AT_16 = {"bodytrack": 12.0, "facesim": 10.0}
 
 
-def curves_from_records(records):
-    """Fold fig5_parsec records into {app: {variant: {threads: speedup}}}.
-
-    Speedup is against each variant's own single-thread execution, as in
-    the paper's scalability plots.
-    """
-    makespans = {}
-    for rec in records:
-        _, app, variant = rec["scenario"]["family"].split(":")
-        makespans[(app, variant, rec["scenario"]["n_cores"])] = rec[
-            "metrics"
-        ]["makespan"]
-    curves = {}
-    for app in PAPER_AT_16:
-        curves[app] = {
-            variant: {
-                n: makespans[(app, variant, 1)] / makespans[(app, variant, n)]
-                for n in THREADS
-            }
-            for variant in ("pthreads", "ompss")
-        }
-    return curves
-
-
-@pytest.fixture(scope="module")
-def curves():
-    summary = run_campaign(build_preset("fig5_parsec"))
-    assert summary.n_errors == 0
-    return curves_from_records(summary.records)
-
-
-def test_fig5_parsec_scalability(benchmark, curves):
-    bench_matrix = Matrix(
-        "fig5_bench",
-        tuple(
-            Scenario(
-                "parsec:bodytrack:ompss", scheduler="work_stealing", n_cores=n
-            )
-            for n in (1, 16)
-        ),
-    )
-    benchmark.pedantic(
-        lambda: run_campaign(bench_matrix), rounds=1, iterations=1
+def test_fig5_parsec_scalability(benchmark):
+    summary = benchmark.pedantic(
+        run_campaign, args=(build_preset("fig5_parsec"),),
+        rounds=1, iterations=1,
     )
 
-    for app, data in curves.items():
+    for app, data in fig5_curves(summary.records).items():
         banner(f"Figure 5 — {app}: speedup vs threads")
         rows = []
-        for n in THREADS:
+        for n in data["ompss"]:
             rows.append(
                 [
                     n,
@@ -81,16 +42,3 @@ def test_fig5_parsec_scalability(benchmark, curves):
             )
         table(["threads", "Original (Pthreads)", "OmpSs",
                "paper OmpSs @16"], rows)
-
-    bt, fs = curves["bodytrack"], curves["facesim"]
-    # Paper bands at 16 cores.
-    assert 10.5 <= bt["ompss"][16] <= 13.5  # ~12x
-    assert 8.5 <= fs["ompss"][16] <= 11.5  # ~10x
-    # OmpSs dominates the original at every thread count > 1.
-    for app in curves.values():
-        for n in THREADS[1:]:
-            assert app["ompss"][n] > app["pthreads"][n]
-        # Monotone scaling curves.
-        for variant in ("pthreads", "ompss"):
-            sp = [app[variant][n] for n in THREADS]
-            assert sp == sorted(sp)

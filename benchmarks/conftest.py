@@ -1,13 +1,14 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
-Every file in this directory regenerates one exhibit of the paper's
-evaluation.  Runs are deterministic simulations, so each benchmark uses a
-single round (``benchmark.pedantic(..., rounds=1)``) — the interesting
-output is the printed paper-vs-measured table, not timing variance.
+Every ``bench_*.py`` file in this directory regenerates one exhibit of
+the paper's evaluation.  Runs are deterministic simulations, so each
+benchmark uses a single round (``benchmark.pedantic(..., rounds=1)``) —
+the interesting output is the printed paper-vs-measured table, not timing
+variance.
 
-Run with::
+pytest collects ``bench_*.py`` only when named, so run them with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -s
 """
 
 from __future__ import annotations

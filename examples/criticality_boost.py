@@ -11,18 +11,16 @@ Run:  python examples/criticality_boost.py
 """
 
 from repro.apps.kernels import critical_chain_with_fillers
-from repro.apps.rsu_experiment import (
-    fig2_experiment,
-    make_section31_machine,
-    reconfiguration_overhead_sweep,
-)
+from repro.apps.rsu_experiment import make_section31_machine
+from repro.campaign import build_preset, run_campaign
+from repro.campaign.figures import fig2_result, fig2_stalls
 from repro.core import AnnotatedCriticality, CriticalityAwareScheduler, Runtime
 from repro.sim import RsuDvfsController, RsuPolicy, RuntimeSupportUnit
 
 
 def main():
     print("== Section 3.1: criticality-aware DVFS vs static (32 cores) ==")
-    result = fig2_experiment()
+    result = fig2_result(run_campaign(build_preset("fig2_rsu")).records)
     print(f"static makespan:  {result.static_makespan:8.2f} s")
     print(f"aware  makespan:  {result.aware_makespan:8.2f} s")
     print(f"performance improvement: {result.performance_improvement:6.1%}"
@@ -48,7 +46,8 @@ def main():
           f"{min(r.frequency_ghz for r in traced.trace.records):.1f} GHz")
 
     print("\n== Why hardware support: reconfiguration overhead vs cores ==")
-    sweep = reconfiguration_overhead_sweep(core_counts=(4, 8, 16, 32))
+    overhead = build_preset("fig2_overhead", core_counts=(4, 8, 16, 32))
+    sweep = fig2_stalls(run_campaign(overhead).records)
     print(f"{'cores':>6} {'software (ms)':>15} {'RSU (ms)':>10}")
     for n in sorted(sweep["software"]):
         print(f"{n:>6} {sweep['software'][n] * 1e3:>15.3f} "

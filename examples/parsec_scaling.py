@@ -8,25 +8,17 @@ curves, plus the two extra pipeline applications from the ported set.
 Run:  python examples/parsec_scaling.py
 """
 
-from repro.apps.parsec import PARSEC_APPS, fig5_scalability
-
-THREADS = (1, 2, 4, 8, 12, 16)
-
-
-def ascii_curve(values, width=40, vmax=16.0):
-    return "".join(
-        "#" if i / width * vmax <= v else " "
-        for i in range(width)
-        for v in [values]
-    )
+from repro.campaign import build_preset, run_campaign
+from repro.campaign.figures import fig5_curves
 
 
 def main():
+    fig5 = fig5_curves(run_campaign(build_preset("fig5_parsec")).records)
     for app in ("bodytrack", "facesim"):
         print(f"== {app} ==")
-        curves = fig5_scalability(app, THREADS)
+        curves = fig5[app]
         print(f"{'threads':>8} {'Pthreads':>9} {'OmpSs':>7}")
-        for n in THREADS:
+        for n in curves["ompss"]:
             bar = int(curves["ompss"][n] * 2.5) * "#"
             print(f"{n:>8} {curves['pthreads'][n]:>8.2f}x "
                   f"{curves['ompss'][n]:>6.2f}x  {bar}")
@@ -34,8 +26,10 @@ def main():
               f"{'~12x' if app == 'bodytrack' else '~10x'} at 16 cores\n")
 
     print("== extended sweep: other pipeline-parallel apps of the port ==")
-    for app in ("ferret", "streamcluster"):
-        curves = fig5_scalability(app, (1, 16))
+    extended = build_preset(
+        "fig5_parsec", apps=("ferret", "streamcluster"), threads=(1, 16)
+    )
+    for app, curves in fig5_curves(run_campaign(extended).records).items():
         print(f"{app:>14}: Pthreads {curves['pthreads'][16]:5.2f}x   "
               f"OmpSs {curves['ompss'][16]:5.2f}x  at 16 cores")
 

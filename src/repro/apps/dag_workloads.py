@@ -15,7 +15,7 @@ on *families* of task graphs with tunable shape:
 
 Every generator returns plain :class:`~repro.core.task.Task` lists built
 through the region-based dependence API, so submitting them to a
-:class:`~repro.core.runtime.Runtime` *derives* the intended graph rather
+:class:`~repro.core.Runtime` *derives* the intended graph rather
 than hard-wiring edges.  All randomness flows through a seeded
 ``numpy`` generator: the same arguments always produce the same workload,
 which keeps simulated runs bit-for-bit reproducible.  Each task's stream

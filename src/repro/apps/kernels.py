@@ -4,7 +4,7 @@ Reusable TDG shapes for tests, examples and the Section 3.1 experiments:
 chains, fork-joins, reductions, 2-D wavefronts (the classic OmpSs demo),
 pipelines and heterogeneous mixes.  All generators return plain task lists
 built through the region-based dependence API, so submitting them to a
-:class:`~repro.core.runtime.Runtime` derives the intended graph rather
+:class:`~repro.core.Runtime` derives the intended graph rather
 than hard-wiring edges.
 """
 

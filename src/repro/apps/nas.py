@@ -25,8 +25,10 @@ SP     scalar pentadiagonal solver: wide strided sweeps over many solution
 
 Each model is a :class:`NasWorkload`; :func:`run_nas` executes it against a
 cache-only or hybrid :class:`~repro.memory.hierarchy.MemoryHierarchy` and
-returns execution time, energy and NoC traffic, from which
-:func:`fig1_speedups` builds the three bars of Figure 1.
+returns execution time, energy and NoC traffic.  The ``fig1_hybrid``
+campaign preset runs every benchmark in both modes, and
+:func:`repro.campaign.figures.fig1_speedups` folds the three bars of
+Figure 1 from its records.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..memory.hierarchy import STREAM_REGION_BITS, MemoryHierarchy
 from ..memory.params import MemoryParams
 
 __all__ = ["NasWorkload", "NAS_BENCHMARKS", "NasRunResult", "run_nas",
-           "fig1_speedups", "generate_trace"]
+           "generate_trace"]
 
 _REGION = 1 << STREAM_REGION_BITS
 #: region ids: strided arrays occupy regions 1..n_streams, random data lives
@@ -373,31 +375,3 @@ def run_nas(
         mem_cycles=hier.total_mem_cycles(),
         summary=hier.summary(),
     )
-
-
-def fig1_speedups(
-    benchmarks: List[str] | None = None,
-    n_cores: int = 64,
-    accesses_per_core: int = 3000,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """Figure 1: hybrid-over-cache speedups in time, energy and NoC traffic.
-
-    Returns ``{bench: {"time": x, "energy": x, "noc": x}}`` plus an ``AVG``
-    row (arithmetic mean, matching the paper's AVG bar).
-    """
-    benchmarks = benchmarks if benchmarks is not None else list(NAS_BENCHMARKS)
-    out: Dict[str, Dict[str, float]] = {}
-    for b in benchmarks:
-        base = run_nas(b, "cache", n_cores, accesses_per_core, seed)
-        hyb = run_nas(b, "hybrid", n_cores, accesses_per_core, seed)
-        out[b] = {
-            "time": base.exec_time_s / hyb.exec_time_s,
-            "energy": base.energy_j / hyb.energy_j,
-            "noc": base.noc_flit_hops / max(hyb.noc_flit_hops, 1.0),
-        }
-    out["AVG"] = {
-        k: float(np.mean([out[b][k] for b in benchmarks]))
-        for k in ("time", "energy", "noc")
-    }
-    return out

@@ -5,8 +5,8 @@ scalability against the native Pthreads versions on a 16-core machine;
 Figure 5 shows ``bodytrack`` and ``facesim``, which improve to scaling
 factors of ~12x and ~10x at 16 cores.
 
-We model each application's published phase structure as a task graph and
-execute both programming-model variants on the simulated machine:
+We model each application's published phase structure as a task graph, in
+both programming-model variants:
 
 * **Pthreads variant** — the original structure: the main thread performs
   the serial stages (frame I/O, particle resampling / global mesh update)
@@ -23,27 +23,25 @@ execute both programming-model variants on the simulated machine:
 The costs below are calibrated to the published PARSEC phase breakdowns
 (serial fractions of a few percent; bodytrack's per-frame I/O is what
 limits its native scaling; facesim has heavier serial mesh phases).
+The ``fig5_parsec`` campaign preset runs both variants (family
+``parsec:<app>:<variant>``, work-stealing scheduler), and
+:func:`repro.campaign.figures.fig5_curves` folds their speedup curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
-from ..core.runtime import Runtime
-from ..core.schedulers import WorkStealingScheduler
 from ..core.task import Task
-from ..sim.machine import Machine
 
 __all__ = [
     "ParsecAppModel",
     "PARSEC_APPS",
     "build_pthreads",
     "build_ompss",
-    "run_app",
-    "fig5_scalability",
 ]
 
 
@@ -201,38 +199,3 @@ def build_ompss(model: ParsecAppModel, n_cores: int) -> List[Task]:
             )
         )
     return tasks
-
-
-def run_app(app: str, variant: str, n_cores: int) -> float:
-    """Execute one configuration; returns the makespan in seconds."""
-    model = PARSEC_APPS[app]
-    machine = Machine(n_cores)
-    rt = Runtime(
-        machine,
-        scheduler=WorkStealingScheduler(n_cores),
-        record_trace=False,
-    )
-    if variant == "pthreads":
-        tasks = build_pthreads(model, n_cores)
-    elif variant == "ompss":
-        tasks = build_ompss(model, n_cores)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    rt.submit_all(tasks)
-    return rt.run().makespan
-
-
-def fig5_scalability(
-    app: str,
-    threads: Sequence[int] = (1, 2, 4, 8, 12, 16),
-) -> Dict[str, Dict[int, float]]:
-    """Figure 5 curves: speedup vs thread count for both variants.
-
-    Speedup is against each variant's own single-thread execution, as in
-    the paper's scalability plots.
-    """
-    out: Dict[str, Dict[int, float]] = {}
-    for variant in ("pthreads", "ompss"):
-        base = run_app(app, variant, 1)
-        out[variant] = {n: base / run_app(app, variant, n) for n in threads}
-    return out

@@ -11,7 +11,8 @@ resumable campaigns:
   scale × seed, plus free-form params), content-hashed for caching, with
   filters and deterministic round-robin sharding.
 * :mod:`~repro.campaign.presets` — named matrices for each paper figure
-  and ROADMAP sweep (see the table below).
+  and ROADMAP sweep (``python -m repro.campaign list-presets`` prints
+  them; docs/campaign.md describes each).
 * :mod:`~repro.campaign.runner` — executes a matrix serially (the
   debugging path) or on a ``multiprocessing`` pool.  Each scenario is
   seeded from its own axes, so records are identical for any worker
@@ -24,6 +25,8 @@ resumable campaigns:
 * :mod:`~repro.campaign.report` — pivot-table summaries (markdown/CSV)
   and ``compare``: diff two stores and flag metric regressions beyond a
   tolerance — the gate for perf PRs and CI.
+* :mod:`~repro.campaign.figures` — one pure fold per paper figure from
+  its preset's records to the figure's numbers (Figs 1, 2 and 5).
 
 Command line
 ------------
@@ -36,17 +39,6 @@ Command line
         --rows family --cols scheduler --format md
     python -m repro.campaign compare baseline.jsonl candidate.jsonl \\
         --tolerance 0.02
-
-Presets
--------
-=================  ==========================================================
-``smoke``          7 schedulers × 3 DAG families, 8 cores (CI gate)
-``scheduler_matrix`` 7 schedulers × 5 DAG families × scales (1, 2), 16 cores
-``rsu_comparison`` RSU off/oracle/heuristic × 5 DAG families, CATS
-``fig2_rsu``       Sec. 3.1 static vs criticality-aware DVFS, 32 cores
-``fig2_overhead``  software vs RSU DVFS stall sweep, 4..64 cores
-``fig5_parsec``    PARSEC pthreads vs OmpSs speedups, 1..16 threads
-=================  ==========================================================
 
 JSONL record schema (v1)
 ------------------------

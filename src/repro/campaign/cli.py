@@ -219,9 +219,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_presets() -> int:
+    width = max(map(len, PRESETS))
     for name in sorted(PRESETS):
         description, factory = PRESETS[name]
-        print(f"{name:18s} {len(factory()):4d} scenarios  {description}")
+        print(f"{name:{width}s} {len(factory()):4d} scenarios  {description}")
     return 0
 
 

@@ -141,12 +141,18 @@ def _fig2_overhead(
     return Matrix("fig2_overhead", tuple(scenarios))
 
 
-def _fig5_parsec() -> Matrix:
-    """Figure 5: OmpSs vs Pthreads scalability for bodytrack/facesim."""
+def _fig5_parsec(
+    apps: Sequence[str] = ("bodytrack", "facesim"),
+    threads: Sequence[int] = (1, 2, 4, 8, 12, 16),
+) -> Matrix:
+    """Figure 5: OmpSs vs Pthreads scalability for bodytrack/facesim.
+
+    ``apps`` may name any model of ``repro.apps.parsec.PARSEC_APPS``;
+    the fold needs 1 among ``threads`` (its speedup base)."""
     scenarios: List[Scenario] = []
-    for app in ("bodytrack", "facesim"):
+    for app in apps:
         for variant in ("pthreads", "ompss"):
-            for n in (1, 2, 4, 8, 12, 16):
+            for n in threads:
                 scenarios.append(
                     Scenario(
                         f"parsec:{app}:{variant}",
@@ -166,8 +172,7 @@ def _fig1_hybrid(
 ) -> Matrix:
     """Figure 1: the six NAS access-mix models on a cache-only vs hybrid
     SPM+cache hierarchy — the first out-of-engine figure behind the
-    campaign store (``bench_fig1_hybrid_memory`` derives its speedup bars
-    from these records)."""
+    campaign store (:func:`~.figures.fig1_speedups` folds its bars)."""
     scenarios: List[Scenario] = []
     for bench in NAS_BENCHES:
         for mode in ("cache", "hybrid"):

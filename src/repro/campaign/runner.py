@@ -227,6 +227,9 @@ def _build_workload(scenario: Scenario) -> List[Task]:
     if family.startswith("debug:"):
         return _build_debug_workload(scenario, family)
     if family == "chain":
+        # The defaults are the Section 3.1 workload, calibrated so that
+        # CATS + RSU boosting on the 32-core machine lands in the paper's
+        # 6.6% performance / 20.0% EDP bands against the static baseline.
         fillers_per_core = scenario.param("fillers_per_core")
         n_fillers = (
             int(fillers_per_core) * scenario.n_cores
@@ -289,11 +292,10 @@ def _build_debug_workload(scenario: Scenario, family: str) -> List[Task]:
 def _build_machine(scenario: Scenario) -> Machine:
     """The simulated chip for this scenario.
 
-    RSU-enabled scenarios reuse the Section 3.1 machine builder verbatim
+    RSU-enabled scenarios run on the Section 3.1 machine
     (narrow-voltage table + ``budget_factor`` × cores × nominal busy
-    power budget) so campaign records reproduce the figure numbers bit
-    for bit; PARSEC scenarios use the stock machine of the Figure 5
-    harness; plain DAG scenarios pin the nominal mid level.
+    power budget); PARSEC scenarios use the stock machine; plain DAG
+    scenarios pin the nominal mid level.
     """
     n = scenario.n_cores
     if scenario.rsu != "off":

@@ -6,11 +6,12 @@ import pytest
 from repro.apps.nas import (
     NAS_BENCHMARKS,
     core_chunk_bytes,
-    fig1_speedups,
     generate_trace,
     run_nas,
     strided_regions,
 )
+from repro.campaign import build_preset, run_campaign
+from repro.campaign.figures import fig1_speedups
 from repro.memory.access import RefClass
 from repro.memory.params import MemoryParams
 
@@ -109,7 +110,8 @@ class TestFig1Shape:
 
     @pytest.fixture(scope="class")
     def speedups(self):
-        return fig1_speedups(n_cores=16, accesses_per_core=1200, seed=0)
+        matrix = build_preset("fig1_hybrid", n_cores=16, accesses_per_core=1200)
+        return fig1_speedups(run_campaign(matrix).records)
 
     def test_hybrid_wins_on_average(self, speedups):
         avg = speedups["AVG"]

@@ -1,21 +1,32 @@
 """Tests for the PARSEC models (Fig. 5) and the criticality/RSU
-experiments (Fig. 2 / Section 3.1)."""
+experiments (Fig. 2 / Section 3.1), run as campaign scenarios and folded
+by :mod:`repro.campaign.figures`."""
 
 import pytest
 
-from repro.apps.parsec import (
-    PARSEC_APPS,
-    ParsecAppModel,
-    fig5_scalability,
-    run_app,
+from repro.apps.parsec import PARSEC_APPS
+from repro.campaign import (
+    Matrix,
+    Scenario,
+    build_preset,
+    run_campaign,
+    run_scenario,
 )
-from repro.apps.rsu_experiment import (
-    CriticalityWorkload,
-    fig2_experiment,
-    reconfiguration_overhead_sweep,
-    run_criticality_aware,
-    run_static,
-)
+from repro.campaign.figures import fig2_result, fig2_stalls, fig5_curves
+
+
+def parsec_run(app, variant, n_cores):
+    """The record of one PARSEC model run, as the ``fig5_parsec`` preset
+    runs it."""
+    return run_scenario(
+        Scenario(
+            f"parsec:{app}:{variant}", scheduler="work_stealing", n_cores=n_cores
+        )
+    )
+
+
+def makespan(app, variant, n_cores):
+    return parsec_run(app, variant, n_cores)["metrics"]["makespan"]
 
 
 class TestParsecModels:
@@ -24,37 +35,44 @@ class TestParsecModels:
 
     def test_single_core_time_close_to_total_work(self):
         m = PARSEC_APPS["bodytrack"]
-        t1 = run_app("bodytrack", "pthreads", 1)
+        t1 = makespan("bodytrack", "pthreads", 1)
         expected = m.frames * (m.io_seconds + m.work_seconds + m.serial_seconds)
         assert t1 == pytest.approx(expected, rel=0.02)
 
     def test_more_cores_never_slower(self):
         for variant in ("pthreads", "ompss"):
-            times = [run_app("bodytrack", variant, n) for n in (1, 4, 16)]
+            times = [makespan("bodytrack", variant, n) for n in (1, 4, 16)]
             assert times[0] >= times[1] >= times[2]
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            run_app("bodytrack", "openmp", 2)
+        record = parsec_run("bodytrack", "openmp", 2)
+        assert record["status"] == "error"
+        assert record["error"]["type"] == "ValueError"
 
     def test_unknown_app_rejected(self):
-        with pytest.raises(KeyError):
-            run_app("raytrace", "ompss", 2)
+        record = parsec_run("raytrace", "ompss", 2)
+        assert record["status"] == "error"
+        assert record["error"]["type"] == "KeyError"
 
     def test_runs_are_deterministic(self):
-        a = run_app("facesim", "ompss", 8)
-        b = run_app("facesim", "ompss", 8)
+        a = makespan("facesim", "ompss", 8)
+        b = makespan("facesim", "ompss", 8)
         assert a == b
 
 
 class TestFig5Shape:
     @pytest.fixture(scope="class")
-    def bodytrack(self):
-        return fig5_scalability("bodytrack", threads=(1, 4, 8, 16))
+    def curves(self):
+        matrix = build_preset("fig5_parsec", threads=(1, 4, 8, 16))
+        return fig5_curves(run_campaign(matrix).records)
 
     @pytest.fixture(scope="class")
-    def facesim(self):
-        return fig5_scalability("facesim", threads=(1, 4, 8, 16))
+    def bodytrack(self, curves):
+        return curves["bodytrack"]
+
+    @pytest.fixture(scope="class")
+    def facesim(self, curves):
+        return curves["facesim"]
 
     def test_ompss_beats_pthreads_at_scale(self, bodytrack, facesim):
         for curves in (bodytrack, facesim):
@@ -81,7 +99,7 @@ class TestFig5Shape:
 class TestFig2Experiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig2_experiment()
+        return fig2_result(run_campaign(build_preset("fig2_rsu")).records)
 
     def test_performance_improvement_band(self, result):
         # paper: 6.6%
@@ -96,16 +114,26 @@ class TestFig2Experiment:
         assert result.aware_edp < result.static_edp
 
     def test_small_machine_still_works(self):
-        wl = CriticalityWorkload(chain_len=3, n_fillers=40)
-        s = run_static(wl, n_cores=8)
-        a = run_criticality_aware(wl, n_cores=8)
-        assert a.makespan <= s.makespan * 1.05
+        small = (("chain_len", 3), ("n_fillers", 40))
+        matrix = Matrix(
+            "fig2_small",
+            (
+                Scenario("chain", scheduler="fifo", n_cores=8, params=small),
+                Scenario(
+                    "chain", scheduler="cats", rsu="annotated", n_cores=8,
+                    params=small,
+                ),
+            ),
+        )
+        result = fig2_result(run_campaign(matrix).records)
+        assert result.aware_makespan <= result.static_makespan * 1.05
 
 
 class TestReconfigurationOverheadSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return reconfiguration_overhead_sweep(core_counts=(4, 8, 16, 32))
+        matrix = build_preset("fig2_overhead", core_counts=(4, 8, 16, 32))
+        return fig2_stalls(run_campaign(matrix).records)
 
     def test_software_overhead_grows_with_cores(self, sweep):
         sw = sweep["software"]

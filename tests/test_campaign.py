@@ -356,6 +356,13 @@ class TestCli:
         for name in PRESETS:
             assert name in out
 
+    def test_list_presets_aligns_every_row(self, capsys):
+        assert cli_main(["list-presets"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == len(PRESETS)
+        # The longest name (runtime_faults_sweep) must not shift its row.
+        assert len({row.index(" scenarios  ") for row in rows}) == 1
+
     def test_report_writes_csv_file(self, tmp_path, capsys):
         store = str(tmp_path / "cli.jsonl")
         cli_main(["run", "--preset", "fig2_rsu", "--store", store, "--quiet"])

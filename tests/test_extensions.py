@@ -1,5 +1,5 @@
 """Tests for the agenda extensions: hardware TDG construction support and
-runtime-guided prefetching (DESIGN.md E8)."""
+runtime-guided prefetching (E8 in README's figure table)."""
 
 import pytest
 
