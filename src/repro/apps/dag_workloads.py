@@ -13,8 +13,8 @@ on *families* of task graphs with tunable shape:
   jitter (bulk-synchronous codes);
 * :func:`pipeline_grid` — stateful stage pipelines (PARSEC-style).
 
-Every generator returns plain :class:`~repro.core.task.Task` lists built
-through the region-based dependence API, so submitting them to a
+Every generator returns plain :class:`~repro.core.task.Task` lists whose
+accesses are region-based dependences, so submitting them to a
 :class:`~repro.core.Runtime` *derives* the intended graph rather
 than hard-wiring edges.  All randomness flows through a seeded
 ``numpy`` generator: the same arguments always produce the same workload,
@@ -37,10 +37,15 @@ Regions are **interned** (:meth:`repro.core.task.Region.interned`): a
 tile or layer slot touched by many tasks is one canonical ``Region``
 instance, so builders allocate no duplicate region objects.  Each builder
 interns its regions into a per-call table (tile grid, layer row, buffer
-ring) before its task loop, and computes every cost split that depends on
-no loop index once per call, so a task costs one table index per access
-rather than one f-string and intern lookup.  A region is a plain value,
-so sharing one across runs keeps no run alive.
+ring) before its task loop, makes one :class:`~repro.core.task.Dependence`
+per distinct ``(kind, region)`` pair beside them, and computes every cost
+split that depends on no loop index once per call.  A task then costs one
+table index per access, not an f-string, an intern lookup and a new
+pair: it is ``Task(label, cpu_cycles, mem_seconds, deps)`` over a fresh
+list of the shared pairs.  The kinds come in the ad-hoc constructor's
+fixed order (IN, OUT, INOUT, whatever the shape), so each access list
+equals, item for item, the one that constructor would build.  Regions and
+pairs are plain values, so sharing one across runs keeps no run alive.
 
 :func:`stream_window` is the steady-state companion: rolling windows of
 tasks over a bounded ring of buffers, the workload shape the runtime's
@@ -53,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from ..core.task import Region, Task
+from ..core.task import Dependence, DepKind, Region, Task
 
 __all__ = [
     "random_layered",
@@ -232,34 +237,35 @@ def random_layered(
         cpu_cycles, mem_ratio, jitter, u, n_layers * width
     )
     tasks: List[Task] = []
-    prev: List[Region] = []
+    reads: List[Dependence] = []  # the previous layer's (IN, slot) pairs
     for layer in range(n_layers):
         row = [_R((f"L{layer}", j, j + 1)) for j in range(width)]
         cols = parent_cols if layer else []
         for j in range(width):
             i = layer * width + j
-            tasks.append(
-                Task.make(
-                    f"l{layer}.n{j}",
-                    cpu_cycles=cycles[i],
-                    mem_seconds=mem_s[i],
-                    in_=[prev[col[i - width]] for col in cols],
-                    out=[row[j]],
-                )
-            )
-        prev = row
+            deps = [reads[col[i - width]] for col in cols]
+            deps.append(Dependence(DepKind.OUT, row[j]))
+            tasks.append(Task(f"l{layer}.n{j}", cycles[i], mem_s[i], deps))
+        reads = [Dependence(DepKind.IN, r) for r in row]
     return tasks
 
 
 # ----------------------------------------------------------------------
 # tiled dense factorisations
 # ----------------------------------------------------------------------
-def _tile_table(nt: int) -> List[List[Region]]:
-    """The interned ``A`` tiles of an ``nt × nt`` grid, indexed ``[i][j]``."""
-    return [
+def _tile_pairs(
+    nt: int,
+) -> Tuple[List[List[Dependence]], List[List[Dependence]]]:
+    """The ``(IN, tile)`` and ``(INOUT, tile)`` pairs of the interned ``A``
+    tiles of an ``nt × nt`` grid, each indexed ``[i][j]``."""
+    tiles = [
         [_R(("A", idx, idx + 1)) for idx in range(i * nt, (i + 1) * nt)]
         for i in range(nt)
     ]
+    return (
+        [[Dependence(DepKind.IN, t) for t in row] for row in tiles],
+        [[Dependence(DepKind.INOUT, t) for t in row] for row in tiles],
+    )
 
 
 def cholesky_tiles(
@@ -275,50 +281,26 @@ def cholesky_tiles(
     """
     if nt < 1:
         raise ValueError("need at least one tile")
-    a = _tile_table(nt)
+    rd, rw = _tile_pairs(nt)
     potrf_c, potrf_m = _split_cost(cpu_cycles / 3.0, mem_ratio)
     unit_c, unit_m = _split_cost(cpu_cycles, mem_ratio)  # TRSM and SYRK
     gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
     tasks: List[Task] = []
     for k in range(nt):
-        tasks.append(
-            Task.make(
-                f"potrf.{k}",
-                cpu_cycles=potrf_c,
-                mem_seconds=potrf_m,
-                inout=[a[k][k]],
-            )
-        )
+        tasks.append(Task(f"potrf.{k}", potrf_c, potrf_m, [rw[k][k]]))
         for i in range(k + 1, nt):
             tasks.append(
-                Task.make(
-                    f"trsm.{i}.{k}",
-                    cpu_cycles=unit_c,
-                    mem_seconds=unit_m,
-                    in_=[a[k][k]],
-                    inout=[a[i][k]],
-                )
+                Task(f"trsm.{i}.{k}", unit_c, unit_m, [rd[k][k], rw[i][k]])
             )
         for i in range(k + 1, nt):
             tasks.append(
-                Task.make(
-                    f"syrk.{i}.{k}",
-                    cpu_cycles=unit_c,
-                    mem_seconds=unit_m,
-                    in_=[a[i][k]],
-                    inout=[a[i][i]],
-                )
+                Task(f"syrk.{i}.{k}", unit_c, unit_m, [rd[i][k], rw[i][i]])
             )
             for j in range(k + 1, i):
-                tasks.append(
-                    Task.make(
-                        f"gemm.{i}.{j}.{k}",
-                        cpu_cycles=gemm_c,
-                        mem_seconds=gemm_m,
-                        in_=[a[i][k], a[j][k]],
-                        inout=[a[i][j]],
-                    )
-                )
+                tasks.append(Task(
+                    f"gemm.{i}.{j}.{k}", gemm_c, gemm_m,
+                    [rd[i][k], rd[j][k], rw[i][j]],
+                ))
     return tasks
 
 
@@ -330,51 +312,27 @@ def lu_tiles(
     submatrix.  Denser than Cholesky (full trailing update each step)."""
     if nt < 1:
         raise ValueError("need at least one tile")
-    a = _tile_table(nt)
+    rd, rw = _tile_pairs(nt)
     getrf_c, getrf_m = _split_cost(cpu_cycles / 2.0, mem_ratio)
     trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
     gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
     tasks: List[Task] = []
     for k in range(nt):
-        tasks.append(
-            Task.make(
-                f"getrf.{k}",
-                cpu_cycles=getrf_c,
-                mem_seconds=getrf_m,
-                inout=[a[k][k]],
-            )
-        )
+        tasks.append(Task(f"getrf.{k}", getrf_c, getrf_m, [rw[k][k]]))
         for j in range(k + 1, nt):
             tasks.append(
-                Task.make(
-                    f"trsm_r.{k}.{j}",
-                    cpu_cycles=trsm_c,
-                    mem_seconds=trsm_m,
-                    in_=[a[k][k]],
-                    inout=[a[k][j]],
-                )
+                Task(f"trsm_r.{k}.{j}", trsm_c, trsm_m, [rd[k][k], rw[k][j]])
             )
         for i in range(k + 1, nt):
             tasks.append(
-                Task.make(
-                    f"trsm_c.{i}.{k}",
-                    cpu_cycles=trsm_c,
-                    mem_seconds=trsm_m,
-                    in_=[a[k][k]],
-                    inout=[a[i][k]],
-                )
+                Task(f"trsm_c.{i}.{k}", trsm_c, trsm_m, [rd[k][k], rw[i][k]])
             )
         for i in range(k + 1, nt):
             for j in range(k + 1, nt):
-                tasks.append(
-                    Task.make(
-                        f"gemm.{i}.{j}.{k}",
-                        cpu_cycles=gemm_c,
-                        mem_seconds=gemm_m,
-                        in_=[a[i][k], a[k][j]],
-                        inout=[a[i][j]],
-                    )
-                )
+                tasks.append(Task(
+                    f"gemm.{i}.{j}.{k}", gemm_c, gemm_m,
+                    [rd[i][k], rd[k][j], rw[i][j]],
+                ))
     return tasks
 
 
@@ -404,33 +362,23 @@ def fork_join_ladder(
     jittered = _jitter_draws(jitter)
     u = np.random.default_rng(seed).random(n_forks) if jittered else None
     cycles, mem_s = _task_costs(cpu_cycles, mem_ratio, jitter, u, n_forks)
-    rounds = [[_R(f"round{d}")] for d in range(depth + 1)]
+    rounds = [_R(f"round{d}") for d in range(depth + 1)]
     tasks: List[Task] = []
     for d in range(depth):
         partial = f"partial{d}"
+        read_round = Dependence(DepKind.IN, rounds[d])
         for w in range(width):
             i = d * width + w
+            # Per-round partial regions: forks of round d+1 must not
+            # serialise against round d's join (WAR) or each other.
+            write = Dependence(DepKind.OUT, _R((partial, w, w + 1)))
             tasks.append(
-                Task.make(
-                    f"fork{d}.{w}",
-                    cpu_cycles=cycles[i],
-                    mem_seconds=mem_s[i],
-                    in_=rounds[d],
-                    # Per-round partial regions: forks of round d+1 must
-                    # not serialise against round d's join (WAR) or each
-                    # other.
-                    out=[_R((partial, w, w + 1))],
-                )
+                Task(f"fork{d}.{w}", cycles[i], mem_s[i], [read_round, write])
             )
-        tasks.append(
-            Task.make(
-                f"join{d}",
-                cpu_cycles=join_c,
-                mem_seconds=join_m,
-                in_=[_R(partial)],
-                out=rounds[d + 1],
-            )
-        )
+        tasks.append(Task(f"join{d}", join_c, join_m, [
+            Dependence(DepKind.IN, _R(partial)),
+            Dependence(DepKind.OUT, rounds[d + 1]),
+        ]))
     return tasks
 
 
@@ -455,22 +403,20 @@ def pipeline_grid(
         _split_cost(cpu_cycles * (1.0 + stage_skew * s), mem_ratio)
         for s in range(n_stages)
     ]
-    states = [[_R(f"stage_state{s}")] for s in range(n_stages)]
+    states = [
+        Dependence(DepKind.INOUT, _R(f"stage_state{s}"))
+        for s in range(n_stages)
+    ]
     tasks: List[Task] = []
     for i in range(n_items):
         item = [_R((f"item{i}", s, s + 1)) for s in range(n_stages)]
         for s in range(n_stages):
             cycles, mem_s = costs[s]
-            tasks.append(
-                Task.make(
-                    f"stage{s}.item{i}",
-                    cpu_cycles=cycles,
-                    mem_seconds=mem_s,
-                    in_=[item[s - 1]] if s > 0 else [],
-                    inout=states[s],
-                    out=[item[s]],
-                )
-            )
+            # IN, OUT, INOUT: the fixed kind order, not the stage's.
+            deps = [Dependence(DepKind.IN, item[s - 1])] if s > 0 else []
+            deps.append(Dependence(DepKind.OUT, item[s]))
+            deps.append(states[s])
+            tasks.append(Task(f"stage{s}.item{i}", cycles, mem_s, deps))
     return tasks
 
 
@@ -514,6 +460,8 @@ def stream_window(
         raise ValueError("need at least one task per window")
     cycles, mem_s = _split_cost(cpu_cycles, mem_ratio)
     bufs = [_R(f"buf{b}") for b in range(n_buffers)]
+    reads = [Dependence(DepKind.IN, b) for b in bufs]
+    writes = [Dependence(DepKind.OUT, b) for b in bufs]
     rng = np.random.default_rng((seed, window))
     k = min(fanin, n_buffers - 1)
     outs = (window * n_tasks + np.arange(n_tasks)) % n_buffers
@@ -524,15 +472,9 @@ def stream_window(
     read_cols = ((offsets + outs[:, None] + 1) % n_buffers).T.tolist()
     tasks: List[Task] = []
     for j, out_buf in enumerate(outs.tolist()):
-        tasks.append(
-            Task.make(
-                f"w{window}.t{j}",
-                cpu_cycles=cycles,
-                mem_seconds=mem_s,
-                in_=[bufs[col[j]] for col in read_cols],
-                out=[bufs[out_buf]],
-            )
-        )
+        deps = [reads[col[j]] for col in read_cols]
+        deps.append(writes[out_buf])
+        tasks.append(Task(f"w{window}.t{j}", cycles, mem_s, deps))
     return tasks
 
 

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.task import Region, Task
+from ..core.task import Dependence, DepKind, Region, Task
 from .dag_workloads import _jitter_draws, _task_costs
 
 _R = Region.interned
@@ -162,16 +162,18 @@ def critical_chain_with_fillers(
     where ``u`` is one ``rng.random(n_fillers)`` call, the values
     ``n_fillers`` successive ``rng.random()`` calls return.  A zero
     ``jitter`` draws nothing (every factor would be exactly 1), and
-    ``|jitter| > 2`` raises ``ValueError``.
+    ``|jitter| > 2`` raises ``ValueError``.  Like the DAG families of
+    :mod:`repro.apps.dag_workloads`, the chain links share one
+    ``(INOUT, chain)`` pair, each in an access list of its own.
     """
+    link = Dependence(DepKind.INOUT, _R("chain"))
     tasks = [
-        Task.make("critical", cpu_cycles=chain_cycles, inout=[_R("chain")])
-        for _ in range(chain_len)
+        Task("critical", chain_cycles, 0.0, [link]) for _ in range(chain_len)
     ]
     n = max(n_fillers, 0)  # like range(n_fillers): no fillers below 0
     jittered = _jitter_draws(jitter)
     u = np.random.default_rng(seed).random(n) if jittered else None
     costs, _ = _task_costs(filler_cycles, 0.0, jitter, u, n)
     for i, cost in enumerate(costs):
-        tasks.append(Task.make(f"filler{i}", cpu_cycles=cost))
+        tasks.append(Task(f"filler{i}", cost))
     return tasks

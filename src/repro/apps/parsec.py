@@ -35,7 +35,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core.task import Task
+from ..core.task import Dependence, DepKind, Region, Task
 
 __all__ = [
     "ParsecAppModel",
@@ -106,46 +106,39 @@ def build_pthreads(model: ParsecAppModel, n_threads: int) -> List[Task]:
     ``inout`` dependence on the ``main`` region, which serialises them in
     program order exactly as a single master thread would execute them;
     barrier semantics come from whole-region reads of each phase's output.
+    An access that several tasks declare is one ``Dependence`` they share
+    (as in :mod:`repro.apps.dag_workloads`), and each task lists its
+    accesses in the kind order IN, OUT, INOUT.
     """
     rng = np.random.default_rng(model.seed)
+    main = Dependence(DepKind.INOUT, Region("main"))
     tasks: List[Task] = []
     for f in range(model.frames):
-        tasks.append(
-            Task.make(
-                f"{model.name}.io.{f}",
-                cpu_cycles=0.0,
-                mem_seconds=model.io_seconds,
-                inout=["main"],
-                out=[f"frame{f}"],
-            )
-        )
+        frame = Region(f"frame{f}")
+        tasks.append(Task(
+            f"{model.name}.io.{f}", 0.0, model.io_seconds,
+            [Dependence(DepKind.OUT, frame), main],
+        ))
+        read = Dependence(DepKind.IN, frame)
         for ph in range(model.phases):
             costs = _chunk_costs(
                 model.work_seconds / model.phases, n_threads,
                 model.imbalance, rng,
             )
-            for c, cost in enumerate(costs):
-                tasks.append(
-                    Task.make(
-                        f"{model.name}.f{f}.p{ph}.chunk{c}",
-                        cpu_cycles=0.0,
-                        mem_seconds=float(cost),
-                        in_=[f"frame{f}" if ph == 0 else f"phase{f}.{ph - 1}"],
-                        out=[(f"phase{f}.{ph}", c, c + 1)],
-                    )
-                )
+            phase = f"phase{f}.{ph}"
+            for c, cost in enumerate(costs.tolist()):
+                tasks.append(Task(
+                    f"{model.name}.f{f}.p{ph}.chunk{c}", 0.0, cost,
+                    [read, Dependence(DepKind.OUT, Region(phase, c, c + 1))],
+                ))
             # Barrier + serial stage: the main thread reads the whole
             # phase output before anything else proceeds.
-            tasks.append(
-                Task.make(
-                    f"{model.name}.serial.{f}.{ph}",
-                    cpu_cycles=0.0,
-                    mem_seconds=model.serial_seconds / model.phases,
-                    in_=[f"phase{f}.{ph}"],
-                    inout=["main"],
-                    out=[f"phase{f}.{ph}.done"],
-                )
-            )
+            read = Dependence(DepKind.IN, Region(phase))
+            tasks.append(Task(
+                f"{model.name}.serial.{f}.{ph}", 0.0,
+                model.serial_seconds / model.phases,
+                [read, Dependence(DepKind.OUT, Region(f"{phase}.done")), main],
+            ))
     return tasks
 
 
@@ -156,46 +149,40 @@ def build_ompss(model: ParsecAppModel, n_cores: int) -> List[Task]:
     computation), parallel phases are decomposed into
     ``ompss_chunks_per_core * n_cores`` finer tasks, and the per-frame
     serial stage depends on its frame's data only — so frame f+1's chunks
-    can start while frame f's serial stage still runs.
+    can start while frame f's serial stage still runs.  Accesses are
+    shared and ordered as in :func:`build_pthreads`.
     """
     rng = np.random.default_rng(model.seed)
+    stream = Dependence(DepKind.INOUT, Region("io_stream"))
+    n_chunks = max(1, model.ompss_chunks_per_core * n_cores)
     tasks: List[Task] = []
+    prev_state: List[Dependence] = []
     for f in range(model.frames):
-        tasks.append(
-            Task.make(
-                f"{model.name}.io.{f}",
-                cpu_cycles=0.0,
-                mem_seconds=model.io_seconds,
-                inout=["io_stream"],
-                out=[f"frame{f}"],
-            )
-        )
-        n_chunks = max(1, model.ompss_chunks_per_core * n_cores)
+        frame = Region(f"frame{f}")
+        tasks.append(Task(
+            f"{model.name}.io.{f}", 0.0, model.io_seconds,
+            [Dependence(DepKind.OUT, frame), stream],
+        ))
+        # Phase 0 also reads the previous frame's state (the
+        # frame-to-frame algorithmic dependence).
+        reads = [Dependence(DepKind.IN, frame), *prev_state]
         for ph in range(model.phases):
             costs = _chunk_costs(
                 model.work_seconds / model.phases, n_chunks,
                 model.imbalance, rng,
             )
-            deps = [f"frame{f}" if ph == 0 else f"phase{f}.{ph - 1}"]
-            if ph == 0 and f > 0:
-                deps.append(f"state{f - 1}")  # frame-to-frame algorithmic dep
-            for c, cost in enumerate(costs):
-                tasks.append(
-                    Task.make(
-                        f"{model.name}.f{f}.p{ph}.chunk{c}",
-                        cpu_cycles=0.0,
-                        mem_seconds=float(cost),
-                        in_=deps,
-                        out=[(f"phase{f}.{ph}", c, c + 1)],
-                    )
-                )
-        tasks.append(
-            Task.make(
-                f"{model.name}.serial.{f}",
-                cpu_cycles=0.0,
-                mem_seconds=model.serial_seconds,
-                in_=[f"phase{f}.{model.phases - 1}"],
-                out=[f"state{f}"],
-            )
-        )
+            phase = f"phase{f}.{ph}"
+            for c, cost in enumerate(costs.tolist()):
+                tasks.append(Task(
+                    f"{model.name}.f{f}.p{ph}.chunk{c}", 0.0, cost,
+                    [*reads, Dependence(DepKind.OUT, Region(phase, c, c + 1))],
+                ))
+            reads = [Dependence(DepKind.IN, Region(phase))]
+        state = Region(f"state{f}")
+        tasks.append(Task(
+            f"{model.name}.serial.{f}", 0.0, model.serial_seconds,
+            [Dependence(DepKind.IN, Region(f"phase{f}.{model.phases - 1}")),
+             Dependence(DepKind.OUT, state)],
+        ))
+        prev_state = [Dependence(DepKind.IN, state)]
     return tasks

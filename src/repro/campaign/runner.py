@@ -251,7 +251,11 @@ def _build_workload(scenario: Scenario) -> List[Task]:
             raise ValueError(
                 f"parsec family must be 'parsec:<app>:<variant>', got {family!r}"
             ) from None
-        model = PARSEC_APPS[app]
+        model = PARSEC_APPS.get(app)
+        if model is None:
+            raise ValueError(
+                f"unknown PARSEC app {app!r}; choose from {sorted(PARSEC_APPS)}"
+            )
         if variant == "pthreads":
             return build_pthreads(model, scenario.n_cores)
         if variant == "ompss":

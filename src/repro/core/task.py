@@ -39,8 +39,8 @@ resolve ``tasks[gid]`` handles just to stamp times, and post-run
 analytics (:mod:`repro.core.analytics`) can pivot whole campaigns without
 materialising any Task collection.
 
-Region interning
-----------------
+Region interning and shared accesses
+------------------------------------
 Workload builders emit the same ``(name, start, stop)`` triples over and
 over (every tile of a factorisation is touched by O(nt) tasks).
 :meth:`Region.interned` maps each distinct triple to one canonical
@@ -48,7 +48,11 @@ over (every tile of a factorisation is touched by O(nt) tasks).
 dataclasses.  A region is a plain ``(name, start, stop)`` value and
 carries no tracker state: the dependence tracker resolves every access
 through its own name/extent index, so a canonical region never keeps a
-finished run alive.
+finished run alive.  A :class:`Dependence` is an immutable value too, so
+a builder makes one per distinct ``(kind, region)`` pair per call and
+lists that one pair in every task that declares the access, while each
+task keeps an access list of its own.  :meth:`Task.make`, the
+constructor for ad-hoc tasks, makes a fresh pair per access.
 
 Cost model
 ----------
@@ -219,7 +223,10 @@ class Dependence(NamedTuple):
 
     An immutable ``tuple`` subclass (``__slots__ = ()``): building one
     costs a tuple, where a frozen dataclass paid an ``object.__setattr__``
-    per field, and every task of every workload builds one per access.
+    per field, and one pair can be shared by many tasks.  A workload
+    builder makes one per distinct ``(kind, region)`` per call and lists
+    it in each task that declares that access; :meth:`Task.make` makes
+    one per access.
     ``kind`` and ``region`` read the two items, equality and hashing are
     the pair's (so ``Dependence(k, r) == (k, r)``), and it pickles as its
     type through ``__getnewargs__``.  It checks nothing itself:
@@ -261,8 +268,10 @@ class Task:
     mem_seconds:
         Frequency-insensitive memory time.
     deps:
-        Declared accesses; build with :meth:`Task.make` or the
-        :func:`repro.core.api.task` decorator.
+        Declared accesses, a list of the task's own whose pairs other
+        tasks may share; build with :meth:`Task.make` or the
+        :func:`repro.core.api.task` decorator, or list shared pairs as
+        the workload builders do.
     fn / args / kwargs:
         Optional real Python work executed when the simulated task completes
         (completion order is a topological order of the TDG, so real values
@@ -332,11 +341,15 @@ class Task:
     ) -> "Task":
         """Convenience constructor turning region specs into dependences.
 
-        Every workload builder constructs its tasks here, so it does only
-        what a task needs: empty keyword sequences are skipped, and the
-        :class:`Task` is built positionally.  A spec that is already a
-        :class:`Region` is used as given (builders pass interned regions);
-        anything else goes through :meth:`Region.of`.
+        The constructor for ad-hoc tasks (examples, tests, small demo
+        shapes): it makes one :class:`Dependence` per access, with the
+        kinds in the fixed order IN, OUT, INOUT, CONCURRENT, COMMUTATIVE
+        whatever the keyword order of the call.  Empty keyword sequences
+        are skipped, and the :class:`Task` is built positionally.  A spec
+        that is already a :class:`Region` is used as given; anything else
+        goes through :meth:`Region.of`.  The workload builders build
+        ``Task(label, cpu_cycles, mem_seconds, deps)`` from pairs they
+        share instead, in this same order.
         """
         deps: List[Dependence] = []
         for kind, specs in zip(

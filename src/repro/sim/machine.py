@@ -90,17 +90,19 @@ class Machine:
         return total
 
     def power_if_levels(self, levels: List[int], busy: List[bool]) -> float:
-        """Hypothetical chip power for a candidate level assignment."""
-        if len(levels) != self.n_cores or len(busy) != self.n_cores:
+        """Hypothetical chip power for a candidate level assignment.
+
+        Each core's watts come from its per-level tables, which hold the
+        power model's ``busy_power``/``idle_power`` of each operating
+        point, and are added one at a time in core order, so the sum is
+        bit for bit the one over the operating points.
+        """
+        cores = self.cores
+        if len(levels) != len(cores) or len(busy) != len(cores):
             raise ValueError("levels/busy must have one entry per core")
         total = 0.0
-        for lvl, b in zip(levels, busy):
-            op = self.dvfs[lvl]
-            total += (
-                self.power_model.busy_power(op)
-                if b
-                else self.power_model.idle_power(op)
-            )
+        for core, lvl, b in zip(cores, levels, busy):
+            total += core._busy_w[lvl] if b else core._idle_w[lvl]
         return total
 
     # ------------------------------------------------------------------

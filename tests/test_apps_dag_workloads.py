@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import dag_workloads as dw
 from repro.apps.kernels import critical_chain_with_fillers
+from repro.apps.parsec import PARSEC_APPS, build_ompss, build_pthreads
 from repro.campaign.presets import RSU_COMPARISON_KNOBS
 from repro.core.runtime import Runtime
 from repro.core.task import Task, TaskState
@@ -260,6 +261,75 @@ BUILDER_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(BUILDS))
 def test_builder_output_is_pinned(case):
     assert stream_digest(BUILDS[case]()) == BUILDER_DIGESTS[case]
+
+
+PARSEC_BUILDERS = {"pthreads": build_pthreads, "ompss": build_ompss}
+
+#: Recorded before the PARSEC builders shared their access pairs: each
+#: task's accesses must keep their values and their order.
+PARSEC_DIGESTS = {
+    "bodytrack-ompss-t1": "6176d7c5bf0fa5f5",
+    "bodytrack-ompss-t4": "710bb747bfe67534",
+    "bodytrack-ompss-t16": "66895da2162ee83f",
+    "bodytrack-pthreads-t1": "294aa73881996347",
+    "bodytrack-pthreads-t4": "5b8cf4de619097a5",
+    "bodytrack-pthreads-t16": "27e16ff01b4728fc",
+    "facesim-ompss-t1": "16072893a66e5662",
+    "facesim-ompss-t4": "801187067fd8b0ca",
+    "facesim-ompss-t16": "be58f38a16a5b8a3",
+    "facesim-pthreads-t1": "96fefea7afe1ce1a",
+    "facesim-pthreads-t4": "98eecf0e4e9b47a1",
+    "facesim-pthreads-t16": "3db31e6b942d0045",
+    "ferret-ompss-t1": "1c74326f9a87a52d",
+    "ferret-ompss-t4": "2bbd1b04915d8507",
+    "ferret-ompss-t16": "81560d6dc3d2d265",
+    "ferret-pthreads-t1": "4bf9bc7d8fd50f73",
+    "ferret-pthreads-t4": "630fb9ee762b3968",
+    "ferret-pthreads-t16": "5e2f0308677b74ae",
+    "streamcluster-ompss-t1": "84dd55dc53ae8651",
+    "streamcluster-ompss-t4": "4686db12ac65514e",
+    "streamcluster-ompss-t16": "59e96fcea0a38dee",
+    "streamcluster-pthreads-t1": "7c643585a5f37460",
+    "streamcluster-pthreads-t4": "ae6e9ea62a2d86af",
+    "streamcluster-pthreads-t16": "1e3419b6f26bb8ee",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSEC_DIGESTS))
+def test_parsec_builder_output_is_pinned(case):
+    app, variant, threads = case.split("-")
+    tasks = PARSEC_BUILDERS[variant](PARSEC_APPS[app], int(threads[1:]))
+    assert stream_digest(tasks) == PARSEC_DIGESTS[case]
+
+
+SHARING_BUILDS = {
+    **{
+        f"{name}-x{scale}": _family(name, scale, 0, "default")
+        for name in sorted(dw.WORKLOADS)
+        for scale in (1, 8)
+    },
+    **{
+        f"stream-w{w}": lambda w=w: dw.stream_window(w, n_buffers=16, n_tasks=64)
+        for w in range(3)
+    },
+    "chain-fillers": lambda: critical_chain_with_fillers(
+        8, 40, jitter=0.3, seed=5),
+    **{
+        f"parsec-{variant}": lambda b=builder: b(PARSEC_APPS["bodytrack"], 4)
+        for variant, builder in PARSEC_BUILDERS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARING_BUILDS))
+def test_builders_share_one_dependence_per_pair(case):
+    """A build makes one ``Dependence`` per distinct ``(kind, region)``
+    and shares it among the tasks that declare it, while every task keeps
+    an access list of its own."""
+    tasks = SHARING_BUILDS[case]()
+    deps = [d for t in tasks for d in t.deps]
+    assert len({id(d) for d in deps}) == len({(d.kind, d.region) for d in deps})
+    assert len({id(t.deps) for t in tasks}) == len(tasks)
 
 
 class TestChoiceRows:

@@ -52,7 +52,9 @@ class TestParsecModels:
     def test_unknown_app_rejected(self):
         record = parsec_run("raytrace", "ompss", 2)
         assert record["status"] == "error"
-        assert record["error"]["type"] == "KeyError"
+        assert record["error"]["type"] == "ValueError"
+        assert "raytrace" in record["error"]["message"]
+        assert str(sorted(PARSEC_APPS)) in record["error"]["message"]
 
     def test_runs_are_deterministic(self):
         a = makespan("facesim", "ompss", 8)

@@ -1,5 +1,7 @@
 """Unit tests for the core model, machine, and energy integration."""
 
+import itertools
+
 import pytest
 
 from repro.sim.cpu import Core
@@ -147,6 +149,27 @@ class TestMachine:
         lo = m.power_if_levels([0, 0], [True, True])
         hi = m.power_if_levels([m.dvfs.max_level] * 2, [True, True])
         assert hi > lo
+
+    @pytest.mark.parametrize("n_levels", [None, 2, 5, 9])
+    def test_power_if_levels_is_the_operating_point_sum(self, n_levels):
+        """Every level and busy assignment of a 3-core machine prices to
+        each core's busy or idle power at its operating point, added in
+        core order, bit for bit."""
+        dvfs = (
+            DEFAULT_DVFS_TABLE
+            if n_levels is None
+            else DvfsTable.linear(n_levels, 0.8, 3.4, 0.65, 1.25)
+        )
+        pm = PowerModel(ceff_nf=1.3, leak_w_per_v=0.7, idle_fraction=0.15)
+        m = Machine(3, dvfs=dvfs, power_model=pm)
+        for levels in itertools.product(range(len(dvfs)), repeat=3):
+            for busy in itertools.product((False, True), repeat=3):
+                want = 0.0
+                for level, b in zip(levels, busy):
+                    op = dvfs[level]
+                    want += pm.busy_power(op) if b else pm.idle_power(op)
+                got = m.power_if_levels(list(levels), list(busy))
+                assert got.hex() == want.hex(), (levels, busy)
 
     def test_power_if_levels_validates_shape(self):
         m = Machine(2)
