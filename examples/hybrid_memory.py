@@ -10,37 +10,11 @@ filter + directory protocol.
 Run:  python examples/hybrid_memory.py
 """
 
-from repro.apps.nas import (
-    NAS_BENCHMARKS,
-    core_chunk_bytes,
-    generate_trace,
-    run_nas,
-    strided_regions,
-)
-from repro.memory import MemoryHierarchy, MemoryParams
+from repro.apps.nas import run_nas
 
 N_CORES = 16
 ACCESSES = 1500
 BENCH = "CG"
-
-
-def detailed_run(mode):
-    wl = NAS_BENCHMARKS[BENCH]
-    params = MemoryParams()
-    hier = MemoryHierarchy(N_CORES, mode=mode, params=params)
-    for base, nbytes in strided_regions(wl, N_CORES, ACCESSES, params):
-        hier.register_filter_region(base, nbytes)
-    if mode == "hybrid" and wl.pinned_streams:
-        from repro.apps.nas import stream_base
-
-        chunk = core_chunk_bytes(wl, ACCESSES, params)
-        for s in range(wl.pinned_streams):
-            for c in range(N_CORES):
-                hier.pin_region(c, stream_base(s) + c * chunk, chunk)
-    for batch in generate_trace(wl, N_CORES, ACCESSES, 0, params):
-        hier.run_batch(batch)
-    hier.finish()
-    return hier
 
 
 def main():
@@ -59,7 +33,7 @@ def main():
 
     print("\n== Where the traffic goes (NoC flit-hops by message kind) ==")
     for mode in ("cache", "hybrid"):
-        h = detailed_run(mode)
+        h = results[mode].hierarchy
         kinds = {
             k.split(".", 1)[1]: int(v)
             for k, v in h.noc.stats.as_dict().items()
@@ -67,7 +41,7 @@ def main():
         }
         print(f"[{mode:6s}] " + "  ".join(f"{k}={v}" for k, v in sorted(kinds.items())))
 
-    h = detailed_run("hybrid")
+    h = results["hybrid"].hierarchy
     print("\n== Unknown-alias protocol in action (hybrid) ==")
     print(f"filter probes:         {int(h.filters[0].stats.get('probes')) * N_CORES}"
           f" (per-core filter shown x{N_CORES})")

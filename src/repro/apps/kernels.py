@@ -1,16 +1,17 @@
 """Generic task-graph generators.
 
 Reusable TDG shapes for tests, examples and the Section 3.1 experiments:
-chains, fork-joins, reductions, 2-D wavefronts (the classic OmpSs demo),
-pipelines and heterogeneous mixes.  All generators return plain task lists
-built through the region-based dependence API, so submitting them to a
-:class:`~repro.core.Runtime` derives the intended graph rather
-than hard-wiring edges.
+chains, fork-joins, reductions, 2-D wavefronts (the classic OmpSs demo)
+and heterogeneous mixes; the stateful pipeline is
+:func:`~repro.apps.dag_workloads.pipeline_grid`.  All generators return
+plain task lists built through the region-based dependence API, so
+submitting them to a :class:`~repro.core.Runtime` derives the intended
+graph rather than hard-wiring edges.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "fork_join",
     "reduction_tree",
     "wavefront",
-    "pipeline",
     "critical_chain_with_fillers",
 ]
 
@@ -115,32 +115,6 @@ def wavefront(nx: int, ny: int, cpu_cycles: float = 1e6) -> List[Task]:
                     cpu_cycles=cpu_cycles,
                     in_=deps_in,
                     out=[_R((f"row{i}", j, j + 1))],
-                )
-            )
-    return tasks
-
-
-def pipeline(
-    n_stages: int, n_items: int, cpu_cycles: float = 1e6
-) -> List[Task]:
-    """A ``n_stages``-stage pipeline over ``n_items`` items.
-
-    Stage s of item i depends on stage s-1 of item i (dataflow) and on
-    stage s of item i-1 (each stage is stateful, as PARSEC pipelines are).
-    """
-    tasks: List[Task] = []
-    for i in range(n_items):
-        for s in range(n_stages):
-            deps_in = []
-            if s > 0:
-                deps_in.append(_R((f"item{i}", s - 1, s)))
-            tasks.append(
-                Task.make(
-                    f"stage{s}.item{i}",
-                    cpu_cycles=cpu_cycles,
-                    in_=deps_in,
-                    inout=[_R(f"stage_state{s}")],
-                    out=[_R((f"item{i}", s, s + 1))],
                 )
             )
     return tasks

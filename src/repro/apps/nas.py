@@ -33,7 +33,7 @@ Figure 1 from its records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -324,7 +324,11 @@ def strided_regions(
 
 @dataclass(frozen=True)
 class NasRunResult:
-    """Outcome of one benchmark x configuration run."""
+    """Outcome of one benchmark x configuration run.
+
+    ``hierarchy`` is the finished :class:`MemoryHierarchy`, for readers
+    of its components' counters; it takes no part in equality or repr.
+    """
 
     benchmark: str
     mode: str
@@ -333,6 +337,7 @@ class NasRunResult:
     noc_flit_hops: float
     mem_cycles: float
     summary: Dict[str, float]
+    hierarchy: MemoryHierarchy = field(compare=False, repr=False)
 
 
 def run_nas(
@@ -344,7 +349,11 @@ def run_nas(
     params: MemoryParams | None = None,
 ) -> NasRunResult:
     """Run one NAS model on one hierarchy configuration."""
-    wl = NAS_BENCHMARKS[name.upper()]
+    wl = NAS_BENCHMARKS.get(name.upper())
+    if wl is None:
+        raise ValueError(
+            f"unknown NAS benchmark {name!r}; choose from {sorted(NAS_BENCHMARKS)}"
+        )
     params = params if params is not None else MemoryParams()
     hier = MemoryHierarchy(n_cores, mode=mode, params=params)
     for base, nbytes in strided_regions(wl, n_cores, accesses_per_core, params):
@@ -374,4 +383,5 @@ def run_nas(
         noc_flit_hops=hier.noc_flit_hops(),
         mem_cycles=hier.total_mem_cycles(),
         summary=hier.summary(),
+        hierarchy=hier,
     )

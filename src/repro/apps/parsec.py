@@ -62,6 +62,12 @@ class ParsecAppModel:
     ompss_chunks_per_core: int = 4  # decomposition factor of the port
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # With no phase, the Pthreads build keeps only the I/O tasks and
+        # the OmpSs build reads a phase output no task writes.
+        if self.phases < 1:
+            raise ValueError(f"phases must be >= 1, got {self.phases}")
+
 
 PARSEC_APPS: Dict[str, ParsecAppModel] = {
     # bodytrack: per-frame image I/O + particle-filter phases; the OmpSs

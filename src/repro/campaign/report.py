@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from ..sim.stats import StatSet, geometric_mean
+from ..sim.stats import geometric_mean
 from .store import ResultStore
 
 __all__ = [
     "summarize",
     "summarize_obs",
     "render_table",
-    "aggregate_stats",
     "compare_stores",
     "CompareResult",
     "Regression",
@@ -203,15 +202,6 @@ def render_table(
             "| " + " | ".join(str(c).ljust(w) for c, w in zip(row, widths)) + " |\n"
         )
     return out.getvalue()
-
-
-def aggregate_stats(records: Sequence[dict], name: str = "campaign") -> StatSet:
-    """Sum every ok-record's counter dump into one StatSet."""
-    total = StatSet(name)
-    for rec in records:
-        if rec["status"] == "ok" and rec.get("stats"):
-            total.add_many(rec["stats"])
-    return total
 
 
 # ----------------------------------------------------------------------

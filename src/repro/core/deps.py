@@ -61,9 +61,9 @@ is read from the graph's arrays — no ``Task`` is reachable from it.  The
 hot loops move data with C-level ``dict.update`` on int keys, and
 :meth:`register_preds` returns the accumulated dict — a predecessor *id*
 collection — which :meth:`DependenceTracker.register_batch` inserts into
-the graph's adjacency arrays.  Each new gid is the largest in the graph,
-so appending it keeps every successor list ascending, which is the wake
-order.
+the graph's successor lists, one ``append`` per edge (the graph stores
+each edge once).  Each new gid is the largest in the graph, so appending
+it keeps every successor list ascending, which is the wake order.
 
 Watermark pruning (streaming mode)
 ----------------------------------
@@ -282,7 +282,6 @@ class DependenceTracker:
         """
         graph = self.graph
         succ_ids = graph.succ_ids
-        pred_ids = graph.pred_ids
         unfinished_preds = graph.unfinished_preds
         depth_arr = graph.depth
         state_arr = graph.state
@@ -322,7 +321,6 @@ class DependenceTracker:
                         d = depth_arr[p]
                         if d >= depth:
                             depth = d + 1
-                    pred_ids[gid].extend(preds)
                     if apply_floor:
                         floor = self.last_depth_floor
                         if floor > depth:

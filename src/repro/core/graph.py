@@ -11,8 +11,9 @@ Every task added to the graph receives a dense integer id (``task.gid``,
 its insertion index, i.e. its place in submission order), and all
 structural state lives in parallel arrays indexed by that id:
 
-* ``succ_ids`` / ``pred_ids`` — adjacency (``List[List[int]]``), each
-  list in ascending gid;
+* ``succ_ids`` — adjacency (``List[List[int]]``), each list in ascending
+  gid (the wake order); an edge is stored once, in its predecessor's
+  list, and :meth:`TaskGraph.pred_lists` derives the predecessors;
 * ``unfinished_preds`` — ready counts the runtime decrements on completion;
 * ``depth`` / ``state`` / ``bottom_level`` / ``critical`` — per-task
   scalars consumed by schedulers, criticality policies and the analyses;
@@ -22,10 +23,11 @@ structural state lives in parallel arrays indexed by that id:
   the rest of what :meth:`~repro.sim.trace.TraceRecorder.from_graph`
   reads to build a run's trace.
 
-Edge insertion on the submission hot path is then pure C-level list
-traffic (an ``append`` per endpoint) instead of ``set`` operations on
-``Task`` objects.  These arrays are the only
-store of per-task state: :class:`~repro.core.task.Task` stays a thin
+Edge insertion on the submission hot path is then one C-level
+``append`` per edge instead of ``set`` operations on ``Task`` objects,
+and a finishing task wakes its successors by walking its list; nothing
+on the hot path reads predecessors.  These arrays are the only store of
+per-task state: :class:`~repro.core.task.Task` stays a thin
 handle whose ``predecessors``/``successors``/``state``/... properties are
 read-only views of them (creation defaults while detached), and the
 dependence tracker keeps gids, never handles.  The gid is the task's only
@@ -73,7 +75,6 @@ class TaskGraph:
     _ARRAY_MANIFEST = (
         "tasks",
         "succ_ids",
-        "pred_ids",
         "unfinished_preds",
         "depth",
         "state",
@@ -95,8 +96,6 @@ class TaskGraph:
         #: (submission order).  Submission appends each new gid, the
         #: largest so far; :meth:`add_edge` inserts in order.
         self.succ_ids: List[List[int]] = []
-        #: gid -> predecessor gids, in edge-insertion order.
-        self.pred_ids: List[List[int]] = []
         #: gid -> number of predecessors not yet FINISHED.
         self.unfinished_preds: List[int] = []
         #: gid -> longest-edge-count distance from a root as edge insertion
@@ -167,7 +166,6 @@ class TaskGraph:
         n = len(tasks)
         self.tasks.extend(tasks)
         self.succ_ids.extend([[] for _ in range(n)])
-        self.pred_ids.extend([[] for _ in range(n)])
         self.unfinished_preds.extend([0] * n)
         self.depth.extend([0] * n)
         self.state.extend([TaskState.CREATED] * n)
@@ -197,9 +195,8 @@ class TaskGraph:
                 task._graph = None
                 task.gid = -1
         for arr in (
-            self.tasks, self.succ_ids, self.pred_ids,
-            self.unfinished_preds, self.depth, self.state,
-            self.bottom_level, self.critical, self.submit_time,
+            self.tasks, self.succ_ids, self.unfinished_preds, self.depth,
+            self.state, self.bottom_level, self.critical, self.submit_time,
             self.ready_time, self.start_time, self.end_time, self.core,
             self.dvfs_level,
         ):
@@ -221,7 +218,6 @@ class TaskGraph:
         if sg in self.succ_ids[pg]:
             return False
         insort(self.succ_ids[pg], sg)
-        self.pred_ids[sg].append(pg)
         if self.state[pg] is not TaskState.FINISHED:
             self.unfinished_preds[sg] += 1
         if self.depth[pg] >= self.depth[sg]:
@@ -269,9 +265,19 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def pred_lists(self) -> List[List[int]]:
+        """gid -> predecessor gids, ascending: a fresh snapshot derived
+        from ``succ_ids`` in one O(V+E) pass (each edge is stored once,
+        in its predecessor's successor list)."""
+        preds: List[List[int]] = [[] for _ in self.succ_ids]
+        for g, succs in enumerate(self.succ_ids):
+            for s in succs:
+                preds[s].append(g)
+        return preds
+
     def roots(self) -> List[Task]:
         tasks = self.tasks
-        return [tasks[g] for g, p in enumerate(self.pred_ids) if not p]
+        return [tasks[g] for g, p in enumerate(self.pred_lists()) if not p]
 
     def sinks(self) -> List[Task]:
         tasks = self.tasks
@@ -279,10 +285,9 @@ class TaskGraph:
 
     def topo_ids(self) -> List[int]:
         """Kahn's algorithm over ids; raises :class:`CycleError` on cycles."""
-        preds = self.pred_ids
         succs = self.succ_ids
-        n = len(preds)
-        indeg = [len(p) for p in preds]
+        n = len(succs)
+        indeg = [len(p) for p in self.pred_lists()]
         order = [g for g in range(n) if not indeg[g]]
         i = 0
         while i < len(order):
@@ -303,15 +308,8 @@ class TaskGraph:
         return [tasks[g] for g in self.topo_ids()]
 
     def validate(self) -> None:
-        """Check structural invariants (acyclicity, symmetric adjacency)."""
+        """Check structural invariants (acyclicity)."""
         self.topo_ids()
-        for g in range(len(self.tasks)):
-            for s in self.succ_ids[g]:
-                if g not in self.pred_ids[s]:
-                    raise AssertionError("asymmetric adjacency")
-            for p in self.pred_ids[g]:
-                if g not in self.succ_ids[p]:
-                    raise AssertionError("asymmetric adjacency")
 
     def prepare_wake_order(self) -> None:
         """No-op, kept for its remaining caller: the host-performance
@@ -376,7 +374,7 @@ class TaskGraph:
         bl = self.bottom_level
         tasks = self.tasks
         path: List[Task] = []
-        frontier = [g for g, p in enumerate(self.pred_ids) if not p]
+        frontier = [g for g, p in enumerate(self.pred_lists()) if not p]
         while frontier:
             g = max(frontier, key=bl.__getitem__)
             path.append(tasks[g])
@@ -401,7 +399,7 @@ class TaskGraph:
             w = [t.cpu_cycles / 1e9 + t.mem_seconds for t in tasks]
         else:
             w = [weight(t) for t in tasks]
-        preds = self.pred_ids
+        preds = self.pred_lists()
         n = len(tasks)
         top = [0.0] * n
         for g in order:
@@ -423,15 +421,16 @@ class TaskGraph:
     def width_profile(self) -> List[int]:
         """Number of tasks at each depth (the graph's parallelism profile).
 
-        Depths are recomputed from ``pred_ids`` into a local list: the
-        ``depth`` array is live scheduling state (breadth-first order,
-        and after pruning it also carries the ghost depth of edges
-        ``pred_ids`` no longer holds), so an analysis must not write it.
+        Depths are recomputed from the graph's edges (:meth:`pred_lists`)
+        into a local list: the ``depth`` array is live scheduling state
+        (breadth-first order, and after pruning it also carries the ghost
+        depth of edges never inserted, whose finished source pruning had
+        retired from the tracker), so an analysis must not write it.
         """
         if not self.tasks:
             return []
         order = self.topo_ids()
-        preds = self.pred_ids
+        preds = self.pred_lists()
         depth = [0] * len(preds)
         for g in order:
             best = 0

@@ -343,14 +343,15 @@ class Runtime:
             else:
                 # The master thread serialises dependence registration:
                 # one task per registration, each priced from what it
-                # did (a new task's pred list is exactly its new edges)
-                # and released no earlier than the master finished it.
+                # did (the edges it added) and released no earlier than
+                # the master finished it.
                 for task in tasks:
+                    n_edges = graph.n_edges
                     tracker.register_batch([task], now)
                     gid = len(graph) - 1
                     cost = model.register_seconds(
                         len(task.deps), tracker.last_matches,
-                        len(graph.pred_ids[gid]),
+                        graph.n_edges - n_edges,
                     )
                     free_at = max(self._master_free_at, now) + cost
                     self._master_free_at = graph.submit_time[gid] = free_at

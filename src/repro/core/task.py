@@ -433,13 +433,16 @@ class Task:
         """Snapshot set of predecessor tasks (a fresh set, not live graph
         state — mutate the graph through its API, not through this view).
 
-        Handles the graph has released (watermark pruning) are left out.
+        The graph stores each edge once, in the predecessor's successor
+        list, so this is derived in one O(V+E) pass over the whole graph
+        (:meth:`~repro.core.graph.TaskGraph.pred_lists`).  Handles the
+        graph has released (watermark pruning) are left out.
         """
         g = self.graph
         if g is None:
             return set()
         tasks = g.tasks
-        found = (tasks[i] for i in g.pred_ids[self.gid])
+        found = (tasks[i] for i in g.pred_lists()[self.gid])
         return {t for t in found if t is not None}
 
     @property

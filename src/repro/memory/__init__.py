@@ -8,7 +8,7 @@ as strided / random-no-alias / random-unknown-alias; the hardware side
 filter+directory protocol (:mod:`~repro.memory.directory`).
 """
 
-from .access import AccessBatch, RefClass, make_batch
+from .access import AccessBatch, RefClass
 from .cache import CacheAccessResult, SetAssocCache
 from .coherence import CoherenceDirectory, CoherenceOutcome, DirectoryEntry
 from .compilerpass import (
@@ -30,7 +30,6 @@ from .spm import DmaTransfer, Scratchpad, TilingStream
 __all__ = [
     "AccessBatch",
     "RefClass",
-    "make_batch",
     "CacheAccessResult",
     "SetAssocCache",
     "CoherenceDirectory",

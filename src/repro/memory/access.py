@@ -20,7 +20,7 @@ from enum import IntEnum
 
 import numpy as np
 
-__all__ = ["RefClass", "AccessBatch", "make_batch"]
+__all__ = ["RefClass", "AccessBatch"]
 
 
 class RefClass(IntEnum):
@@ -60,15 +60,3 @@ class AccessBatch:
     def __len__(self) -> int:
         return len(self.records)
 
-
-def make_batch(cores, addrs, writes, classes) -> AccessBatch:
-    """Assemble a batch from per-field arrays (broadcast scalars allowed)."""
-    cores = np.asarray(cores)
-    addrs = np.asarray(addrs)
-    n = max(cores.size, addrs.size)
-    rec = np.empty(n, dtype=ACCESS_DTYPE)
-    rec["core"] = cores
-    rec["addr"] = addrs
-    rec["write"] = writes
-    rec["cls"] = classes
-    return AccessBatch(rec)

@@ -47,8 +47,8 @@ class SubmissionModel:
     accesses it overlaps — exactly the matches a hardware task-superscalar
     unit resolves in its dependence-matching pipeline.  The optional
     ``per_edge_s`` term prices TDG *edge insertion* separately: the new
-    edges a registration actually produced (a new task's predecessor
-    list), which is the adjacency-update traffic a hardware task
+    edges a registration actually produced (the rise in the graph's
+    edge count), which is the adjacency-update traffic a hardware task
     manager's dependence table absorbs.  The runtime feeds the tracker's
     measured match count and the graph's measured edge count per
     registration; the defaults of 0.0 keep the classic flat-cost model

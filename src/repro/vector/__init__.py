@@ -18,7 +18,7 @@ from .metrics import (
 )
 from .params import VectorParams
 from .sorts.bitonic import bitonic_sort
-from .sorts.scalar import scalar_radix_cycles, scalar_sort, scalar_sort_cycles
+from .sorts.scalar import scalar_sort, scalar_sort_cycles
 from .sorts.vquick import vquick_sort
 from .sorts.vradix import vradix_sort
 from .sorts.vsr import VSR_DIGIT_BITS, vsr_sort, vsr_sort_strips
@@ -35,7 +35,6 @@ __all__ = [
     "random_keys",
     "VectorParams",
     "bitonic_sort",
-    "scalar_radix_cycles",
     "scalar_sort",
     "scalar_sort_cycles",
     "vquick_sort",

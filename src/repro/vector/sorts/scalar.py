@@ -5,41 +5,22 @@ superscalar core at the paper's input scale (millions of keys), where
 branch mispredictions and last-level-cache misses dominate: measured CPTs
 for ``std::sort`` on multi-million-element arrays exceed 100 cycles per
 element.  The model uses that fixed calibrated CPT so speedups do not
-depend on the (scaled-down) input sizes our simulations use.  A scalar LSD
-radix model is also provided for completeness.
+depend on the (scaled-down) input sizes our simulations use.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from ..params import VectorParams
 
-__all__ = ["scalar_sort", "scalar_sort_cycles", "scalar_radix_cycles"]
+__all__ = ["scalar_sort", "scalar_sort_cycles"]
 
 
 def scalar_sort_cycles(n: int, params: VectorParams | None = None) -> float:
     """Cycle cost of the scalar comparison-sort baseline (fixed CPT)."""
     params = params if params is not None else VectorParams()
     return params.scalar_sort_cpt * n
-
-
-def scalar_radix_cycles(
-    n: int,
-    key_bits: int = 32,
-    digit_bits: int = 8,
-    cycles_per_elem_pass: float = 14.0,
-) -> float:
-    """Cycle cost of a scalar LSD radix sort.
-
-    Per element and pass: load, shift/mask, counter load/increment/store,
-    output store, index update and loop overhead — ~14 cycles on a
-    superscalar once cache misses on the output permutation are folded in.
-    """
-    passes = max(1, -(-key_bits // digit_bits))
-    return cycles_per_elem_pass * n * passes + (1 << digit_bits) * passes * 4.0
 
 
 def scalar_sort(keys: np.ndarray) -> tuple:

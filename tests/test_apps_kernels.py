@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from repro.apps.dag_workloads import pipeline_grid
 from repro.apps.kernels import (
     chain,
     critical_chain_with_fillers,
     fork_join,
     independent,
-    pipeline,
     reduction_tree,
     wavefront,
 )
@@ -60,7 +60,7 @@ class TestShapes:
         assert rt.graph.width_profile() == [1, 2, 3, 2, 1]
 
     def test_pipeline_stage_state_serialises_same_stage(self):
-        rt = graph_of(pipeline(n_stages=2, n_items=3))
+        rt = graph_of(pipeline_grid(n_stages=2, n_items=3))
         # stage s of item i depends on stage s of item i-1
         by_label = {t.label: t for t in rt.graph.tasks}
         s0i1 = by_label["stage0.item1"]
@@ -68,7 +68,7 @@ class TestShapes:
         assert s0i0 in s0i1.predecessors
 
     def test_pipeline_dataflow_across_stages(self):
-        rt = graph_of(pipeline(n_stages=3, n_items=2))
+        rt = graph_of(pipeline_grid(n_stages=3, n_items=2))
         by_label = {t.label: t for t in rt.graph.tasks}
         assert by_label["stage1.item0"] in by_label["stage2.item0"].predecessors
 
@@ -91,7 +91,7 @@ class TestShapes:
             fork_join(3, 2),
             reduction_tree(6),
             wavefront(3, 4),
-            pipeline(2, 4),
+            pipeline_grid(2, 4),
             critical_chain_with_fillers(2, 6),
         ):
             rt = graph_of(tasks)

@@ -10,7 +10,7 @@ from repro.apps.nas import (
     run_nas,
     strided_regions,
 )
-from repro.campaign import build_preset, run_campaign
+from repro.campaign import Scenario, build_preset, run_campaign, run_scenario
 from repro.campaign.figures import fig1_speedups
 from repro.memory.access import RefClass
 from repro.memory.params import MemoryParams
@@ -95,14 +95,29 @@ class TestRunNas:
         assert r.noc_flit_hops > 0
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             run_nas("LU", "cache", n_cores=2, accesses_per_core=10)
+
+    def test_unknown_benchmark_error_record_names_the_choices(self):
+        record = run_scenario(Scenario("nas:LU", n_cores=2))
+        assert record["status"] == "error"
+        assert record["error"]["type"] == "ValueError"
+        assert "'LU'" in record["error"]["message"]
+        assert str(sorted(NAS_BENCHMARKS)) in record["error"]["message"]
+
+    def test_result_carries_its_finished_hierarchy(self):
+        r = run_nas("CG", "hybrid", n_cores=2, accesses_per_core=50)
+        assert r.hierarchy.noc_flit_hops() == r.noc_flit_hops
+        assert r.hierarchy.summary() == r.summary
+        assert "hierarchy" not in repr(r)
 
     def test_deterministic_runs(self):
         a = run_nas("MG", "hybrid", n_cores=4, accesses_per_core=300, seed=5)
         b = run_nas("MG", "hybrid", n_cores=4, accesses_per_core=300, seed=5)
         assert a.exec_time_s == b.exec_time_s
         assert a.energy_j == b.energy_j
+        # Two runs' hierarchies are distinct objects, outside equality.
+        assert a == b and a.hierarchy is not b.hierarchy
 
 
 class TestFig1Shape:

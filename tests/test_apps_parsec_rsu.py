@@ -4,7 +4,7 @@ by :mod:`repro.campaign.figures`."""
 
 import pytest
 
-from repro.apps.parsec import PARSEC_APPS
+from repro.apps.parsec import PARSEC_APPS, ParsecAppModel
 from repro.campaign import (
     Matrix,
     Scenario,
@@ -55,6 +55,13 @@ class TestParsecModels:
         assert record["error"]["type"] == "ValueError"
         assert "raytrace" in record["error"]["message"]
         assert str(sorted(PARSEC_APPS)) in record["error"]["message"]
+
+    @pytest.mark.parametrize("phases", [0, -1])
+    def test_model_without_a_phase_rejected(self, phases):
+        """Without a phase the Pthreads build keeps only the I/O tasks and
+        the OmpSs build reads a phase output that no task writes."""
+        with pytest.raises(ValueError, match="phases"):
+            ParsecAppModel("x", frames=2, phases=phases)
 
     def test_runs_are_deterministic(self):
         a = makespan("facesim", "ompss", 8)

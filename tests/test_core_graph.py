@@ -70,10 +70,31 @@ class TestStructure:
         g.add_task(b)
         g.add_edge(a, b)
         # Force a cycle behind the API's back, directly in the id arrays.
-        g.pred_ids[a.gid].append(b.gid)
         g.succ_ids[b.gid].append(a.gid)
         with pytest.raises(CycleError):
             g.topological_order()
+
+    def test_edge_from_a_later_gid_to_an_earlier_one(self):
+        """Only ``add_edge`` can point an edge down in gid order
+        (submission never does).  Predecessors, roots and Kahn's order
+        are derived from the successor lists and must follow it."""
+        g = TaskGraph()
+        a, b, c = (Task.make(x) for x in "abc")
+        for t in (a, b, c):
+            g.add_task(t)
+        g.add_edge(c, a)
+        g.add_edge(b, a)
+        g.add_edge(c, b)
+        assert g.succ_ids == [[], [0], [0, 1]]
+        assert g.pred_lists() == [[1, 2], [2], []]
+        assert a.predecessors == {b, c}
+        assert b.predecessors == {c} and c.predecessors == set()
+        assert g.roots() == [c]
+        assert g.topo_ids() == [2, 1, 0]
+        # ``depth`` is a lower bound for edges added out of order; the
+        # analysis recomputes depths from the edges.
+        assert g.depth == [1, 1, 0]
+        assert g.width_profile() == [1, 1, 1]
 
     def test_validate_passes_on_good_graph(self):
         g, _ = diamond()
@@ -93,7 +114,7 @@ class TestStructure:
         assert g.depth[1:] == [0, 0] and g.unfinished_preds[1:] == [0, 0]
         assert g.submit_time[1:] == g.ready_time[1:] == [None, None]
         assert g.start_time[1:] == g.end_time[1:] == [None, None]
-        assert g.pred_ids[1:] == [[], []] and g.succ_ids[1:] == [[], []]
+        assert g.pred_lists()[1:] == [[], []] and g.succ_ids[1:] == [[], []]
         g.grow([Task.make("c")], submit_time=2.0)
         assert g.submit_time[3] == 2.0
 

@@ -2,7 +2,7 @@
 
 The reference knows nothing of the runtime's machinery (no event queue,
 deferred dispatch or release rule).  It replays FIFO list scheduling over
-each run's edges, read from ``graph.pred_ids`` (``test_tdg_oracle.py``
+each run's edges, read from ``graph.pred_lists()`` (``test_tdg_oracle.py``
 checks the tracker that builds them), at one fixed frequency, with no
 RSU, faults or submission model, and with the documented tie rules:
 
@@ -79,7 +79,7 @@ def test_runtime_matches_fifo_list_scheduling(program, n_cores):
         rt.submit_all(tasks[lo:hi])
         rt.taskwait()
     graph = rt.graph
-    preds = [list(graph.pred_ids[t]) for t in range(len(tasks))]
+    preds = graph.pred_lists()
     hz = machine.cores[0].frequency_hz
     durations = [t.cpu_cycles / hz + t.mem_seconds for t in tasks]
     placed, makespan = fifo_list_schedule(preds, durations, windows, n_cores)

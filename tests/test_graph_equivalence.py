@@ -133,13 +133,19 @@ def build_both(tasks, finish_every=0):
         tracker.register_batch([task], 0.0)
         gid = task.gid
         ref.add_task(task)
-        for p in g.pred_ids[gid]:
+        preds = g.pred_lists()
+        for p in preds[gid]:
             ref.add_edge(g.tasks[p], task)
         submitted.append(task)
-        # Ready counts must agree after every single insertion.
+        # Ready counts must agree after every single insertion, and so
+        # must every task's predecessors, derived from the successor
+        # lists (ascending, no duplicates) against the reference's sets.
         assert g.unfinished_preds[gid] == ref.unfinished[task], (
             f"ready count diverges at {task.label}"
         )
+        for q, ps in enumerate(preds):
+            assert ps == sorted(set(ps))
+            assert {g.tasks[p] for p in ps} == ref.preds[g.tasks[q]]
         if finish_every and i % finish_every == finish_every - 1:
             victim = submitted[(i * 7919) % len(submitted)]
             g.state[victim.gid] = TaskState.FINISHED
@@ -163,7 +169,6 @@ def assert_same_structure(g: TaskGraph, ref: ReferenceGraph):
     # wake order), however the edges were added.
     for p in range(len(tasks)):
         assert len(g.succ_ids[p]) == len(set(g.succ_ids[p]))
-        assert len(g.pred_ids[p]) == len(set(g.pred_ids[p]))
         assert g.succ_ids[p] == sorted(g.succ_ids[p])
     # Per-task scalars.
     for gid, t in enumerate(tasks):

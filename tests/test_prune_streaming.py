@@ -293,7 +293,7 @@ def test_released_handles_leave_the_neighbour_views():
     b = rt.submit(Task.make("b", in_=["x"]))
     rt.machine.sim.run(max_events=2)  # a finished and was released
     assert rt.graph.tasks[a.gid] is None
-    assert rt.graph.pred_ids[b.gid] == [a.gid]
+    assert rt.graph.pred_lists()[b.gid] == [a.gid]
     assert b.predecessors == set()
     assert a.successors == {b}
     rt.taskwait()  # b finished and was released too
@@ -412,7 +412,7 @@ def test_plain_region_does_not_pin_a_finished_run():
         w = rt.submit(Task.make("w", cpu_cycles=1e6, out=[region]))
         r = rt.submit(Task.make("r", cpu_cycles=1e6, in_=[region]))
         rt.run()
-        assert list(rt.graph.pred_ids[r.gid]) == [w.gid]
+        assert rt.graph.pred_lists()[r.gid] == [w.gid]
         return weakref.ref(rt.graph)
 
     for _ in range(2):
@@ -457,7 +457,7 @@ def test_prune_drops_last_writer_strong_ref_but_keeps_edge():
     reader = rt.submit(
         Task.make("r", cpu_cycles=1e6, in_=[Region.interned("shared_x")])
     )
-    assert writer_gid in rt.graph.pred_ids[reader.gid]
+    assert writer_gid in rt.graph.pred_lists()[reader.gid]
     rt.taskwait()
 
 
@@ -545,8 +545,8 @@ def test_killed_task_survives_aggressive_pruning():
 # analyses between windows must not move later schedules
 # ----------------------------------------------------------------------
 def test_width_profile_between_windows_leaves_the_schedule_alone():
-    """``TaskGraph.width_profile`` recomputes depths from ``pred_ids``,
-    which after pruning lacks the edges whose depth the ghost floor
+    """``TaskGraph.width_profile`` recomputes depths from the graph's
+    edges, which after pruning lack those whose depth the ghost floor
     replays.  Writing that into ``graph.depth`` (what breadth-first
     scheduling orders by) shifted every later window: makespan 7.85 ms
     became 7.90 ms on this program."""

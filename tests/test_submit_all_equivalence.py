@@ -93,7 +93,7 @@ def _graph_snapshot(rt):
         )
     return {
         "labels": [t.label for t in g.tasks],
-        "preds": list(g.pred_ids),
+        "preds": g.pred_lists(),
         "succs": list(g.succ_ids),
         "depth": list(g.depth),
         "unfinished": list(g.unfinished_preds),

@@ -220,9 +220,11 @@ class TestWitnessRegionSemantics:
 # index scale regression
 # ----------------------------------------------------------------------
 def _register_all(tasks):
+    # One-task batches, as ``register`` runs them, without reading the
+    # edges back (that derivation is O(V+E) per call).
     tr = DependenceTracker(TaskGraph())
     for t in tasks:
-        register(tr, t)
+        tr.register_batch([t], 0.0)
     return tr
 
 
