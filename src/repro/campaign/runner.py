@@ -11,10 +11,16 @@ The runner has two halves:
 * :func:`run_campaign` — executes a :class:`~.matrix.Matrix`, either
   serially in-process (``workers<=1``, the debugging path: exceptions in
   the harness itself surface normally, records appear in matrix order) or
-  on a ``multiprocessing`` pool.  With a :class:`~.store.ResultStore`
-  attached, scenarios whose records already exist are skipped (resume),
-  and every fresh record is appended as soon as it arrives, so a killed
-  campaign loses at most the in-flight scenarios.
+  on a ``multiprocessing`` pool of forked workers.  The pool lives for
+  the process: the first ``workers > 1`` batch forks ``min(workers,
+  len(batch))`` workers, and later calls (and their timeout-retry rounds)
+  reuse them while that size fits, so a worker imports each family's
+  modules once per process, not once per call.  Workers therefore see
+  module state as it was when the pool was forked.  With a
+  :class:`~.store.ResultStore` attached, scenarios whose records already
+  exist are skipped (resume), and every fresh record is appended as soon
+  as it arrives, so a killed campaign loses at most the in-flight
+  scenarios.
 
 Determinism: a scenario's record depends only on the scenario axes and
 the code revision — never on worker count, shard layout, or sibling
@@ -24,7 +30,8 @@ scenario's own seed; nothing simulated crosses a process boundary.
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
+import multiprocessing.pool
 import os
 import signal
 import socket
@@ -605,6 +612,50 @@ def _pool_entry(payload: Tuple[Scenario, str, bool, Optional[float]]) -> dict:
     return _run_with_timeout(scenario, campaign, obs, timeout_s)
 
 
+#: The process's worker pool, and the ``(pid, size)`` it was forked with.
+_pool: Optional[multiprocessing.pool.Pool] = None
+_pool_owner: Tuple[int, int] = (0, 0)
+
+
+def _worker_pool(workers: int, n_tasks: int) -> multiprocessing.pool.Pool:
+    """This process's pool for ``n_tasks`` scenarios on ``workers`` workers.
+
+    The kept pool serves while its size lies between ``min(workers,
+    n_tasks)`` and ``workers``; otherwise it is shut down (terminated
+    and joined, so no fork runs while its handler threads live) and a
+    pool of ``min(workers, n_tasks)`` forked workers replaces it.
+    """
+    global _pool, _pool_owner
+    size = min(workers, n_tasks)
+    pid, kept = _pool_owner
+    if _pool is not None and pid == os.getpid() and size <= kept <= workers:
+        return _pool
+    _close_pool()
+    _git_rev()  # resolved here, so the workers inherit it
+    _pool = multiprocessing.pool.Pool(processes=size)
+    _pool_owner = (os.getpid(), size)
+    return _pool
+
+
+def _close_pool() -> None:
+    """Terminate, join and forget this process's pool.
+
+    A pool inherited through ``fork`` is only forgotten: its workers
+    belong to the parent.
+    """
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and _pool_owner[0] == os.getpid():
+        pool.terminate()
+        pool.join()
+
+
+# multiprocessing's own exit hook stops the workers but leaves the pool
+# marked running, and ``Pool.__del__`` then warns at interpreter teardown
+# (or fails, once the modules it needs are torn down).
+atexit.register(_close_pool)
+
+
 # ----------------------------------------------------------------------
 # campaign execution
 # ----------------------------------------------------------------------
@@ -661,8 +712,20 @@ def run_campaign(
     workers:
         ``<=1`` runs serially in-process (deterministic record order,
         exceptions in the harness surface normally — the debugging path).
-        ``>1`` fans scenarios out over a process pool; completion order
-        is nondeterministic but record *content* is not.
+        ``>1`` fans every scenario out over at most ``workers`` forked
+        processes; completion order is nondeterministic but record
+        *content* is not.  The pool lives for the process: the first such
+        batch forks ``min(workers, len(batch))`` workers, and a later
+        call or a timeout-retry round reuses them while their number lies
+        between ``min(workers, len(batch))`` and ``workers`` (otherwise a
+        pool of that minimum replaces them).  Its workers therefore see
+        module state as it was when the pool was forked, not as it is at
+        this call.  If this call stops before every record arrives (an
+        exception from ``progress`` or the store, ``KeyboardInterrupt``)
+        the pool is terminated, so the next call forks a fresh one.  A
+        killed campaign still loses at most its in-flight scenarios:
+        workers ship each record as it finishes, and it is appended on
+        arrival.
     shard:
         ``(index, count)`` — run only this round-robin shard of the
         matrix, for spreading one campaign across machines.  All shards
@@ -713,31 +776,42 @@ def run_campaign(
             progress(record)
 
     def _execute(batch: List[Scenario]) -> Iterator[dict]:
-        if workers <= 1 or len(batch) <= 1:
+        if workers <= 1:
             for scenario in batch:
                 yield _run_with_timeout(scenario, matrix.name, obs, timeout_s)
-        else:
+        elif batch:  # a fully cached campaign forks nothing
             payloads = [(s, matrix.name, obs, timeout_s) for s in batch]
-            with multiprocessing.Pool(processes=min(workers, len(batch))) as pool:
-                # Unordered: records land (and persist) as soon as a worker
-                # finishes; canonical comparisons sort by scenario id anyway.
-                yield from pool.imap_unordered(_pool_entry, payloads, chunksize=1)
+            # Unordered: records land (and persist) as soon as a worker
+            # finishes; canonical comparisons sort by scenario id anyway.
+            yield from _worker_pool(workers, len(batch)).imap_unordered(
+                _pool_entry, payloads, chunksize=1
+            )
 
     batch = todo
-    for attempt in range(2):
-        retries: List[Scenario] = []
-        by_id = {s.scenario_id: s for s in batch}
-        for record in _execute(batch):
-            error = record.get("error") or {}
-            if attempt == 0 and error.get("reason") == "timeout":
-                # Bounded retry: a first-attempt timeout gets exactly one
-                # more chance (a transiently-loaded host must not poison
-                # the store); only the retry's outcome is recorded.
-                summary.n_timeouts += 1
-                retries.append(by_id[record["id"]])
-            else:
-                _absorb(record)
-        if not retries:
-            break
-        batch = retries
+    try:
+        for attempt in range(2):
+            retries: List[Scenario] = []
+            by_id = {s.scenario_id: s for s in batch}
+            for record in _execute(batch):
+                error = record.get("error") or {}
+                if attempt == 0 and error.get("reason") == "timeout":
+                    # Bounded retry: a first-attempt timeout gets exactly
+                    # one more chance (a transiently-loaded host must not
+                    # poison the store); only the retry's outcome is
+                    # recorded.
+                    summary.n_timeouts += 1
+                    retries.append(by_id[record["id"]])
+                else:
+                    _absorb(record)
+            if not retries:
+                break
+            batch = retries
+    except BaseException:
+        if workers > 1:
+            # Stopped before every record arrived (an exception from
+            # progress or the store, ^C, a failed pool): the rest of the
+            # batch is still queued, and the next call must not queue
+            # behind it.
+            _close_pool()
+        raise
     return summary

@@ -13,7 +13,8 @@ structural state lives in parallel arrays indexed by that id:
 
 * ``succ_ids`` — adjacency (``List[List[int]]``), each list in ascending
   gid (the wake order); an edge is stored once, in its predecessor's
-  list, and :meth:`TaskGraph.pred_lists` derives the predecessors;
+  list.  The analyses walk these lists only; :meth:`TaskGraph.pred_lists`
+  derives the predecessors for ``Task.predecessors``;
 * ``unfinished_preds`` — ready counts the runtime decrements on completion;
 * ``depth`` / ``state`` / ``bottom_level`` / ``critical`` — per-task
   scalars consumed by schedulers, criticality policies and the analyses;
@@ -275,9 +276,18 @@ class TaskGraph:
                 preds[s].append(g)
         return preds
 
+    def _in_degrees(self) -> List[int]:
+        """gid -> number of predecessors, counted from ``succ_ids`` in one
+        O(V+E) pass (no predecessor lists are built)."""
+        indeg = [0] * len(self.succ_ids)
+        for succs in self.succ_ids:
+            for s in succs:
+                indeg[s] += 1
+        return indeg
+
     def roots(self) -> List[Task]:
         tasks = self.tasks
-        return [tasks[g] for g, p in enumerate(self.pred_lists()) if not p]
+        return [tasks[g] for g, d in enumerate(self._in_degrees()) if not d]
 
     def sinks(self) -> List[Task]:
         tasks = self.tasks
@@ -287,7 +297,7 @@ class TaskGraph:
         """Kahn's algorithm over ids; raises :class:`CycleError` on cycles."""
         succs = self.succ_ids
         n = len(succs)
-        indeg = [len(p) for p in self.pred_lists()]
+        indeg = self._in_degrees()
         order = [g for g in range(n) if not indeg[g]]
         i = 0
         while i < len(order):
@@ -374,7 +384,7 @@ class TaskGraph:
         bl = self.bottom_level
         tasks = self.tasks
         path: List[Task] = []
-        frontier = [g for g, p in enumerate(self.pred_lists()) if not p]
+        frontier = [g for g, d in enumerate(self._in_degrees()) if not d]
         while frontier:
             g = max(frontier, key=bl.__getitem__)
             path.append(tasks[g])
@@ -399,16 +409,16 @@ class TaskGraph:
             w = [t.cpu_cycles / 1e9 + t.mem_seconds for t in tasks]
         else:
             w = [weight(t) for t in tasks]
-        preds = self.pred_lists()
+        succs = self.succ_ids
         n = len(tasks)
+        # Kahn's order finalises a task's top level before its successors
+        # read it, and a maximum over the same values is the same float.
         top = [0.0] * n
         for g in order:
-            best = 0.0
-            for p in preds[g]:
-                v = top[p] + w[p]
-                if v > best:
-                    best = v
-            top[g] = best
+            v = top[g] + w[g]
+            for s in succs[g]:
+                if v > top[s]:
+                    top[s] = v
         bl = self.bottom_level
         crit = self.critical
         n_critical = 0
@@ -421,24 +431,22 @@ class TaskGraph:
     def width_profile(self) -> List[int]:
         """Number of tasks at each depth (the graph's parallelism profile).
 
-        Depths are recomputed from the graph's edges (:meth:`pred_lists`)
-        into a local list: the ``depth`` array is live scheduling state
+        Depths are recomputed from the graph's edges, relaxed along the
+        successor lists in Kahn's order, into a local list: the ``depth``
+        array is live scheduling state
         (breadth-first order, and after pruning it also carries the ghost
         depth of edges never inserted, whose finished source pruning had
         retired from the tracker), so an analysis must not write it.
         """
         if not self.tasks:
             return []
-        order = self.topo_ids()
-        preds = self.pred_lists()
-        depth = [0] * len(preds)
-        for g in order:
-            best = 0
-            for p in preds[g]:
-                d = depth[p] + 1
-                if d > best:
-                    best = d
-            depth[g] = best
+        succs = self.succ_ids
+        depth = [0] * len(succs)
+        for g in self.topo_ids():
+            d = depth[g] + 1
+            for s in succs[g]:
+                if d > depth[s]:
+                    depth[s] = d
         levels: Dict[int, int] = {}
         for d in depth:
             levels[d] = levels.get(d, 0) + 1

@@ -193,6 +193,53 @@ class TestAnalyses:
         assert g.width_profile() == []
         assert g.compute_bottom_levels() == 0.0
 
+    def test_analyses_walk_successor_lists_only(self, monkeypatch):
+        """The analyses count in-degrees and relax top levels and depths
+        along ``succ_ids`` in Kahn's order, never building predecessor
+        lists; every value equals what the predecessor-list sweep gave
+        (recorded from it).  Two edges run from a later gid to an
+        earlier one, so gid order is not a topological order."""
+
+        def forbidden(self):
+            raise AssertionError("an analysis built predecessor lists")
+
+        def backward_graph():
+            g = TaskGraph()
+            spec = [
+                (2e6, 0.0), (1e6, 5e-4), (3e6, 0.0), (1e6, 2.5e-4),
+                (4e6, 0.0), (2e6, 1e-4), (1e6, 0.0), (5e5, 0.0),
+            ]
+            tasks = [
+                Task.make(f"t{i}", cpu_cycles=c, mem_seconds=m)
+                for i, (c, m) in enumerate(spec)
+            ]
+            for t in tasks:
+                g.add_task(t)
+            for a, b in [(4, 1), (0, 1), (1, 3), (2, 3), (5, 2), (3, 6),
+                         (4, 6), (0, 5), (6, 7)]:
+                g.add_edge(tasks[a], tasks[b])
+            return g
+
+        monkeypatch.setattr(TaskGraph, "pred_lists", forbidden)
+        g = backward_graph()
+        assert g.topo_ids() == [0, 4, 5, 1, 2, 3, 6, 7]
+        assert [t.gid for t in g.roots()] == [0, 4]
+        path, length = g.critical_path()
+        assert [t.gid for t in path] == [0, 5, 2, 3, 6, 7]
+        assert length == 0.00985
+        assert g.width_profile() == [2, 2, 1, 1, 1, 1]
+        g = backward_graph()
+        assert g.mark_critical_tasks() == 6
+        assert g.critical == [True, False, True, True, False, True, True, True]
+        assert g.bottom_level == [
+            0.00985, 0.00425, 0.00575, 0.00275, 0.00825, 0.00785, 0.0015, 0.0005,
+        ]
+        g = backward_graph()
+        weight = lambda t: t.cpu_cycles / 3e9  # noqa: E731
+        assert g.mark_critical_tasks(weight) == 6
+        assert g.critical == [True, False, True, True, False, True, True, True]
+        assert g.critical_path(weight)[1] == 0.0031666666666666666
+
     def test_to_networkx_roundtrip(self):
         g, (a, b, c, d) = diamond()
         nxg = g.to_networkx()
