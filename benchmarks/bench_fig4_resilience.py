@@ -10,8 +10,8 @@ displays an even smaller overhead."*
 The experiment executes through the ``fig4_resilience`` campaign preset
 — one record per (scheme, checkpoint interval, fault plan, grid) — so
 the figure's raw numbers live in the same result-store/compare pipeline
-as every other figure (ROADMAP open item 5: the last paper figure
-behind one store).  The five-curve summary is derived from the records
+as those of Figs 1, 2 and 5, and a baseline replay pins them.  The
+five-curve summary is derived from the records
 exactly as :func:`repro.resilience.fig4_curves` derives it from direct
 runs; a small-setup equivalence test pins the two paths against each
 other bit for bit.

@@ -77,7 +77,8 @@ def _rsu_comparison() -> Matrix:
     """RSU criticality boosting meets scheduling policy, jointly: every
     scheduler × static frequency vs oracle-marked vs online-heuristic
     criticality, on skewed/costlier DAG-family parameterisations whose
-    per-scenario makespans genuinely diverge (ROADMAP open item 2).
+    per-scenario makespans genuinely diverge, so the comparison separates
+    the schedulers instead of tying them.
 
     8 cores at graph scale 2 keeps the machine narrower than the ready
     sets, so queue order matters: 14 of the 15 family × RSU rows show

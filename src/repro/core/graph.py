@@ -37,9 +37,8 @@ so a task belongs to at most one live graph.
 
 This module holds the graph itself plus the global analyses the rest of the
 system consumes — topological ordering, longest (critical) path, bottom
-levels, width/depth profiles, and an export to :mod:`networkx` — all
-implemented as array sweeps over ids.  Edge insertion is O(1); analyses
-run on demand.
+levels and width/depth profiles — all implemented as array sweeps over
+ids.  Edge insertion is O(1); analyses run on demand.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from bisect import insort
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import SPAN_GRAPH_ANALYSIS, get_active
 from .task import Task, TaskState
@@ -242,8 +241,8 @@ class TaskGraph:
         regions) is garbage-collectible as soon as the caller's own
         references go away.  Only FINISHED tasks may be released; the
         runtime's watermark pruning calls this for every retirement batch.
-        Whole-graph object analyses (``total_work``, ``to_networkx``, …)
-        are unavailable after a release, which is why it is opt-in.
+        Whole-graph object analyses (``total_work``, …) are unavailable
+        after a release, which is why it is opt-in.
         """
         tasks = self.tasks
         state = self.state
@@ -463,22 +462,3 @@ class TaskGraph:
             return float(len(self.tasks)) if self.tasks else 0.0
         return self.total_work() / cp
 
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> Any:
-        """Export to a :class:`networkx.DiGraph` keyed by gid (labels +
-        costs as attrs)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for gid, t in enumerate(self.tasks):
-            g.add_node(
-                gid,
-                label=t.label,
-                cpu_cycles=t.cpu_cycles,
-                mem_seconds=t.mem_seconds,
-                critical=self.critical[gid],
-            )
-        for gid, succs in enumerate(self.succ_ids):
-            for s in succs:
-                g.add_edge(gid, s)
-        return g

@@ -43,8 +43,8 @@ while the id-keyed arrays keep post-run analytics intact.  That holds
 with the default ``record_trace=True`` too: no trace record exists
 before :meth:`Runtime.run` builds the trace, and the trace then holds
 only the finished tasks whose handles are not yet released.  Off by
-default; whole-graph object analyses (``total_work``, ``to_networkx``)
-are unavailable for released handles.
+default; whole-graph object analyses (``total_work``) are unavailable
+for released handles.
 
 Execution is fully event-driven: task completions wake the dispatcher, which
 fills idle cores from the scheduler.  When a task carries a real Python

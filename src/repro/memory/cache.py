@@ -1,40 +1,43 @@
 """Set-associative write-back caches with true LRU replacement.
 
 Tag-only simulation: the model tracks which lines are resident and dirty but
-stores no data.  ``access`` returns what happened (hit / miss) plus any
-dirty victim that must be written back, so the caller (the hierarchy) can
-generate the corresponding refill and writeback traffic.
+stores no data.  ``access`` returns what happened (hit / miss, and on a hit
+whether the line was already dirty) plus any victim evicted to make room,
+so the caller (the hierarchy) can generate the corresponding refill,
+upgrade and writeback traffic from one probe.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..sim.stats import StatSet
 
 __all__ = ["SetAssocCache", "CacheAccessResult"]
 
 
-class CacheAccessResult:
-    """Outcome of one cache access."""
+class CacheAccessResult(NamedTuple):
+    """Outcome of one cache access.
 
-    __slots__ = ("hit", "victim_addr", "victim_dirty")
+    ``was_dirty`` is the line's dirty bit before a hit (``False`` on a
+    miss): a write hit on a clean line is a coherence upgrade.
+    """
 
-    def __init__(self, hit: bool, victim_addr: Optional[int], victim_dirty: bool):
-        self.hit = hit
-        self.victim_addr = victim_addr
-        self.victim_dirty = victim_dirty
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"CacheAccessResult(hit={self.hit}, victim={self.victim_addr}, "
-            f"dirty={self.victim_dirty})"
-        )
+    hit: bool
+    victim_addr: Optional[int]
+    victim_dirty: bool
+    was_dirty: bool = False
 
 
-#: The result of every hit.
-_HIT = CacheAccessResult(True, None, False)
+#: The results of every hit (on a clean and on a dirty line) and of every
+#: miss that evicts nothing; only an evicting miss builds a result.
+_HIT_CLEAN = CacheAccessResult(True, None, False, False)
+_HIT_DIRTY = CacheAccessResult(True, None, False, True)
+_MISS = CacheAccessResult(False, None, False, False)
+#: Builds an evicting miss's result without the ``NamedTuple``'s
+#: Python-level ``__new__``, which would cost a frame per such miss.
+_new_result = tuple.__new__
 
 
 class SetAssocCache:
@@ -86,9 +89,8 @@ class SetAssocCache:
     def access(self, addr: int, write: bool) -> CacheAccessResult:
         """Look up ``addr``; on a miss, allocate (write-allocate policy).
 
-        Returns the result including any dirty victim evicted to make room.
-        Every hit returns the same shared result object (treat it as
-        read-only).
+        Returns the result including any victim evicted to make room.  Hits
+        and misses that evict nothing return shared result objects.
         """
         lb = self.line_bytes
         line = addr - addr % lb
@@ -96,31 +98,38 @@ class SetAssocCache:
         if line in s:
             s.move_to_end(line)
             self.hits += 1.0
+            if s[line]:
+                if write:
+                    self.write_hits += 1.0
+                return _HIT_DIRTY
             if write:
                 s[line] = True
                 self.write_hits += 1.0
-            return _HIT
+            return _HIT_CLEAN
 
         self.misses += 1.0
         if write:
             self.write_misses += 1.0
-        victim_addr = None
-        victim_dirty = False
-        if len(s) >= self.ways:
-            victim_addr, victim_dirty = s.popitem(last=False)  # LRU
-            self.evictions += 1.0
-            if victim_dirty:
-                self.dirty_evictions += 1.0
-        s[line] = bool(write)
-        return CacheAccessResult(False, victim_addr, victim_dirty)
+        if len(s) < self.ways:
+            s[line] = True if write else False
+            return _MISS
+        victim_addr, victim_dirty = s.popitem(last=False)  # LRU
+        self.evictions += 1.0
+        if victim_dirty:
+            self.dirty_evictions += 1.0
+        s[line] = True if write else False
+        return _new_result(
+            CacheAccessResult, (False, victim_addr, victim_dirty, False)
+        )
 
     def fill(self, addr: int, dirty: bool = False) -> Tuple[Optional[int], bool]:
         """Install a line without counting a demand access (DMA / prefetch).
 
         Returns ``(victim_addr, victim_dirty)``.
         """
-        line = self.line_addr(addr)
-        s = self._sets[self._set_index(line)]
+        lb = self.line_bytes
+        line = addr - addr % lb
+        s = self._sets[(line // lb) % self.n_sets]
         if line in s:
             s.move_to_end(line)
             s[line] = s[line] or dirty
@@ -133,8 +142,9 @@ class SetAssocCache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line (coherence invalidation); returns True if present."""
-        line = self.line_addr(addr)
-        s = self._sets[self._set_index(line)]
+        lb = self.line_bytes
+        line = addr - addr % lb
+        s = self._sets[(line // lb) % self.n_sets]
         if line in s:
             del s[line]
             self.invalidations += 1.0

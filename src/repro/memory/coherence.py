@@ -22,10 +22,10 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..sim.stats import StatSet
 
-__all__ = ["DirectoryEntry", "CoherenceDirectory", "CoherenceOutcome"]
+__all__ = ["DirectoryEntry", "CoherenceDirectory", "CoherenceOutcome", "NO_ACTION"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None  # core holding the line Modified
@@ -51,8 +51,10 @@ class CoherenceOutcome:
         return len(self.victims)
 
 
-#: The outcome of every request that needs no protocol action.
-_NO_ACTION = CoherenceOutcome((), None)
+#: The outcome of every request that needs no protocol action: no victim
+#: and no owner forward.  Requests return this one object, so a caller can
+#: skip the protocol's cost with an identity test.
+NO_ACTION = CoherenceOutcome((), None)
 
 
 class CoherenceDirectory:
@@ -66,24 +68,20 @@ class CoherenceDirectory:
         self.invalidations = 0
         self.dirty_writebacks = 0.0
 
-    def entry(self, line: int) -> DirectoryEntry:
-        e = self._entries.get(line)
-        if e is None:
-            e = DirectoryEntry()
-            self._entries[line] = e
-        return e
-
     def peek(self, line: int) -> Optional[DirectoryEntry]:
         return self._entries.get(line)
 
     # ------------------------------------------------------------------
     def read(self, line: int, core: int) -> CoherenceOutcome:
         """Core ``core`` read-misses on ``line``."""
-        e = self.entry(line)
+        e = self._entries.get(line)
+        if e is None:
+            self._entries[line] = DirectoryEntry({core})
+            return NO_ACTION
         owner = e.owner
         if owner is None or owner == core:
             e.sharers.add(core)
-            return _NO_ACTION
+            return NO_ACTION
         # Owner must write back / forward; it stays on as a sharer.
         e.sharers.add(owner)
         e.owner = None
@@ -98,23 +96,28 @@ class CoherenceDirectory:
         outcome lists them in ascending core order, which is the order the
         hierarchy sends their invalidations in.  The directory is precise
         (evictions are reported), so the victims are exactly the other L1s
-        that hold the line.
+        that hold the line.  A write that finds no other copy returns
+        :data:`NO_ACTION` (an owner other than ``core`` is always a victim).
         """
-        e = self.entry(line)
+        e = self._entries.get(line)
+        if e is None:
+            self._entries[line] = DirectoryEntry(set(), core)
+            return NO_ACTION
         owner = e.owner
-        forward = None
         copies = e.sharers
+        forward = None
         if owner is not None:
             if owner != core:
                 forward = owner
                 self.owner_forwards += 1.0
             copies.add(owner)
         copies.discard(core)
-        e.sharers = set()
         e.owner = core
+        if not copies:
+            return NO_ACTION  # the emptied set stays the sharers
+        e.sharers = set()
         victims = tuple(sorted(copies))
-        if victims:
-            self.invalidations += len(victims)
+        self.invalidations += len(victims)
         return CoherenceOutcome(victims, forward)
 
     def evicted(self, line: int, core: int, dirty: bool) -> None:

@@ -29,30 +29,67 @@ from ..sim.stats import StatSet
 __all__ = ["SpmDirectory", "SpmFilter"]
 
 
+#: ``SpmDirectory`` indexes its ranges by ``2**_GRANULE_BITS``-byte
+#: address granules (4 KiB).
+_GRANULE_BITS = 12
+
+
 class SpmDirectory:
-    """Precise map from global address ranges to the SPM holding them."""
+    """Precise map from global address ranges to the SPM holding them.
+
+    ``_ranges`` maps each ``(base, nbytes)`` to its core in insertion order,
+    and ``lookup`` answers with the first range in that order that holds
+    the address.  So that it scans no unrelated range, ``_index`` lists the
+    key of every range under each address granule the range covers, in
+    ``_ranges`` order: a new key is appended to its granules' lists (it is
+    last in ``_ranges``), re-inserting a present key changes only its core,
+    and removing one deletes it from its lists, keeping the others' order.
+    """
 
     def __init__(self) -> None:
         self._ranges: Dict[Tuple[int, int], int] = {}  # (base, nbytes) -> core
+        self._index: Dict[int, List[Tuple[int, int]]] = {}  # granule -> keys
         # Counters (floats); ``stats`` reads them.
         self.inserts = 0.0
         self.removes = 0.0
         self.lookups = 0.0
 
+    @staticmethod
+    def _granules(base: int, nbytes: int) -> range:
+        return range(base >> _GRANULE_BITS, ((base + nbytes - 1) >> _GRANULE_BITS) + 1)
+
     def insert(self, base: int, nbytes: int, core: int) -> None:
-        self._ranges[(base, nbytes)] = core
+        key = (base, nbytes)
+        if key not in self._ranges:
+            index = self._index
+            for g in self._granules(base, nbytes):
+                keys = index.get(g)
+                if keys is None:
+                    index[g] = [key]
+                else:
+                    keys.append(key)
+        self._ranges[key] = core
         self.inserts += 1.0
 
     def remove(self, base: int, nbytes: int) -> None:
-        self._ranges.pop((base, nbytes), None)
+        key = (base, nbytes)
+        if key in self._ranges:
+            del self._ranges[key]
+            index = self._index
+            for g in self._granules(base, nbytes):
+                keys = index[g]
+                keys.remove(key)
+                if not keys:
+                    del index[g]
         self.removes += 1.0
 
     def lookup(self, addr: int) -> Optional[int]:
         """Owning core of ``addr``, or ``None`` if not SPM-mapped."""
         self.lookups += 1.0
-        for (base, nbytes), core in self._ranges.items():
+        for key in self._index.get(addr >> _GRANULE_BITS, ()):
+            base, nbytes = key
             if base <= addr < base + nbytes:
-                return core
+                return self._ranges[key]
         return None
 
     @property
@@ -87,15 +124,16 @@ class SpmFilter:
         self.probes = 0.0
         self.hits = 0.0
 
-    def _segment(self, addr: int) -> int:
-        return addr // self.segment_bytes
+    def _segments_of(self, base: int, nbytes: int) -> range:
+        seg = self.segment_bytes
+        return range(base // seg, (base + nbytes - 1) // seg + 1)
 
     def insert(self, base: int, nbytes: int) -> None:
-        for seg in range(self._segment(base), self._segment(base + nbytes - 1) + 1):
+        for seg in self._segments_of(base, nbytes):
             self._segments[seg] = self._segments.get(seg, 0) + 1
 
     def remove(self, base: int, nbytes: int) -> None:
-        for seg in range(self._segment(base), self._segment(base + nbytes - 1) + 1):
+        for seg in self._segments_of(base, nbytes):
             c = self._segments.get(seg, 0) - 1
             if c <= 0:
                 self._segments.pop(seg, None)
@@ -104,7 +142,7 @@ class SpmFilter:
 
     def maybe_mapped(self, addr: int) -> bool:
         self.probes += 1.0
-        hit = self._segment(addr) in self._segments
+        hit = addr // self.segment_bytes in self._segments
         if hit:
             self.hits += 1.0
         return hit

@@ -18,17 +18,44 @@ divisor to obtain execution time.  Energy is accumulated in joules across
 SRAM/DRAM/DMA accesses; NoC traffic in flit-hops via
 :class:`~repro.sim.noc.MeshNoC`, which is the "NoC traffic" bar of Fig. 1.
 
-:meth:`MemoryHierarchy.access` runs once per simulated reference, so it
-builds no enum or string and searches no topology per access: every
-counter of the hierarchy, its caches, coherence directory, SPM directory,
-filters, SPMs and NoC is a plain numeric field updated with ``+=``
-(accesses are counted per class value), the nearest memory controller of
-every node is tabled at construction, and :meth:`MemoryHierarchy.run_batch`
-converts a batch's columns once.  Each component's ``stats`` is a
-read-only property that builds a fresh :class:`~repro.sim.stats.StatSet`
-from those fields, so a ``StatSet`` read earlier does not follow later
-accesses.  The checked-in Fig. 1 baseline and the component-counter
-digests pin every number bit for bit, which fixes these rules:
+:meth:`MemoryHierarchy.access` runs once per simulated reference, so a
+reference builds no enum or string, and allocates, scans or recomputes
+nothing that depends only on the configuration or on state its callee
+already holds:
+
+* Every counter of the hierarchy, its caches, coherence directory, SPM
+  directory, filters, SPMs and NoC is a plain numeric field updated with
+  ``+=`` (accesses are counted per class value).
+* Tabled at construction: the nearest memory controller of every node,
+  and each energy term ``pj * 1e-12`` (the same float the product gives
+  per access).
+* The L1 is probed once: :meth:`SetAssocCache.access` reports a hit
+  line's prior dirty bit, so a write hit on a clean line is an upgrade.
+  Hits and misses that evict nothing return shared results.
+* The coherence directory returns the shared
+  :data:`~repro.memory.coherence.NO_ACTION` whenever a request invalidates
+  no core and forwards from no owner, and then no protocol cost is priced.
+* :meth:`~repro.sim.noc.MeshNoC.send` reads a message's flit-hops, energy
+  and latency from its size's table, indexed by hop count and built on the
+  size's first message.
+* An access inside the current SPM tile gets a shared empty tuple from
+  :meth:`~repro.memory.spm.TilingStream.advance`; the hierarchy reads the
+  tile base as a plain attribute.  The SPM directory follows every tile
+  switch, also one that moved no data (a write leaving a clean tile needs
+  no writeback and no fill), so the switch is told from the tile base,
+  never from the transfers.
+* :class:`~repro.memory.directory.SpmDirectory` lists each range under
+  every 4 KiB address granule it covers, in insertion order, so a lookup
+  walks only its granule's ranges and the first-inserted range that holds
+  the address still answers, also after a remove and a re-insert.
+* :meth:`MemoryHierarchy.run_batch` converts a batch's columns once and
+  calls :meth:`access` per record.
+
+Each component's ``stats`` is a read-only property that builds a fresh
+:class:`~repro.sim.stats.StatSet` from those fields, so a ``StatSet`` read
+earlier does not follow later accesses.  The checked-in Fig. 1 baseline
+and the component-counter digests pin every number bit for bit, which
+fixes these rules:
 
 * Key presence.  A count's key exists iff the count is non-zero.  An
   ``energy_pj.<kind>`` key exists iff an event that spends that kind has
@@ -53,13 +80,13 @@ digests pin every number bit for bit, which fixes these rules:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..sim.noc import MeshNoC
 from ..sim.stats import StatSet
 from .access import RefClass
 from .cache import SetAssocCache
-from .coherence import CoherenceDirectory
+from .coherence import NO_ACTION, CoherenceDirectory
 from .directory import SpmDirectory, SpmFilter
 from .params import MemoryParams
 from .spm import DmaTransfer, Scratchpad, TilingStream
@@ -76,6 +103,7 @@ _DATA_EXTRA = 8  # header on a data message
 
 #: The ``accesses.<class>`` counter of each reference class, by class value.
 _CLASS_COUNTERS = tuple(f"accesses.{c.name.lower()}" for c in RefClass)
+_N_CLASSES = len(_CLASS_COUNTERS)
 _STRIDED = RefClass.STRIDED.value
 _UNKNOWN = RefClass.RANDOM_UNKNOWN.value
 
@@ -111,8 +139,19 @@ class MemoryHierarchy:
             raise ValueError("need at least one core")
         self.n_cores = n_cores
         self.mode = mode
+        self._hybrid = mode == "hybrid"
         self.params = params if params is not None else MemoryParams()
         p = self.params
+        # Per-access constants: each energy term is the product the
+        # accounting would otherwise evaluate per access, so it is the same
+        # float.
+        self._line_bytes = p.line_bytes
+        self._l1_j = p.l1_access_pj * 1e-12
+        self._l2_j = p.l2_access_pj * 1e-12
+        self._dram_j = p.dram_line_pj * 1e-12
+        self._spm_j = p.spm_access_pj * 1e-12
+        self._filter_j = p.filter_pj * 1e-12
+        self._spm_dir_j = p.directory_pj * 1e-12
 
         self.noc = MeshNoC.square_for(n_cores)
         self.l1 = [
@@ -139,9 +178,10 @@ class MemoryHierarchy:
             self.spm = [Scratchpad(i, p.spm_bytes) for i in range(n_cores)]
             self.spm_directory = SpmDirectory()
             self.filters = [SpmFilter() for _ in range(n_cores)]
-            self._streams: Dict[Tuple[int, int], TilingStream] = {}
-            # core -> list of (base, nbytes, dirty) pinned SPM ranges
-            self._pinned: Dict[int, List[list]] = {i: [] for i in range(n_cores)}
+            # (region id) * n_cores + core -> that core's stream of the region
+            self._streams: Dict[int, TilingStream] = {}
+            # by core: list of [base, nbytes, dirty] pinned SPM ranges
+            self._pinned: List[List[list]] = [[] for _ in range(n_cores)]
 
         self.energy_j = 0.0
         self.mem_cycles = [0.0] * n_cores
@@ -175,12 +215,6 @@ class MemoryHierarchy:
         self.pj_spm_dir = 0.0
 
     # ------------------------------------------------------------------
-    # topology helpers
-    # ------------------------------------------------------------------
-    def home_bank(self, line: int) -> int:
-        return (line // self.params.line_bytes) % self.n_banks
-
-    # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
     def access(self, core: int, addr: int, write: bool, cls: int) -> float:
@@ -192,10 +226,10 @@ class MemoryHierarchy:
         """
         if not 0 <= core < self.n_cores:
             raise ValueError(f"core {core} outside 0..{self.n_cores - 1}")
-        if not 0 <= cls < len(_CLASS_COUNTERS):
+        if not 0 <= cls < _N_CLASSES:
             raise ValueError(f"unknown reference class {cls!r}")
         self.accesses_by_class[cls] += 1.0
-        if self.mode == "hybrid":
+        if self._hybrid:
             if cls == _STRIDED:
                 lat = self._spm_access(core, addr, write)
             elif cls == _UNKNOWN:
@@ -221,11 +255,11 @@ class MemoryHierarchy:
 
     def finish(self) -> None:
         """End of workload: flush SPM streams, pinned ranges, dirty L1s."""
-        if self.mode == "hybrid":
+        if self._hybrid:
             for stream in self._streams.values():
                 for t in stream.finish():
                     self._account_dma(t)
-            for core, entries in self._pinned.items():
+            for core, entries in enumerate(self._pinned):
                 for base, nbytes, dirty in entries:
                     if dirty:
                         self._account_dma(
@@ -246,8 +280,10 @@ class MemoryHierarchy:
         partition of CG's x vector): one bulk fill up front, coherence-free
         accesses throughout, one writeback at :meth:`finish` if dirtied.
         """
-        if self.mode != "hybrid":
+        if not self._hybrid:
             return
+        if not 0 <= core < self.n_cores:
+            raise ValueError(f"core {core} outside 0..{self.n_cores - 1}")
         self.spm[core].map_range(base, nbytes)
         self.spm_directory.insert(base, nbytes, core)
         for f in self.filters:
@@ -256,52 +292,46 @@ class MemoryHierarchy:
         self._pinned[core].append([base, nbytes, False])
         self.pinned_regions += 1.0
 
-    def _pinned_entry(self, core: int, addr: int):
-        for entry in self._pinned[core]:
-            if entry[0] <= addr < entry[0] + entry[1]:
-                return entry
-        return None
-
     def _spm_access(self, core: int, addr: int, write: bool) -> float:
         p = self.params
-        pinned = self._pinned_entry(core, addr)
-        if pinned is not None:
-            if write:
-                pinned[2] = True
-            self.spm[core].access(addr, write)
-            self.energy_j += p.spm_access_pj * 1e-12
-            self.pj_spm += p.spm_access_pj
-            self.spm_hits += 1.0
-            self.spm_pinned_hits += 1.0
-            return p.spm_hit_cycles
-        key = (core, addr >> STREAM_REGION_BITS)
+        for pinned in self._pinned[core]:
+            if pinned[0] <= addr < pinned[0] + pinned[1]:
+                if write:
+                    pinned[2] = True
+                self.spm[core].access(addr, write)
+                self.energy_j += self._spm_j
+                self.pj_spm += p.spm_access_pj
+                self.spm_hits += 1.0
+                self.spm_pinned_hits += 1.0
+                return p.spm_hit_cycles
+        key = (addr >> STREAM_REGION_BITS) * self.n_cores + core
         stream = self._streams.get(key)
         if stream is None:
             stream = TilingStream(self.spm[core], p)
             self._streams[key] = stream
-        old_tile = stream.current_tile
-        transfers = stream.advance(addr, write)
+        old_tile = stream.tile_base
         visible = 0.0
-        for t in transfers:
+        for t in stream.advance(addr, write):
             visible += self._account_dma(t)
-        if stream.current_tile != old_tile:
-            self._update_spm_mapping(core, old_tile, stream.current_tile)
-        self.energy_j += p.spm_access_pj * 1e-12
+        if stream.tile_base != old_tile:
+            # Also when the switch moved no data (a write leaving a clean
+            # tile): the directory must follow every tile switch.
+            self._update_spm_mapping(core, old_tile, stream.tile_base)
+        self.energy_j += self._spm_j
         self.pj_spm += p.spm_access_pj
         self.spm_hits += 1.0
         return p.spm_hit_cycles + visible
 
     def _update_spm_mapping(
-        self, core: int, old_tile: Optional[int], new_tile: Optional[int]
+        self, core: int, old_tile: Optional[int], new_tile: int
     ) -> None:
         """Keep directory precise across a tile swap (one control message)."""
         p = self.params
         if old_tile is not None:
             self.spm_directory.remove(old_tile, p.tile_bytes)
-        if new_tile is not None:
-            self.spm_directory.insert(new_tile, p.tile_bytes, core)
-            home = self.home_bank(new_tile)
-            self.noc.send(core, home, _CTRL_BYTES, kind="spm_dir")
+        self.spm_directory.insert(new_tile, p.tile_bytes, core)
+        home = (new_tile // self._line_bytes) % self.n_banks
+        self.noc.send(core, home, _CTRL_BYTES, kind="spm_dir")
 
     def _account_dma(self, t: DmaTransfer) -> float:
         """Charge one bulk transfer; returns *visible* latency in cycles."""
@@ -333,16 +363,16 @@ class MemoryHierarchy:
         cycles = 0.0
         if self.use_filter:
             cycles += p.filter_cycles
-            self.energy_j += p.filter_pj * 1e-12
+            self.energy_j += self._filter_j
             self.pj_filter += p.filter_pj
             if not self.filters[core].maybe_mapped(addr):
                 self.unknown_filtered += 1.0
                 return cycles + self._cache_access(core, addr, write)
         # Possibly SPM-mapped: consult the distributed directory at the
         # address's home node.
-        home = self.home_bank(addr)
+        home = (addr // self._line_bytes) % self.n_banks
         lat_req = self.noc.send(core, home, _CTRL_BYTES, kind="spm_dir")
-        self.energy_j += p.directory_pj * 1e-12
+        self.energy_j += self._spm_dir_j
         self.pj_spm_dir += p.directory_pj
         cycles += lat_req * p.core_freq_ghz * 1e9 + p.directory_cycles
         owner = self.spm_directory.lookup(addr)
@@ -351,7 +381,7 @@ class MemoryHierarchy:
             return cycles + self._cache_access(core, addr, write)
         # Served by the owning SPM (possibly remote).
         self.unknown_spm_served += 1.0
-        self.energy_j += p.spm_access_pj * 1e-12
+        self.energy_j += self._spm_j
         self.pj_spm += p.spm_access_pj
         cycles += p.spm_hit_cycles
         if owner != core:
@@ -362,9 +392,10 @@ class MemoryHierarchy:
             cycles += (lat_fwd + lat_data) * p.core_freq_ghz * 1e9
         if write:
             self.spm[owner].access(addr, True)
-            entry = self._pinned_entry(owner, addr)
-            if entry is not None:
-                entry[2] = True
+            for pinned in self._pinned[owner]:
+                if pinned[0] <= addr < pinned[0] + pinned[1]:
+                    pinned[2] = True
+                    break
         return cycles
 
     # ------------------------------------------------------------------
@@ -374,7 +405,7 @@ class MemoryHierarchy:
         """Tell every core's filter that [base, base+nbytes) is strided data
         that may at any time be SPM-mapped.  Done once per array by the
         compiler-generated setup code; no runtime traffic."""
-        if self.mode != "hybrid":
+        if not self._hybrid:
             return
         for f in self.filters:
             f.insert(base, nbytes)
@@ -382,51 +413,51 @@ class MemoryHierarchy:
     def _writeback_l1_line(self, core: int, line: int) -> None:
         """Dirty L1 victim travels to its home L2 bank."""
         p = self.params
-        home = self.home_bank(line)
+        home = (line // self._line_bytes) % self.n_banks
         self.noc.send(core, home, p.line_bytes + _DATA_EXTRA, kind="writeback")
-        self.energy_j += p.l2_access_pj * 1e-12
+        self.energy_j += self._l2_j
         self.pj_l2 += p.l2_access_pj
-        v_addr, v_dirty = self.l2[home].fill(line, dirty=True)
-        self._l2_victim(home, v_addr, v_dirty)
+        _, v_dirty = self.l2[home].fill(line, dirty=True)
+        if v_dirty:
+            self._l2_victim(home)
         self.l1_writebacks += 1.0
 
-    def _l2_victim(self, bank: int, v_addr: Optional[int], v_dirty: bool) -> None:
-        if v_addr is not None and v_dirty:
-            p = self.params
-            mc = self._nearest_mc[bank]
-            self.noc.send(bank, mc, p.line_bytes + _DATA_EXTRA, kind="writeback")
-            self.energy_j += p.dram_line_pj * 1e-12
-            self.pj_dram += p.dram_line_pj
-            self.l2_writebacks += 1.0
+    def _l2_victim(self, bank: int) -> None:
+        """A dirty L2 victim travels to the nearest memory controller."""
+        p = self.params
+        mc = self._nearest_mc[bank]
+        self.noc.send(bank, mc, p.line_bytes + _DATA_EXTRA, kind="writeback")
+        self.energy_j += self._dram_j
+        self.pj_dram += p.dram_line_pj
+        self.l2_writebacks += 1.0
 
     def _cache_access(self, core: int, addr: int, write: bool) -> float:
         p = self.params
-        l1 = self.l1[core]
-        self.energy_j += p.l1_access_pj * 1e-12
+        self.energy_j += self._l1_j
         self.pj_l1 += p.l1_access_pj
-        # Only a write hit reads the line's prior dirty bit.
-        was_dirty = write and l1.is_dirty(addr)
-        res = l1.access(addr, write)
+        # One probe: a hit reports the line's prior dirty bit.
+        hit, v_addr, v_dirty, was_dirty = self.l1[core].access(addr, write)
 
-        if res.victim_addr is not None:
-            self.coherence.evicted(res.victim_addr, core, res.victim_dirty)
-            if res.victim_dirty:
-                self._writeback_l1_line(core, res.victim_addr)
+        if v_addr is not None:
+            self.coherence.evicted(v_addr, core, v_dirty)
+            if v_dirty:
+                self._writeback_l1_line(core, v_addr)
 
-        if res.hit:
+        lb = self._line_bytes
+        if hit:
             self.l1_hits += 1.0
             if write and not was_dirty:
                 # Upgrade: the copy was Shared; invalidate other sharers.
                 return p.l1_hit_cycles + self._coherent_write_upgrade(
-                    core, l1.line_addr(addr)
+                    core, addr - addr % lb
                 )
             return p.l1_hit_cycles
 
         # ---- L1 miss ---------------------------------------------------
         self.l1_misses += 1.0
         send = self.noc.send
-        line = l1.line_addr(addr)
-        home = self.home_bank(line)
+        line = addr - addr % lb
+        home = (line // lb) % self.n_banks
         lat_req = send(core, home, _CTRL_BYTES, kind="control")
         cycles = p.l1_hit_cycles + lat_req * p.core_freq_ghz * 1e9
 
@@ -435,21 +466,23 @@ class MemoryHierarchy:
             if write
             else self.coherence.read(line, core)
         )
-        cycles += self._coherence_cost(home, line, outcome)
+        if outcome is not NO_ACTION:
+            cycles += self._coherence_cost(home, line, outcome)
 
-        self.energy_j += p.l2_access_pj * 1e-12
+        self.energy_j += self._l2_j
         self.pj_l2 += p.l2_access_pj
         cycles += p.l2_hit_cycles
-        l2res = self.l2[home].access(line, False)
-        self._l2_victim(home, l2res.victim_addr, l2res.victim_dirty)
-        if l2res.hit or outcome.owner_forward is not None:
+        l2_hit, _, v_dirty, _ = self.l2[home].access(line, False)
+        if v_dirty:
+            self._l2_victim(home)
+        if l2_hit or outcome.owner_forward is not None:
             self.l2_hits += 1.0
         else:
             self.l2_misses += 1.0
             mc = self._nearest_mc[home]
             lat_mreq = send(home, mc, _CTRL_BYTES, kind="control")
             lat_mdat = send(mc, home, p.line_bytes + _DATA_EXTRA, kind="data")
-            self.energy_j += p.dram_line_pj * 1e-12
+            self.energy_j += self._dram_j
             self.pj_dram += p.dram_line_pj
             cycles += p.dram_cycles + (lat_mreq + lat_mdat) * p.core_freq_ghz * 1e9
 
@@ -457,14 +490,14 @@ class MemoryHierarchy:
         return cycles + lat_data * p.core_freq_ghz * 1e9
 
     def _coherent_write_upgrade(self, core: int, line: int) -> float:
-        home = self.home_bank(line)
+        home = (line // self._line_bytes) % self.n_banks
         lat = self.noc.send(core, home, _CTRL_BYTES, kind="coherence")
         outcome = self.coherence.write(line, core)
         self.upgrades += 1.0
-        return (
-            lat * self.params.core_freq_ghz * 1e9
-            + self._coherence_cost(home, line, outcome)
-        )
+        cycles = lat * self.params.core_freq_ghz * 1e9
+        if outcome is not NO_ACTION:
+            cycles += self._coherence_cost(home, line, outcome)
+        return cycles
 
     def _coherence_cost(self, home: int, line: int, outcome) -> float:
         """Invalidation fan-out and owner forwarding for one request.
@@ -481,7 +514,7 @@ class MemoryHierarchy:
             owner = outcome.owner_forward
             lat_f = send(home, owner, _CTRL_BYTES, kind="coherence")
             lat_d = send(owner, home, p.line_bytes + _DATA_EXTRA, kind="coherence")
-            self.energy_j += p.l1_access_pj * 1e-12
+            self.energy_j += self._l1_j
             self.pj_l1 += p.l1_access_pj
             cycles += (lat_f + lat_d) * p.core_freq_ghz * 1e9
         if outcome.victims:
@@ -539,7 +572,7 @@ class MemoryHierarchy:
         dma = self.dma_fills + self.dma_writebacks
         dir_consults = self.unknown_dir_miss + self.unknown_spm_served
         filter_probes = (
-            by_class[_UNKNOWN] if self.mode == "hybrid" and self.use_filter else 0
+            by_class[_UNKNOWN] if self._hybrid and self.use_filter else 0
         )
         out.add_many(
             (key, pj)

@@ -18,7 +18,7 @@ currently resident so the SPM directory/filter can answer alias queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.stats import StatSet
 from .params import MemoryParams
@@ -92,71 +92,78 @@ class Scratchpad:
         ))
 
 
+#: What ``TilingStream.advance`` returns for an access that needs no
+#: transfer inside the current tile.
+_NO_TRANSFERS: Tuple[DmaTransfer, ...] = ()
+
+
 class TilingStream:
     """The software cache managing one strided stream through one SPM.
 
     ``advance(addr, write)`` is called for every strided access in program
-    order; it returns the :class:`DmaTransfer` objects (fill of the next
-    tile, writeback of the previous dirty tile) that the access triggered,
-    empty for steady-state in-tile accesses.
+    order; it returns the :class:`DmaTransfer` objects (writeback of the
+    previous dirty tile, fill of the next one) that the access triggered,
+    and a shared empty tuple for a steady-state in-tile access.
+    ``tile_base`` is the base of the mapped tile (``None`` before the first
+    access and after :meth:`finish`).
 
     The fill is *lazy*: a tile is only DMA-filled on its first **read**.  A
     tile that is exclusively written (an output stream — the compiler knows
     this from the OUT dependence annotation) skips the fill entirely,
-    avoiding the write-allocate round trip a cache would pay.
+    avoiding the write-allocate round trip a cache would pay.  Moving to
+    another tile therefore need not transfer anything: a write that leaves
+    a clean tile returns no transfer, yet ``tile_base`` changes.
     """
 
     def __init__(self, spm: Scratchpad, params: MemoryParams) -> None:
         self.spm = spm
-        self.params = params
-        self._tile_base: Optional[int] = None
+        self.tile_base: Optional[int] = None
+        self._tile_bytes = params.tile_bytes
         self._dirty = False
         self._filled = False
 
-    def _tile_of(self, addr: int) -> int:
-        t = self.params.tile_bytes
-        return addr - (addr % t)
-
-    @property
-    def current_tile(self) -> Optional[int]:
-        return self._tile_base
-
     def _close_tile(self) -> List[DmaTransfer]:
         transfers: List[DmaTransfer] = []
-        if self._tile_base is not None:
+        if self.tile_base is not None:
             if self._dirty:
                 transfers.append(
                     DmaTransfer(
                         self.spm.core_id,
-                        self._tile_base,
-                        self.params.tile_bytes,
+                        self.tile_base,
+                        self._tile_bytes,
                         to_spm=False,
                     )
                 )
-            self.spm.unmap_range(self._tile_base)
-            self._tile_base = None
+            self.spm.unmap_range(self.tile_base)
+            self.tile_base = None
             self._dirty = False
             self._filled = False
         return transfers
 
-    def advance(self, addr: int, write: bool) -> List[DmaTransfer]:
-        transfers: List[DmaTransfer] = []
-        tile = self._tile_of(addr)
-        if tile != self._tile_base:
-            transfers.extend(self._close_tile())
-            self.spm.map_range(tile, self.params.tile_bytes)
-            self._tile_base = tile
-        if not write and not self._filled:
+    def advance(self, addr: int, write: bool) -> Sequence[DmaTransfer]:
+        tile_bytes = self._tile_bytes
+        tile = addr - addr % tile_bytes
+        if tile == self.tile_base:
+            self.spm.access(addr, write)
+            if write:
+                self._dirty = True
+                return _NO_TRANSFERS
+            if self._filled:
+                return _NO_TRANSFERS
+            self._filled = True
             # First read of the tile: bring the data in.
+            return [DmaTransfer(self.spm.core_id, tile, tile_bytes, to_spm=True)]
+        transfers = self._close_tile()
+        self.spm.map_range(tile, tile_bytes)
+        self.tile_base = tile
+        if write:
+            self._dirty = True
+        else:
             transfers.append(
-                DmaTransfer(
-                    self.spm.core_id, tile, self.params.tile_bytes, to_spm=True
-                )
+                DmaTransfer(self.spm.core_id, tile, tile_bytes, to_spm=True)
             )
             self._filled = True
         self.spm.access(addr, write)
-        if write:
-            self._dirty = True
         return transfers
 
     def finish(self) -> List[DmaTransfer]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .stats import StatSet
 
@@ -57,14 +57,15 @@ class MeshNoC:
         self.params = params if params is not None else NocParams()
         # ``send`` runs several times per simulated memory access, so its
         # counters are fields (``stats`` builds a snapshot from them) and
-        # the flits of each message size are looked up, not recomputed.
+        # what a message costs is looked up, not recomputed: per message
+        # size, its flits and a row per hop count (see ``_size_table``).
         self.messages = 0.0
         self.flits = 0
         self.flit_hops = 0
         self.bytes = 0
         self.energy_j = 0.0
         self.flit_hops_by_kind: Dict[str, int] = {}
-        self._flits: Dict[int, int] = {}
+        self._by_size: Dict[int, Tuple[int, List[Tuple[int, float, float]]]] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -107,18 +108,40 @@ class MeshNoC:
             raise ValueError("negative message size")
         return max(1, math.ceil(nbytes / self.params.flit_bytes))
 
+    def _size_table(self, nbytes: int) -> Tuple[int, List[Tuple[int, float, float]]]:
+        """The flits of an ``nbytes`` message and, for every hop count the
+        mesh has, its ``(flit_hops, energy term, latency)``.
+
+        Built on the size's first message, with the expressions ``send``
+        would evaluate, so every value is the one it would compute.
+        """
+        flits = self.flits_for_bytes(nbytes)
+        p = self.params
+        rows = []
+        for hops in range(self.width + self.height - 1):
+            flit_hops = flits * (hops if hops > 1 else 1)
+            rows.append((
+                flit_hops,
+                flit_hops * p.energy_per_flit_hop_pj * 1e-12,
+                # serialization at one flit/cycle
+                (hops * p.hop_latency_cycles + flits) / (p.frequency_ghz * 1e9),
+            ))
+        entry = self._by_size[nbytes] = (flits, rows)
+        return entry
+
     def send(self, src: int, dst: int, nbytes: int, kind: str = "data") -> float:
         """Account one message; returns its latency in **seconds**.
 
         ``kind`` partitions the traffic counters (``data``, ``control``,
         ``dma``, ``coherence`` ...) so benchmarks can attribute reductions.
         Raises ``ValueError`` for a node outside the mesh or a negative
-        size.
+        size, before any counter moves.
 
-        The hop distance is computed inline (it is :meth:`hops`).  The
-        flit, flit-hop and byte counters stay ints and ``energy_j`` is one
-        float add per message, in message order: the callers' digests
-        depend on both.
+        The hop distance is computed inline (it is :meth:`hops`), and the
+        message's flit-hops, energy and latency are read from its size's
+        row for that distance.  The flit, flit-hop and byte counters stay
+        ints and ``energy_j`` is one float add per message, in message
+        order: the callers' digests depend on both.
         """
         w = self.width
         n = w * self.height
@@ -128,11 +151,10 @@ class MeshNoC:
             raise ValueError(f"node {dst} outside mesh")
         hops = abs(src % w - dst % w) + abs(src // w - dst // w)
         try:
-            flits = self._flits[nbytes]
+            flits, rows = self._by_size[nbytes]
         except KeyError:
-            flits = self._flits[nbytes] = self.flits_for_bytes(nbytes)
-        flit_hops = flits * (hops if hops > 1 else 1)
-        p = self.params
+            flits, rows = self._size_table(nbytes)
+        flit_hops, energy_j, latency_s = rows[hops]
         self.messages += 1.0
         self.flits += flits
         self.flit_hops += flit_hops
@@ -142,9 +164,8 @@ class MeshNoC:
         except KeyError:
             by_kind[kind] = flit_hops
         self.bytes += nbytes
-        self.energy_j += flit_hops * p.energy_per_flit_hop_pj * 1e-12
-        # serialization at one flit/cycle
-        return (hops * p.hop_latency_cycles + flits) / (p.frequency_ghz * 1e9)
+        self.energy_j += energy_j
+        return latency_s
 
     @property
     def stats(self) -> StatSet:

@@ -240,11 +240,3 @@ class TestAnalyses:
         assert g.critical == [True, False, True, True, False, True, True, True]
         assert g.critical_path(weight)[1] == 0.0031666666666666666
 
-    def test_to_networkx_roundtrip(self):
-        g, (a, b, c, d) = diamond()
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 4
-        assert nxg.number_of_edges() == 4
-        assert nxg.has_edge(a.gid, d.gid) is False
-        assert nxg.has_edge(a.gid, b.gid)
-        assert nxg.nodes[b.gid]["label"] == "b"

@@ -103,6 +103,24 @@ class TestHybridMode:
         assert h.stats.get("dma_fills") == 2048 // params.tile_bytes
         assert h.stats.get("dma_writebacks") == 0
 
+    def test_tile_switch_without_transfer_moves_the_directory(self, params):
+        """A write that leaves a clean tile moves no data (no writeback, and
+        a write does not fill), yet the SPM directory must drop the old
+        tile and map the new one."""
+        h = MemoryHierarchy(2, mode="hybrid", params=params)
+        base = 1 << 30  # strided region 1
+        tb = params.tile_bytes
+        h.access(1, base + 8, False, RefClass.STRIDED)  # fill tile 0, clean
+        h.access(1, base + tb + 8, True, RefClass.STRIDED)  # write tile 1
+        assert h.stats.get("dma_fills") == 1
+        assert h.stats.get("dma_writebacks") == 0
+        d = h.spm_directory
+        assert d.lookup(base + 8) is None
+        assert d.lookup(base + tb + 8) == 1
+        assert d.n_ranges == 1
+        assert d.stats.get("inserts") == 2 and d.stats.get("removes") == 1
+        assert h.noc.stats.get("flit_hops.spm_dir") > 0
+
     def test_unknown_not_mapped_goes_to_cache_after_filter(self, params):
         h = MemoryHierarchy(4, mode="hybrid", params=params)
         lat = h.access(0, 99 << 20, False, RefClass.RANDOM_UNKNOWN)
@@ -139,6 +157,14 @@ class TestHybridMode:
         lat = h.access(0, 8, False, RefClass.STRIDED)
         assert lat == pytest.approx(params.spm_hit_cycles)
         assert h.stats.get("spm_pinned_hits") == 1
+
+    @pytest.mark.parametrize("core", [-1, 2])
+    def test_pin_rejects_a_core_outside_the_chip(self, params, core):
+        h = MemoryHierarchy(2, mode="hybrid", params=params)
+        with pytest.raises(ValueError, match="outside"):
+            h.pin_region(core, 0, 4096)
+        assert h.spm_directory.n_ranges == 0
+        assert h.stats.get("pinned_regions") == 0
 
     def test_pin_rejected_beyond_capacity(self, params):
         h = MemoryHierarchy(1, mode="hybrid", params=params)

@@ -10,11 +10,12 @@ hierarchy against conservation-style accounting invariants.
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.memory.access import RefClass
 from repro.memory.cache import SetAssocCache
 from repro.memory.coherence import CoherenceDirectory
+from repro.memory.directory import SpmDirectory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.params import MemoryParams
 
@@ -58,6 +59,104 @@ def test_cache_matches_reference_model(ops):
         got = cache.access(addr, write).hit
         want = ref.access(addr, write)
         assert got == want
+
+
+@given(_ops)
+@settings(max_examples=80, deadline=None)
+def test_cache_results_match_reference_model(ops):
+    """Every field of a result: a hit reports the line's prior dirty bit,
+    a miss the LRU victim (if the set was full) and whether it was dirty."""
+    cache = SetAssocCache(1024, 64, 2)
+    ref = _RefCache(1024, 64, 2)
+    for addr, write in ops:
+        line = addr - addr % 64
+        s = ref.sets[(line // 64) % ref.n_sets]
+        was_dirty = bool(s.get(line, False))
+        victim = None
+        if line not in s and len(s) >= ref.ways:
+            victim = next(iter(s.items()))
+        hit = ref.access(addr, write)
+        want = (
+            (True, None, False, was_dirty) if hit
+            else (False, None, False, False) if victim is None
+            else (False, victim[0], bool(victim[1]), False)
+        )
+        got = cache.access(addr, write)
+        assert (got.hit, got.victim_addr, got.victim_dirty, got.was_dirty) == want
+
+
+# ---------------------------------------------------------------------------
+# SPM directory vs a linear scan
+# ---------------------------------------------------------------------------
+
+
+class _ScanDirectory:
+    """Reference SPM directory: every lookup scans the ranges in insertion
+    order and answers with the first that holds the address."""
+
+    def __init__(self):
+        self.ranges = {}
+        self.inserts = self.removes = self.lookups = 0.0
+
+    def insert(self, base, nbytes, core):
+        self.ranges[(base, nbytes)] = core
+        self.inserts += 1.0
+
+    def remove(self, base, nbytes):
+        self.ranges.pop((base, nbytes), None)
+        self.removes += 1.0
+
+    def lookup(self, addr):
+        self.lookups += 1.0
+        for (base, nbytes), core in self.ranges.items():
+            if base <= addr < base + nbytes:
+                return core
+        return None
+
+
+# Few distinct keys, so removes and re-inserts (also with another core) hit
+# present ranges; bases and sizes are aligned and not, and span granules.
+_bases = st.sampled_from([0, 8, 1000, 4090, 4096, 6000, 8192, 12000])
+_sizes = st.sampled_from([1, 8, 64, 1024, 4096, 5000, 9000])
+_dir_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _bases, _sizes, st.integers(0, 3)),
+        st.tuples(st.just("remove"), _bases, _sizes),
+        st.tuples(st.just("lookup"), st.integers(0, 22000)),
+    ),
+    max_size=120,
+)
+_PROBES = (0, 7, 8, 999, 1000, 4089, 4095, 4096, 4097, 5095, 6000, 8191,
+           8192, 9095, 10096, 12000, 13023, 16095, 17191, 21000)
+
+
+@given(_dir_ops)
+@example([  # overlapping, unaligned, granule-spanning: the first wins
+    ("insert", 4090, 5000, 1), ("insert", 4096, 64, 2), ("lookup", 4100),
+])
+@example([  # removed and re-inserted: the range goes last
+    ("insert", 0, 9000, 1), ("insert", 4096, 64, 2), ("remove", 0, 9000),
+    ("insert", 0, 9000, 3), ("lookup", 4100), ("lookup", 8200),
+])
+@example([  # re-inserted with another core: it keeps its place
+    ("insert", 0, 9000, 1), ("insert", 4096, 64, 2), ("insert", 0, 9000, 3),
+    ("lookup", 4100), ("remove", 0, 9000), ("lookup", 4100), ("remove", 0, 9000),
+])
+@settings(max_examples=150, deadline=None)
+def test_spm_directory_matches_linear_scan(ops):
+    """Lookups, counters and range counts equal the reference's after
+    every operation, probed across granule boundaries."""
+    d = SpmDirectory()
+    ref = _ScanDirectory()
+    for op, *args in ops:
+        assert getattr(d, op)(*args) == getattr(ref, op)(*args)
+        for addr in _PROBES:
+            assert d.lookup(addr) == ref.lookup(addr), addr
+        assert d.n_ranges == len(ref.ranges)
+        assert d.stats.as_dict() == {
+            k: v for k, v in (("inserts", ref.inserts), ("removes", ref.removes),
+                              ("lookups", ref.lookups)) if v
+        }
 
 
 @given(_ops)

@@ -104,3 +104,50 @@ class TestTraffic:
             assert type(noc.stats.get(key)) is int, key
         assert noc.stats.get("flit_hops") == 5 * 6 + 1 + 5 * 6 + 5 * 6
         assert noc.total_energy_j == energy
+
+
+def _mesh_pairs(noc):
+    n = noc.n_nodes
+    return [(s, d) for s in range(n) for d in range(n)]
+
+
+def _expected(noc, src, dst, nbytes):
+    """The latency and flit-hops of one message, from the mesh geometry."""
+    w, p = noc.width, noc.params
+    hops = abs(src % w - dst % w) + abs(src // w - dst // w)
+    flits = max(1, -(-nbytes // p.flit_bytes))
+    latency = (hops * p.hop_latency_cycles + flits) / (p.frequency_ghz * 1e9)
+    return latency, flits * max(hops, 1)
+
+
+def _send_and_check(noc, src, dst, nbytes):
+    before = noc.flit_hops
+    latency, flit_hops = _expected(noc, src, dst, nbytes)
+    assert noc.send(src, dst, nbytes) == latency, (src, dst, nbytes)
+    assert noc.flit_hops - before == flit_hops, (src, dst, nbytes)
+
+
+@pytest.mark.parametrize("mesh", [(1, 1), (3, 3), "square_for(12)", (8, 8)])
+@pytest.mark.parametrize("params", [NocParams(), NocParams(hop_latency_cycles=1.5,
+                                                           flit_bytes=12,
+                                                           frequency_ghz=1.3)])
+def test_send_latency_and_flit_hops_of_every_pair(mesh, params):
+    """Every (src, dst) pair, three message sizes: the latency is
+    ``(hops * hop_latency_cycles + flits) / (frequency_ghz * 1e9)`` bit for
+    bit and the flit-hops are ``flits * max(hops, 1)``, on the size's first
+    message and on later ones."""
+    def make():
+        if mesh == "square_for(12)":
+            noc = MeshNoC.square_for(12, params)
+            assert (noc.width, noc.height) == (4, 3)
+            return noc
+        return MeshNoC(*mesh, params)
+
+    for nbytes in (8, 72, 1032):
+        for src, dst in _mesh_pairs(make()):
+            noc = make()
+            _send_and_check(noc, src, dst, nbytes)  # the size's first message
+            _send_and_check(noc, dst, src, nbytes)
+        shared = make()
+        for src, dst in _mesh_pairs(shared):
+            _send_and_check(shared, src, dst, nbytes)
